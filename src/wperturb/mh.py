@@ -39,6 +39,8 @@ _LAMBDA_CAP = 1e12
 class Proposal:
     """Proposal kernel Q(x, .) on the line: sampler plus optional density.
 
+    ``sampler(rng, x)`` draws one proposal per entry of x: the scalar
+    steppers pass a float, the report path an ndarray of replica states.
     ``support`` maps x to a compact interval carrying all of Q(x, .);
     the quadrature-based constants require it and fail without it.
     """
@@ -53,7 +55,7 @@ class Proposal:
             raise ValueError("half_width must be positive")
         h = float(half_width)
         return cls(
-            sampler=lambda rng, x: x + h * (2.0 * rng.random() - 1.0),
+            sampler=lambda rng, x: x + h * (2.0 * rng.random(np.shape(x)) - 1.0),
             density=lambda x, y: 0.5 / h if abs(y - x) <= h else 0.0,
             support=lambda x: (x - h, x + h))
 
@@ -63,24 +65,20 @@ class MhProblem:
     """MH target on the line, given through log r(x,y) = log pi(y)q(y,x)/pi(x)q(x,y).
 
     ``log_target_ratio`` may return -inf (proposal outside the support).
+    It and ``acceptance`` take floats or equal-shape ndarrays.
     """
 
     log_target_ratio: Callable[[float, float], float]
     proposal: Proposal
 
-    def acceptance(self, x: float, y: float) -> float:
-        lr = self.log_target_ratio(x, y)
-        if lr >= 0.0:
-            return 1.0
-        return math.exp(lr)
+    def acceptance(self, x, y):
+        return np.exp(np.minimum(self.log_target_ratio(x, y), 0.0))
 
     @classmethod
     def exponential_target(cls, half_width: float = 1.0) -> "MhProblem":
         """Density exp(-x) on [0, inf) with a symmetric uniform window."""
-        def log_ratio(x: float, y: float) -> float:
-            if y < 0.0:
-                return -math.inf
-            return x - y
+        def log_ratio(x, y):
+            return np.where(y < 0.0, -np.inf, x - y)
 
         return cls(log_ratio, Proposal.uniform_window(half_width))
 
@@ -201,6 +199,11 @@ class AcceptancePerturbation:
       randomized-ratio threshold min{1, R} with R ~ ratio_sampler(rng, x, y, u);
                        constants need the mean acceptance alpha_tilde_fn
       indicator-set    alpha~ = min{1, alpha + 1_{in_set}(x)}
+
+    In the report path ``realized_threshold`` runs on whole replica
+    clouds, so ``in_set(x)`` and ``ratio_sampler(rng, x, y, u)`` receive
+    ndarrays there and must answer elementwise; the finite-space
+    constants pass them state indices.
     """
 
     mode: str
@@ -253,21 +256,25 @@ class AcceptancePerturbation:
         """E(x,y) = |alpha - alpha~|(x,y)."""
         return abs(self.alpha_tilde(alpha, x, y) - alpha)
 
-    def realized_threshold(self, alpha: float, x, y, u: float,
-                           rng: np.random.Generator) -> float:
-        """The acceptance threshold one perturbed step actually uses."""
+    def realized_threshold(self, alpha, x, y, u, rng: np.random.Generator):
+        """The acceptance threshold a perturbed step actually uses.
+
+        Elementwise over floats or equal-shape ndarrays of alpha, x, y, u;
+        uniform noise draws one value per entry of alpha from ``rng``.
+        """
         if self.mode == "none":
             return alpha
         if self.mode == "uniform-noise":
             if self.s == 0.0:
                 return alpha  # draw nothing: keeps streams aligned with mh_step
-            return min(1.0, max(0.0, alpha + rng.uniform(-self.s, self.s)))
+            noise = rng.uniform(-self.s, self.s, np.shape(alpha))
+            return np.clip(alpha + noise, 0.0, 1.0)
         if self.mode == "indicator-set":
-            return min(1.0, alpha + (1.0 if self.in_set(x) else 0.0))
-        r = float(self.ratio_sampler(rng, x, y, u))
-        if r < 0.0:
+            return np.minimum(1.0, alpha + np.where(self.in_set(x), 1.0, 0.0))
+        r = np.asarray(self.ratio_sampler(rng, x, y, u), dtype=np.float64)
+        if np.any(r < 0.0):
             raise ValueError("ratio sampler returned a negative value")
-        return min(1.0, r)
+        return np.minimum(1.0, r)
 
 
 # --------------------------------------------------------------------------
@@ -284,10 +291,18 @@ def approx_mh_step(problem: MhProblem, perturbation: AcceptancePerturbation,
                    x: float, rng: np.random.Generator) -> float:
     y = problem.proposal.sampler(rng, x)
     u = rng.random()
+    return float(_approx_accept(problem, perturbation, x, y, u, rng))
+
+
+def _approx_accept(problem: MhProblem, perturbation: AcceptancePerturbation,
+                   x, y, u, rng: np.random.Generator):
+    """Perturbed accept/reject of proposals y from x, elementwise."""
     thr = perturbation.realized_threshold(problem.acceptance(x, y), x, y, u, rng)
-    if not 0.0 <= thr <= 1.0:
-        raise RuntimeError(f"acceptance threshold {thr} outside [0, 1]")
-    return y if u < thr else x
+    ok = (thr >= 0.0) & (thr <= 1.0)  # NaN fails both
+    if not np.all(ok):
+        bad = np.asarray(thr)[~np.asarray(ok)].flat[0]
+        raise RuntimeError(f"acceptance threshold {bad} outside [0, 1]")
+    return np.where(u < thr, y, x)
 
 
 # --------------------------------------------------------------------------
@@ -497,16 +512,32 @@ class MetroGeomConstants:
 
 def _simulate_pair(problem: MhProblem, perturbation: AcceptancePerturbation,
                    x0: float, n: int, replicas: int, seed: int):
-    """Coupled paths: per (replica, step) both chains read one stream."""
+    """Coupled paths of both chains, every replica stepped at once.
+
+    Step k reads two streams.  ``philox(seed, 0, k)`` gives the acceptance
+    uniforms of all replicas and then their proposal draws; it is rewound
+    after the exact chain's proposals, so the perturbed chain replays the
+    same draws (the same increments, for a random-walk proposal) and the
+    same uniforms.  The perturbed chain's threshold noise comes from
+    ``philox(seed, 1, k)``.  With no perturbation, or zero noise, the two
+    paths are therefore identical.
+    """
+    sampler = problem.proposal.sampler
     xs = np.empty((n, replicas))
     xts = np.empty((n, replicas))
-    for r in range(replicas):
-        x = xt = float(x0)
-        for k in range(n):
-            x = mh_step(problem, x, philox(seed, r, k))
-            xt = approx_mh_step(problem, perturbation, xt, philox(seed, r, k))
-            xs[k, r] = x
-            xts[k, r] = xt
+    x = np.full(replicas, float(x0))
+    xt = x.copy()
+    for k in range(n):
+        shared = philox(seed, 0, k)
+        u = shared.random(replicas)
+        start = shared.bit_generator.state
+        y = sampler(shared, x)
+        shared.bit_generator.state = start
+        yt = sampler(shared, xt)
+        x = np.where(u < problem.acceptance(x, y), y, x)
+        xt = _approx_accept(problem, perturbation, xt, yt, u, philox(seed, 1, k))
+        xs[k] = x
+        xts[k] = xt
     return xs, xts
 
 
@@ -520,6 +551,12 @@ def mh_metro_geom_report(problem: MhProblem,
     bound dominates it, so the comparison is sound for the usual
     exponential-type weights.  distance_se is a scale proxy for the
     empirical-W1 fluctuation (cloud spreads over sqrt(samples)).
+
+    The clouds come from ``_simulate_pair``, keyed per step: the chains
+    share each step's proposal draws and acceptance uniforms (stream
+    role 0) and the perturbed chain's threshold noise has its own stream
+    (role 1).  Output is byte-reproducible for a seed; the per-step keying
+    replaced a per-(replica, step) one, which changed every value once.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -516,3 +516,101 @@ def test_report_and_constants_validation():
         mh.mh_metro_geom_report(prob, pert, cons, n=0, samples=10, seed=0)
     with pytest.raises(ValueError):
         mh.mh_metro_geom_report(prob, pert, cons, n=3, samples=1, seed=0)
+
+
+# ------------------------------------------------------ vectorized report path
+
+
+@pytest.mark.parametrize("mode", ["none", "uniform", "indicator", "ratio"])
+def test_array_threshold_matches_scalar_loop(mode):
+    # one call on arrays equals the scalar call entry by entry, reading the
+    # same generator in the same order
+    pert = {
+        "none": mh.AcceptancePerturbation.none(),
+        "uniform": mh.AcceptancePerturbation.uniform_noise(0.3),
+        "indicator": mh.AcceptancePerturbation.indicator_set(lambda x: x > 0.5),
+        "ratio": mh.AcceptancePerturbation.randomized_ratio(
+            lambda rng, x, y, u: 2.0 * rng.random(np.shape(x)) * np.exp(x - y)),
+    }[mode]
+    g = philox(31, 2)
+    alpha, x, y, u = g.random((4, 500))
+    got = pert.realized_threshold(alpha, x, y, u, philox(32, 0))
+    ref = philox(32, 0)
+    want = [pert.realized_threshold(*args, ref) for args in zip(alpha, x, y, u)]
+    np.testing.assert_array_equal(got, want)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+def test_array_acceptance_matches_scalar():
+    g = philox(33, 0)
+    x, y = 6.0 * g.random((2, 400)) - 3.0
+    for prob in (mh.MhProblem.exponential_target(), mh.MhProblem.gaussian_target()):
+        want = [prob.acceptance(float(a), float(b)) for a, b in zip(x, y)]
+        np.testing.assert_array_equal(prob.acceptance(x, y), want)
+    assert np.all(mh.MhProblem.exponential_target().acceptance(x, y)[y < 0] == 0.0)
+
+
+def _moment_gap_z(a, b):
+    """|z| of the mean gap and of the variance gap of two iid samples."""
+    def var_se2(v):
+        c = v - v.mean()
+        return ((c ** 4).mean() - c.var() ** 2) / v.size
+    z_mean = abs(a.mean() - b.mean()) / math.sqrt(
+        a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    z_var = abs(a.var(ddof=1) - b.var(ddof=1)) / math.sqrt(var_se2(a) + var_se2(b))
+    return z_mean, z_var
+
+
+def test_simulate_pair_draws_per_replica():
+    # a sampler that drew one value and broadcast it to every replica
+    # would leave the step-1 clouds with one or two distinct points
+    prob = mh.MhProblem.gaussian_target(half_width=1.5)
+    pert = mh.AcceptancePerturbation.uniform_noise(0.05)
+    replicas = 4000
+    xs, xts = mh._simulate_pair(prob, pert, 0.0, 1, replicas, seed=17)
+    steps = (lambda r: mh.mh_step(prob, 0.0, philox(90, r)),
+             lambda r: mh.approx_mh_step(prob, pert, 0.0, philox(91, r)))
+    for cloud, step in zip((xs[0], xts[0]), steps):
+        assert np.unique(cloud).size >= replicas / 2
+        ref = np.array([step(r) for r in range(replicas)])
+        z_mean, z_var = _moment_gap_z(cloud, ref)
+        assert z_mean <= 4.0 and z_var <= 4.0
+
+
+def test_metro_geom_report_zero_noise_is_exactly_zero():
+    prob, lam, delta, L = _gaussian_setup()
+    cons = mh.MetroGeomConstants(C=2.0, rho=0.95, delta=delta, L=L, lam=lam,
+                                 s=0.01, p0_V=1.0, x0=0.0)
+    rep = mh.mh_metro_geom_report(prob, mh.AcceptancePerturbation.uniform_noise(0.0),
+                                  cons, n=12, samples=300, seed=6)
+    np.testing.assert_array_equal(rep.distances, 0.0)
+
+
+def test_simulate_pair_exponential_states_stay_on_half_line():
+    prob = mh.MhProblem.exponential_target()
+    exact_ratio = mh.AcceptancePerturbation.randomized_ratio(
+        lambda rng, x, y, u: np.exp(prob.log_target_ratio(x, y)))
+    # blind acceptance from x > 3 only ever proposes y > 2
+    far_set = mh.AcceptancePerturbation.indicator_set(lambda x: x > 3.0)
+    for pert in (mh.AcceptancePerturbation.none(), exact_ratio, far_set):
+        xs, xts = mh._simulate_pair(prob, pert, 0.5, 40, 500, seed=4)
+        assert np.all(xs >= 0.0) and np.all(xts >= 0.0)
+    xs, xts = mh._simulate_pair(prob, exact_ratio, 0.5, 40, 500, seed=4)
+    np.testing.assert_array_equal(xs, xts)
+    # noisy thresholds may take a negative proposal; the exact chain never does
+    xs, _ = mh._simulate_pair(prob, mh.AcceptancePerturbation.uniform_noise(0.1),
+                              0.5, 40, 500, seed=4)
+    assert np.all(xs >= 0.0)
+
+
+def test_metro_geom_report_guard_rails_on_arrays():
+    prob = mh.MhProblem.exponential_target()
+    cons = mh.MetroGeomConstants(C=1.0, rho=0.5, delta=0.5, L=1.0, lam=2.0, s=0.1)
+    some_negative = mh.AcceptancePerturbation.randomized_ratio(
+        lambda rng, x, y, u: np.where(u < 0.5, -0.5, 1.0))
+    with pytest.raises(ValueError, match="negative"):
+        mh.mh_metro_geom_report(prob, some_negative, cons, n=3, samples=50, seed=0)
+    not_a_number = mh.AcceptancePerturbation.randomized_ratio(
+        lambda rng, x, y, u: np.where(u < 0.5, np.nan, 1.0))
+    with pytest.raises(RuntimeError, match="outside"):
+        mh.mh_metro_geom_report(prob, not_a_number, cons, n=3, samples=50, seed=0)
