@@ -560,7 +560,10 @@ def _suite_otcore(seed: int) -> list:
         if wasserstein1_exact(p, r)[0] > wpq + wasserstein1_exact(q, r)[0] + 1e-9:
             failures.append(f"trial {trial}: triangle inequality fails")
 
+        # the transport side runs on untagged copies: wasserstein1_exact
+        # would answer the tagged spaces with the same closed forms
         triv = trivial_metric(range(n))
+        triv = FiniteMetricSpace(triv.points, triv.dist)
         pt = DiscreteDistribution(triv, p.weights)
         qt = DiscreteDistribution(triv, q.weights)
         if abs(wasserstein1_exact(pt, qt)[0] - total_variation(p, q)) > 1e-9:
@@ -568,6 +571,7 @@ def _suite_otcore(seed: int) -> list:
 
         V = WeightFunction(sp, 1.0 + rng.uniform(0.0, 3.0, size=n))
         dv = dv_metric(V)
+        dv = FiniteMetricSpace(dv.points, dv.dist)
         pv = DiscreteDistribution(dv, p.weights)
         qv = DiscreteDistribution(dv, q.weights)
         if abs(wasserstein1_exact(pv, qv)[0] - vnorm_distance(p, q, V)) > 1e-9:

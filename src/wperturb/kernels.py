@@ -4,14 +4,19 @@ The generalized ergodicity coefficient of a kernel P under a metric d is
 
     tau(P) = sup_{x != y} W(P(x, .), P(y, .)) / d(x, y),
 
-computed exactly via optimal transport.  It is submultiplicative over
-composition and contracts Wasserstein distances between distributions,
-which is what turns one-step estimates into geometric (C, rho) rates.
-Under the weighted metric d_V the coefficient has a transport-free
-closed form, used as the fast route everywhere V-norm bounds appear.
+computed exactly from the row-pair distances of ``otcore._w1``.  It is
+submultiplicative over composition and contracts Wasserstein distances
+between distributions, which is what turns one-step estimates into
+geometric (C, rho) rates.  Two metric structures need fewer or no
+transport solves: on a line the sup is attained by neighbouring points,
+and under a star metric ``(g(x) + g(y)) 1{x != y}`` (d_V with g = V, the
+trivial metric with g = 1) the coefficient has the transport-free closed
+form of ``tau_v``.  Any other metric makes one transport solve per pair
+of states.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -22,8 +27,7 @@ from .otcore import (
     DiscreteDistribution,
     FiniteMetricSpace,
     WeightFunction,
-    _transport,
-    dv_metric,
+    _w1,
 )
 
 ROW_TOL = 1e-12
@@ -129,45 +133,46 @@ def stationary_distribution(P: FiniteKernel) -> DiscreteDistribution:
     return DiscreteDistribution(P.space, pi)
 
 
-def _w1_rows(wa: np.ndarray, wb: np.ndarray, dist: np.ndarray) -> float:
-    """Exact W1 between two weight vectors under a metric matrix (hot path)."""
-    if np.array_equal(wa, wb):
-        return 0.0
-    ia = np.flatnonzero(wa > 0.0)
-    ib = np.flatnonzero(wb > 0.0)
-    a = wa[ia]
-    b = wb[ib]
-    b = b * (a.sum() / b.sum())
-    value, _, _, _ = _transport.solve(a, b, dist[np.ix_(ia, ib)])
-    return value
-
-
 def tau(P: FiniteKernel, metric: FiniteMetricSpace) -> float:
     """Generalized ergodicity coefficient under a metric: worst pairwise
-    transport distance between rows relative to the points' distance."""
+    transport distance between rows relative to the points' distance.
+
+    Under a star metric this is the ``tau_v`` closed form.  On a line only
+    the n - 1 neighbouring pairs are visited: for x < y < z,
+    d(x, z) = d(x, y) + d(y, z) while W1 obeys the triangle inequality, so
+    the ratio at (x, z) never exceeds the larger of the two beside it.
+    """
     if not P.space.same_points(metric):
         raise SpaceMismatchError("metric does not match the kernel's points")
-    n = metric.size
+    if metric._star is not None:
+        return _tau_star(P.matrix, metric._star)
+    if metric._line is not None:
+        order = metric._line[0]
+        pairs = zip(order[:-1], order[1:])
+    else:
+        pairs = itertools.combinations(range(metric.size), 2)
     worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = _w1_rows(P.matrix[i], P.matrix[j], metric.dist) / metric.dist[i, j]
-            if w > worst:
-                worst = w
+    for i, j in pairs:
+        w = _w1(P.matrix[i], P.matrix[j], metric)[0] / metric.dist[i, j]
+        if w > worst:
+            worst = w
     return worst
+
+
+def _tau_star(M: np.ndarray, g: np.ndarray) -> float:
+    """max_{x!=y} sum_z g(z) |M(x,z) - M(y,z)| / (g(x) + g(y))."""
+    num = np.abs(M[:, None, :] - M[None, :, :]) @ g
+    den = g[:, None] + g[None, :]
+    ratio = num / den
+    np.fill_diagonal(ratio, 0.0)
+    return float(ratio.max(initial=0.0))
 
 
 def tau_v(P: FiniteKernel, V: WeightFunction) -> float:
     """tau under d_V, via the closed form max_{x!=y} ||P(x,.) - P(y,.)||_V / (V(x)+V(y))."""
     if not P.space.same_points(V.space):
         raise SpaceMismatchError("weight function does not match the kernel's points")
-    M = P.matrix
-    vals = V.values
-    num = np.abs(M[:, None, :] - M[None, :, :]) @ vals
-    den = vals[:, None] + vals[None, :]
-    ratio = num / den
-    np.fill_diagonal(ratio, 0.0)
-    return float(ratio.max(initial=0.0))
+    return _tau_star(P.matrix, V.values)
 
 
 @dataclass(frozen=True)
@@ -237,8 +242,9 @@ def fit_geometric_constants(P: FiniteKernel,
     rho is read off the m-step coefficient, rho = tau(P^m)^(1/m), and
     C = max_{0 <= j < m} tau(P^j) / rho^j.  Submultiplicativity then
     extends the bound to every n; the first n_check powers are verified
-    numerically anyway.  ``metric`` may be a FiniteMetricSpace (transport
-    route) or a WeightFunction (d_V closed form).
+    numerically anyway.  ``metric`` may be a FiniteMetricSpace (``tau``,
+    with whatever route its constructor chose) or a WeightFunction (d_V
+    closed form).
 
     Raises NoContractionError when tau(P^m) >= 1.
     """
@@ -292,7 +298,7 @@ def kernel_gamma_wasserstein(P: FiniteKernel, Pt: FiniteKernel,
     vt = np.ones(P.space.size) if Vt is None else Vt.values
     worst = 0.0
     for i in range(P.space.size):
-        w = _w1_rows(P.matrix[i], Pt.matrix[i], metric.dist) / vt[i]
+        w = _w1(P.matrix[i], Pt.matrix[i], metric)[0] / vt[i]
         if w > worst:
             worst = w
     return worst

@@ -1,11 +1,23 @@
 """Finite metric spaces, distributions, and exact Wasserstein-1 distances.
 
-Everything here is exact in the linear-programming sense: Wasserstein
-distances come from a certified min-cost transport solve, total variation
-and weighted-norm distances from closed forms.  The weighted norm
-``sum_x V(x) |mu(x) - nu(x)|`` coincides with the Wasserstein distance
-under the metric ``d_V(x, y) = (V(x) + V(y)) 1{x != y}``, which is how the
-two routes cross-check each other in the test suite.
+Everything here is exact in the linear-programming sense.  ``_w1`` is the
+one place that picks how a Wasserstein distance is computed:
+
+  * on a space built by ``line_metric``, W1 is the integral of
+    |F_mu - F_nu| and the monotone (quantile) coupling is optimal;
+  * on a space built by ``trivial_metric`` or ``dv_metric``, whose metric
+    is a "star" ``(g(x) + g(y)) 1{x != y}``, W1 is ``sum_x g(x)
+    |mu(x) - nu(x)|``;
+  * on any other space, including a ``FiniteMetricSpace`` built directly
+    from a matrix, W1 comes from a min-cost transport solve.
+
+Every route returns a plan and dual potentials that pass the same
+optimality certificate, so a wrong closed form raises rather than
+returning a wrong distance.  Total variation and the weighted norm
+``sum_x V(x) |mu(x) - nu(x)|`` are closed forms too; they equal W1 under
+the trivial metric and under ``d_V(x, y) = (V(x) + V(y)) 1{x != y}``.
+The test suite cross-checks each closed form against the transport solve
+on an untagged copy of the same space.
 """
 from __future__ import annotations
 
@@ -55,6 +67,11 @@ class FiniteMetricSpace:
         self.points = points
         self.dist = dist
         self.dist.setflags(write=False)
+        # structure recorded by the constructors below, read by _w1 and
+        # kernels.tau: (order, sorted coordinates) of a line, or the g of
+        # a star metric (g(x) + g(y)) 1{x != y}
+        self._line = None
+        self._star = None
 
     @property
     def size(self) -> int:
@@ -73,14 +90,19 @@ class FiniteMetricSpace:
 def trivial_metric(points: Sequence) -> FiniteMetricSpace:
     """The metric d(x, y) = 2 for x != y, under which W1 equals total variation."""
     n = len(list(points))
-    return FiniteMetricSpace(points, 2.0 * (1.0 - np.eye(n)))
+    space = FiniteMetricSpace(points, 2.0 * (1.0 - np.eye(n)))
+    space._star = np.ones(n)
+    return space
 
 
 def line_metric(xs: Sequence[float], points: Optional[Sequence] = None) -> FiniteMetricSpace:
     """Distinct real locations with |x - y| as the metric; labels default to the xs."""
     xs = np.asarray(xs, dtype=float)
     dist = np.abs(xs[:, None] - xs[None, :])
-    return FiniteMetricSpace(list(xs) if points is None else points, dist)
+    space = FiniteMetricSpace(list(xs) if points is None else points, dist)
+    order = np.argsort(xs, kind="stable")
+    space._line = (order, xs[order])
+    return space
 
 
 class WeightFunction:
@@ -111,7 +133,9 @@ def dv_metric(V: WeightFunction) -> FiniteMetricSpace:
     vals = V.values
     dist = vals[:, None] + vals[None, :]
     np.fill_diagonal(dist, 0.0)
-    return FiniteMetricSpace(V.space.points, dist)
+    space = FiniteMetricSpace(V.space.points, dist)
+    space._star = vals
+    return space
 
 
 class DiscreteDistribution:
@@ -178,6 +202,63 @@ def _require_same_points(mu: DiscreteDistribution, nu: DiscreteDistribution,
         raise SpaceMismatchError("metric space does not match the distributions")
 
 
+def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
+        ) -> tuple[float, np.ndarray]:
+    """Exact W1 between two weight vectors on ``space`` and an optimal plan.
+
+    Picks the closed form the space's constructor recorded, else a
+    transport solve on the positive-weight points (the plan is re-embedded
+    full size).  Closed-form plans pass the transport solver's certificate
+    with the potentials ``u = f``, ``v = -f`` of an extremal 1-Lipschitz f.
+    """
+    n = space.size
+    if np.array_equal(wa, wb):
+        return 0.0, np.diag(wa)
+    if space._line is not None:
+        order, xs = space._line
+        p = wa[order]
+        q = wb[order]
+        # cumsum of the difference, not a difference of CDFs, so that
+        # nearly equal rows keep their (tiny) positive distance
+        c = np.cumsum(p - q)[:-1]
+        gaps = np.diff(xs)
+        value = float(np.abs(c) @ gaps)
+        f = np.zeros(n)
+        f[order] = np.concatenate(([0.0], np.cumsum(-np.sign(c) * gaps)))
+        # monotone coupling: cell (i, j) carries the overlap of the i-th
+        # and j-th quantile intervals (F and G share their last breakpoint)
+        F = np.cumsum(p)
+        G = np.cumsum(q)
+        F[-1] = G[-1] = max(F[-1], G[-1])
+        t = np.union1d(F, G)
+        i = order[np.searchsorted(F, t)]
+        j = order[np.searchsorted(G, t)]
+        plan = np.zeros((n, n))
+        plan[i, j] = np.diff(t, prepend=0.0)
+    elif space._star is not None:
+        g = space._star
+        d = wa - wb
+        value = float(g @ np.abs(d))
+        f = np.sign(d) * g
+        pos = np.maximum(d, 0.0)
+        neg = np.maximum(-d, 0.0)
+        # the two excess masses differ only by rounding; max never divides by 0
+        plan = np.diag(np.minimum(wa, wb)) + np.outer(pos, neg) / max(pos.sum(), neg.sum())
+    else:
+        ia = np.flatnonzero(wa > 0.0)
+        ib = np.flatnonzero(wb > 0.0)
+        a = wa[ia]
+        b = wb[ib]
+        b = b * (a.sum() / b.sum())  # balance to float precision
+        rows = ia[:, None]  # cheaper than np.ix_ on this hot path
+        value, sub, _, _ = _transport.solve(a, b, space.dist[rows, ib])
+        plan = np.zeros((n, n))
+        plan[rows, ib] = sub
+        return value, plan
+    _transport._certify(wa, wb, space.dist, plan, f, -f)
+    return value, plan
+
+
 def wasserstein1_exact(mu: DiscreteDistribution, nu: DiscreteDistribution,
                        space: Optional[FiniteMetricSpace] = None,
                        ) -> tuple[float, Coupling]:
@@ -185,25 +266,16 @@ def wasserstein1_exact(mu: DiscreteDistribution, nu: DiscreteDistribution,
 
     ``space`` defaults to ``mu.space``; passing a different space with the
     same point set evaluates the distance under that metric instead (used
-    for d_V and trivial-metric comparisons).  Zero-weight points are
-    pruned before the solve; the returned plan is re-embedded full size.
+    for d_V and trivial-metric comparisons).  Spaces from ``line_metric``,
+    ``trivial_metric`` and ``dv_metric`` use their closed forms; any other
+    space goes through a certified transport solve, with zero-weight
+    points pruned first.  The returned plan is always full size.
     """
     if space is None:
         space = mu.space
     _require_same_points(mu, nu, space)
-    n = space.size
-    if np.array_equal(mu.weights, nu.weights):
-        return 0.0, Coupling(space, np.diag(mu.weights))
-    ia = np.flatnonzero(mu.weights > 0.0)
-    ib = np.flatnonzero(nu.weights > 0.0)
-    a = mu.weights[ia]
-    b = nu.weights[ib]
-    b = b * (a.sum() / b.sum())  # balance to float precision
-    cost = space.dist[np.ix_(ia, ib)]
-    value, plan, _, _ = _transport.solve(a, b, cost)
-    full = np.zeros((n, n))
-    full[np.ix_(ia, ib)] = plan
-    return value, Coupling(space, full)
+    value, plan = _w1(mu.weights, nu.weights, space)
+    return value, Coupling(space, plan)
 
 
 def total_variation(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:

@@ -139,6 +139,7 @@ def test_criterion_03_vnorm_duality():
         mu = DiscreteDistribution(sp, rng.dirichlet(np.ones(n)))
         nu = DiscreteDistribution(sp, rng.dirichlet(np.ones(n)))
         dv = dv_metric(V)
+        dv = FiniteMetricSpace(dv.points, dv.dist)  # untagged: a transport solve
         w = wasserstein1_exact(DiscreteDistribution(dv, mu.weights),
                                DiscreteDistribution(dv, nu.weights))[0]
         assert abs(w - vnorm_distance(mu, nu, V)) <= 1e-9

@@ -243,6 +243,23 @@ def test_byte_identical_reruns(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import subprocess
+    import sys
+
+    import wperturb
+
+    src = os.path.dirname(os.path.dirname(wperturb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    path = write_cfg(tmp_path, AR1_CFG.format(out=tmp_path / "a"))
+    proc = subprocess.run([sys.executable, "-m", "wperturb", "run", path],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(["run", path, "--out", str(tmp_path / "b")]) == EXIT_OK
+    for name in ("ar1_nstep.csv", "ar1_stationary.csv", "summary.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_seed_override_changes_monte_carlo_output(tmp_path):
     p1 = write_cfg(tmp_path, AR1_CFG.format(out=tmp_path / "a"))
     assert main(["run", p1]) == EXIT_OK

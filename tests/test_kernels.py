@@ -3,11 +3,14 @@
 Stationary distributions are cross-checked against the GTH elimination
 algorithm (state reduction), which shares no code with the least-squares
 route.  Ergodicity coefficients get a dual route too: the d_V closed
-form versus exact transport under dv_metric.
+form versus exact transport under dv_metric.  Spaces built by line_metric,
+trivial_metric and dv_metric take closed forms, so the transport side
+of each cross-check runs on an untagged copy of the space.
 """
 import numpy as np
 import pytest
 
+from wperturb import _transport
 from wperturb.errors import NoContractionError, NonUniqueStationaryError
 from wperturb.kernels import (
     DriftCheck,
@@ -29,12 +32,29 @@ from wperturb.kernels import (
 )
 from wperturb.otcore import (
     DiscreteDistribution,
+    FiniteMetricSpace,
     WeightFunction,
     dv_metric,
+    line_metric,
     point_mass,
     trivial_metric,
     wasserstein1_exact,
 )
+
+
+def untagged(sp):
+    """The same metric as a plain FiniteMetricSpace: no closed form applies."""
+    return FiniteMetricSpace(sp.points, sp.dist)
+
+
+def tagged_space(rng, kind, n):
+    """A space whose constructor records a closed form; line xs unsorted."""
+    if kind == "line":
+        return line_metric(rng.permutation(np.cumsum(rng.uniform(0.05, 2.0, size=n))))
+    sp = trivial_metric(range(n))
+    if kind == "trivial":
+        return sp
+    return dv_metric(WeightFunction(sp, 1.0 + rng.uniform(0.0, 3.0, size=n)))
 
 
 def gth_stationary(matrix):
@@ -146,7 +166,39 @@ def test_tau_v_equals_tau_under_dv_metric(seed):
     sp = trivial_metric(range(n))
     P = FiniteKernel(sp, random_kernel(rng, n, mix=0.2))
     V = WeightFunction(sp, 1.0 + rng.gamma(2.0, 1.5, size=n))
-    assert tau_v(P, V) == pytest.approx(tau(P, dv_metric(V)), abs=1e-9)
+    assert tau_v(P, V) == pytest.approx(tau(P, untagged(dv_metric(V))), abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["line", "trivial", "d_V"])
+@pytest.mark.parametrize("seed", range(8))
+def test_tau_and_gamma_closed_forms_match_all_pairs_transport(kind, seed):
+    # line: only neighbouring pairs are visited; star: the tau_v formula
+    rng = np.random.default_rng(700 + seed)
+    n = int(rng.integers(2, 15))
+    sp = tagged_space(rng, kind, n)
+    P = FiniteKernel(sp, random_kernel(rng, n, mix=0.2))
+    Pt = FiniteKernel(sp, random_kernel(rng, n, mix=0.2))
+    Vt = WeightFunction(sp, 1.0 + rng.gamma(2.0, 1.0, size=n))
+    memo = _transport._memo
+    counts = (memo.hits, memo.misses)
+    t = tau(P, sp)
+    g = kernel_gamma_wasserstein(P, Pt, sp, Vt)
+    assert (memo.hits, memo.misses) == counts  # no transport solve
+    raw = untagged(sp)
+    assert t == pytest.approx(tau(P, raw), rel=1e-9, abs=1e-12)
+    assert g == pytest.approx(kernel_gamma_wasserstein(P, Pt, raw, Vt), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["line", "trivial", "d_V"])
+def test_tau_sees_rows_that_differ_by_1e_12(kind):
+    rng = np.random.default_rng(9)
+    sp = tagged_space(rng, kind, 5)
+    row = rng.dirichlet(np.ones(5))
+    M = np.tile(row, (5, 1))
+    M[2, 0] += 1e-12
+    M[2, 4] -= 1e-12
+    t = tau(FiniteKernel(sp, M), sp)
+    assert 0.0 < t < 1e-9
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -157,7 +209,6 @@ def test_tau_submultiplicative_and_contracts(seed):
     dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
     if n > 1 and np.min(dist[~np.eye(n, dtype=bool)]) <= 0:
         return
-    from wperturb.otcore import FiniteMetricSpace
     sp = FiniteMetricSpace(range(n), dist)
     P = FiniteKernel(sp, random_kernel(rng, n, mix=0.3))
     Q = FiniteKernel(sp, random_kernel(rng, n, mix=0.3))
@@ -293,5 +344,5 @@ def test_gamma_vnorm_equals_gamma_wasserstein_under_dv(seed):
     V = WeightFunction(sp, 1.0 + rng.gamma(2.0, 1.0, size=n))
     Vt = WeightFunction(sp, 1.0 + rng.gamma(2.0, 1.0, size=n))
     lhs = kernel_gamma_vnorm(P, Pt, V, Vt)
-    rhs = kernel_gamma_wasserstein(P, Pt, dv_metric(V), Vt)
+    rhs = kernel_gamma_wasserstein(P, Pt, untagged(dv_metric(V)), Vt)
     assert lhs == pytest.approx(rhs, abs=1e-9)

@@ -7,6 +7,10 @@ Independent routes used to pin wasserstein1_exact:
   * trivial metric  =>  W equals total variation
   * d_V metric      =>  W equals the V-weighted norm
   * scipy linprog (HiGHS) as a second LP solver
+
+Spaces built by line_metric, trivial_metric and dv_metric are answered by
+closed forms, so the transport side of each cross-check runs on an
+untagged copy, ``untagged(sp)``, which always takes the transport solve.
 """
 import numpy as np
 import pytest
@@ -43,6 +47,11 @@ def euclidean_space(rng, n):
         pts = pts + rng.normal(size=pts.shape) * 0.1
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     return FiniteMetricSpace(range(n), dist)
+
+
+def untagged(sp):
+    """The same metric as a plain FiniteMetricSpace: no closed form applies."""
+    return FiniteMetricSpace(sp.points, sp.dist)
 
 
 def w1_line_cdf(xs, mu_w, nu_w):
@@ -146,6 +155,14 @@ def test_two_point_closed_form(p, q, d):
     nu = DiscreteDistribution(sp, [q, 1.0 - q])
     val, _ = wasserstein1_exact(mu, nu)
     assert val == pytest.approx(abs(p - q) * d, abs=1e-9)
+    # the line and star closed forms on the same two points: equal to the
+    # solve, and never rounded to 0 when the exact value is representable
+    for tagged, scale in ((line_metric([0.0, d], points=[0, 1]), d),
+                          (trivial_metric([0, 1]), 2.0)):
+        closed, _ = wasserstein1_exact(mu, nu, tagged)
+        expected = abs(p - q) * scale
+        assert closed == pytest.approx(expected, abs=1e-9)
+        assert (closed > 0.0) == (expected > 0.0)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -155,7 +172,7 @@ def test_line_cdf_oracle(seed):
     xs = np.sort(rng.normal(size=n) * 3)
     while np.any(np.diff(xs) <= 0):
         xs = np.sort(rng.normal(size=n) * 3)
-    sp = line_metric(xs)
+    sp = untagged(line_metric(xs))
     mu_w = random_simplex(rng, n)
     nu_w = random_simplex(rng, n)
     mu = DiscreteDistribution(sp, mu_w)
@@ -166,6 +183,83 @@ def test_line_cdf_oracle(seed):
     np.testing.assert_allclose(ma, mu_w, atol=1e-12)
     np.testing.assert_allclose(mb, nu_w, atol=1e-12)
     assert plan.cost() == pytest.approx(val, abs=1e-12)
+
+
+def tagged_space(rng, kind, n):
+    """A space whose constructor records a closed form; line xs unsorted."""
+    if kind == "line":
+        return line_metric(rng.permutation(np.cumsum(rng.uniform(0.05, 2.0, size=n))))
+    sp = trivial_metric(range(n))
+    if kind == "trivial":
+        return sp
+    return dv_metric(WeightFunction(sp, 1.0 + rng.uniform(0.0, 3.0, size=n)))
+
+
+def shaped_pair(rng, n, shape):
+    """Two laws on n points; dust, denormal-sized and zero masses in the first,
+    or a second law within about 1e-12 of the first."""
+    mu_w = random_simplex(rng, n)
+    nu_w = random_simplex(rng, n)
+    picked = rng.choice(n, size=max(1, n // 4), replace=False)
+    if shape in ("dust", "denormal", "zeros"):
+        mu_w[picked] = {"dust": 1e-8, "denormal": 1.175494351e-38, "zeros": 0.0}[shape]
+        mu_w = mu_w / mu_w.sum()
+    elif shape == "near":
+        nu_w = mu_w.copy()
+        nu_w[np.argmax(nu_w)] -= 1e-12
+        nu_w[np.argmin(nu_w)] += 1e-12
+    return mu_w, nu_w
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("line", "trivial", "d_V")), st.integers(2, 30),
+       st.sampled_from(("plain", "dust", "denormal", "zeros", "near")),
+       st.integers(0, 10_000))
+@example("line", 2, "dust", 0)
+@example("trivial", 2, "denormal", 0)
+@example("d_V", 3, "zeros", 0)
+@example("line", 12, "near", 1)
+def test_closed_forms_match_the_solve_on_an_untagged_copy(kind, n, shape, seed):
+    rng = np.random.default_rng(seed)
+    sp = tagged_space(rng, kind, n)
+    mu_w, nu_w = shaped_pair(rng, n, shape)
+    mu = DiscreteDistribution(sp, mu_w)
+    nu = DiscreteDistribution(sp, nu_w)
+    memo = _transport._memo
+    counts = (memo.hits, memo.misses)
+    val, plan = wasserstein1_exact(mu, nu)
+    assert (memo.hits, memo.misses) == counts  # no transport solve
+    ref, _ = wasserstein1_exact(mu, nu, untagged(sp))
+    assert val == pytest.approx(ref, abs=1e-9)
+    assert (val > 0.0) == (not np.array_equal(mu_w, nu_w))
+    ma, mb = plan.marginals()
+    np.testing.assert_allclose(ma, mu_w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mb, nu_w, rtol=0, atol=1e-12)
+    assert plan.cost() == pytest.approx(val, abs=1e-12)
+
+
+def test_line_metric_accepts_unsorted_locations():
+    sp = line_metric([3.0, 0.0, 1.0])
+    mu = DiscreteDistribution(sp, [0.5, 0.5, 0.0])
+    nu = DiscreteDistribution(sp, [0.0, 0.0, 1.0])
+    val, plan = wasserstein1_exact(mu, nu)
+    assert val == pytest.approx(0.5 * 2.0 + 0.5 * 1.0, abs=1e-15)
+    np.testing.assert_array_equal(plan.joint, [[0, 0, 0.5], [0, 0, 0.5], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("kind", ["line", "trivial", "d_V"])
+def test_a_wrong_closed_form_fails_the_certificate(kind):
+    rng = np.random.default_rng(8)
+    sp = tagged_space(rng, kind, 6)
+    if kind == "line":
+        order, xs = sp._line
+        sp._line = (order, 2.0 * xs)  # every gap doubled
+    else:
+        sp._star = 2.0 * sp._star
+    mu = DiscreteDistribution(sp, random_simplex(rng, 6))
+    nu = DiscreteDistribution(sp, random_simplex(rng, 6))
+    with pytest.raises(_transport.TransportError, match="certificate"):
+        wasserstein1_exact(mu, nu)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -189,7 +283,7 @@ def test_duality_lower_bound_and_linprog_cross_check(seed):
 def test_trivial_metric_recovers_total_variation(seed):
     rng = np.random.default_rng(200 + seed)
     n = int(rng.integers(2, 14))
-    sp = trivial_metric(range(n))
+    sp = untagged(trivial_metric(range(n)))
     mu_w = random_simplex(rng, n)
     nu_w = random_simplex(rng, n)
     if seed % 3 == 0 and n >= 4:  # force some disjoint-ish supports
@@ -219,7 +313,7 @@ def test_vnorm_matches_wasserstein_under_dv(seed):
     mu = DiscreteDistribution(sp, random_simplex(rng, n))
     nu = DiscreteDistribution(sp, random_simplex(rng, n))
     direct = vnorm_distance(mu, nu, V)
-    via_ot, _ = wasserstein1_exact(mu, nu, dv_metric(V))
+    via_ot, _ = wasserstein1_exact(mu, nu, untagged(dv_metric(V)))
     assert via_ot == pytest.approx(direct, abs=1e-9)
     # the extremal dual function is sign(mu - nu) * V
     f = np.sign(mu.weights - nu.weights) * V.values
@@ -324,7 +418,7 @@ def test_large_support_stays_exact():
     xs = np.sort(rng.uniform(0, 10, size=n))
     while np.any(np.diff(xs) <= 0):
         xs = np.sort(rng.uniform(0, 10, size=n))
-    sp = line_metric(xs)
+    sp = untagged(line_metric(xs))
     mu_w = random_simplex(rng, n)
     nu_w = random_simplex(rng, n)
     val, _ = wasserstein1_exact(
