@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .kernels import (
     kernel_gamma_vnorm,
     kernel_gamma_wasserstein,
     stationary_distribution,
+    trajectory,
     verify_drift,
 )
 from .otcore import (
@@ -239,18 +240,131 @@ class PerturbationReport:
         return "\n".join(lines) + "\n"
 
 
-_WASSERSTEIN_WHICH = ("thm31", "v1", "stationary")
-_VNORM_WHICH = ("geom1", "geom2")
-_TV_WHICH = ("geom3", "geom3_stationary")
-WHICH_CHOICES = _WASSERSTEIN_WHICH + _VNORM_WHICH + _TV_WHICH
+def _thm31_at(C, rho, n, w0, gamma, delta, L, p0_V):
+    return thm31_bound(BoundInputs(C=C, rho=rho, delta=delta, L=L, gamma=gamma,
+                                   kappa=kappa(p0_V, L, delta), n=n, w0=w0))
 
 
-def _distance_fn(which, metric, V):
-    if which in _WASSERSTEIN_WHICH:
-        return lambda p, q: wasserstein1_exact(p, q, metric)[0]
-    if which in _VNORM_WHICH:
-        return lambda p, q: vnorm_distance(p, q, V)
-    return lambda p, q: total_variation(p, q)
+def _stationary_at(C, rho, n, w0, gamma, delta, L, p0_V):
+    return stationary_wasserstein_bound(C, rho, gamma, L, delta)
+
+
+def _geom3_at(C, rho, n, w0, gamma, delta, L, p0_V):
+    return geom3_bound(C, rho, n, w0, gamma, delta, L, kappa(p0_V, L, delta))
+
+
+def _geom3_stationary_at(C, rho, n, w0, gamma, delta, L, p0_V):
+    return geom3_stationary_bound(C, rho, gamma, delta, L)
+
+
+# per distance: (distance between two laws, one-step gamma), both taking the
+# metric object; W1 goes through the module names, so a tracer or test that
+# rebinds them sees every call
+_W1 = (lambda p, q, metric: wasserstein1_exact(p, q, metric)[0],
+       lambda P, Pt, metric, Vt: kernel_gamma_wasserstein(P, Pt, metric, Vt))
+_VNORM = (vnorm_distance, kernel_gamma_vnorm)
+_TV = (lambda p, q, _: total_variation(p, q), lambda P, Pt, _, Vt: kernel_gamma_tv(P, Pt, Vt))
+
+
+class _Variant(NamedTuple):
+    """One ``which`` selector; see the table in ``verify_on_finite``."""
+
+    slot: Optional[type]  # what the metric slot takes; None means Vt itself
+    measure: tuple        # distance and gamma: _W1, _VNORM or _TV
+    unit_weight: bool     # drift weight 1 instead of Vt
+    drift: str            # 'Pt', 'P', or 'both': Pt, L raised to P's one-step gap
+    w0: Optional[tuple]   # measure of the start laws' gap; None: stationary laws
+    bound: Callable       # (C, rho, n, w0, gamma, delta, L, p0_V) -> float
+
+
+_VARIANTS = {
+    "thm31": _Variant(FiniteMetricSpace, _W1, False, "Pt", _W1, _thm31_at),
+    "v1": _Variant(FiniteMetricSpace, _W1, True, "Pt", _W1, _thm31_at),
+    "stationary": _Variant(FiniteMetricSpace, _W1, False, "Pt", None, _stationary_at),
+    "geom1": _Variant(WeightFunction, _VNORM, False, "Pt", _VNORM, _thm31_at),
+    "geom2": _Variant(None, _VNORM, False, "P", _VNORM, geom2_bound),
+    "geom3": _Variant(None, _TV, False, "both", _VNORM, _geom3_at),
+    "geom3_stationary": _Variant(None, _TV, False, "both", None, _geom3_stationary_at),
+}
+WHICH_CHOICES = tuple(_VARIANTS)
+
+
+def _metric_slot(which: str, space: FiniteMetricSpace, V: WeightFunction):
+    """What ``which`` takes in the metric slot, given a space and a weight."""
+    return {FiniteMetricSpace: space, WeightFunction: V, None: None}[_VARIANTS[which].slot]
+
+
+class _FittedInstance:
+    """A kernel pair with its start laws, shared by all seven variants.
+
+    Fits, gammas, the unit weight and the stationary laws are computed on
+    first use and kept, keyed on the function and every argument; metric
+    spaces, weight functions and kernels hash by identity.
+    """
+
+    def __init__(self, P: FiniteKernel, Pt: FiniteKernel, Vt: WeightFunction,
+                 p0: DiscreteDistribution, pt0: DiscreteDistribution, delta=0.5, m=2):
+        self.P, self.Pt, self.Vt, self.p0, self.pt0 = P, Pt, Vt, p0, pt0
+        self.delta, self.m = delta, m
+        self._cache = {}
+
+    def _once(self, fn, *args):
+        key = (fn, *args)
+        if key not in self._cache:
+            self._cache[key] = fn(*args)
+        return self._cache[key]
+
+    def verify_all(self, space: FiniteMetricSpace, V: WeightFunction, n_max: int) -> dict:
+        return {which: self.verify(which, _metric_slot(which, space, V), n_max)
+                for which in WHICH_CHOICES}
+
+    def verify(self, which: str, metric, n_max: int) -> PerturbationReport:
+        """``verify_on_finite`` on this instance."""
+        if which not in _VARIANTS:
+            raise ValueError(f"unknown theorem selector {which!r}; pick from {WHICH_CHOICES}")
+        P, Pt, delta, m = self.P, self.Pt, self.delta, self.m
+        if not P.space.same_points(Pt.space):
+            raise HypothesisViolation("kernels must share one point set")
+        if not (0.0 < delta < 1.0):
+            raise ValueError("delta must lie in (0, 1)")
+        row = _VARIANTS[which]
+        if row.slot is None:
+            if metric is not None and metric is not self.Vt:
+                raise ValueError(f"{which} is a single-weight bound; pass metric=None")
+            metric = self.Vt
+        elif not isinstance(metric, row.slot):
+            raise ValueError(f"{which} needs a {row.slot.__name__} in the metric slot")
+        Vt = self._once(WeightFunction.ones, P.space) if row.unit_weight else self.Vt
+
+        est = self._once(fit_geometric_constants, P, metric, m, m)
+        distance, gamma_of = row.measure
+        gamma = self._once(gamma_of, P, Pt, metric, Vt)
+        drift_kernel = P if row.drift == "P" else Pt
+        L = fit_drift_L(drift_kernel, Vt, delta)
+        if row.drift == "both":
+            L = max(L, float(np.max(P.apply_to_function(Vt.values) - Vt.values)), 1e-12)
+        check = verify_drift(drift_kernel, DriftEstimate(Vt, delta, L))
+        if not check.ok:
+            raise HypothesisViolation(f"drift condition fails at index {check.worst_index} "
+                                      f"(slack {check.worst_slack:.3e})")
+
+        p0_V = self.pt0.expectation(Vt.values)
+        constants = {"C": est.C, "rho": est.rho, "delta": delta, "L": L,
+                     "gamma": gamma, "p0_V": p0_V, "m": m,
+                     "metric_tag": est.metric_tag}
+        if row.w0 is None:
+            ns, w0 = np.array([-1]), None
+            laws = [(self._once(stationary_distribution, P),
+                     self._once(stationary_distribution, Pt))]
+        else:
+            ns = np.arange(n_max + 1)
+            w0 = constants["w0"] = row.w0[0](self.p0, self.pt0, metric)
+            laws = zip(trajectory(self.p0, P, n_max), trajectory(self.pt0, Pt, n_max))
+        # every bound first, so that one whose hypotheses fail raises before evolving
+        bounds = np.array([row.bound(est.C, est.rho, n, w0, gamma, delta, L, p0_V)
+                           for n in ns])
+        distances = np.array([distance(p, q, metric) for p, q in laws])
+        return PerturbationReport(which, ns, distances, bounds, constants)
 
 
 def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
@@ -264,118 +378,24 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
     Every constant is fitted on the instance itself (ergodicity via
     fit_geometric_constants at horizon ``m``, drift L via fit_drift_L at
     the given ``delta``, gamma via the matching kernel_gamma_*), then the
-    exact per-step distances are tabulated against the bound.  The
-    ``metric`` slot selects the distance structure:
+    exact per-step distances, measured as gamma is, are tabulated against
+    the bound.  ``which`` selects (gamma divides by the drift weight):
 
-      * thm31 / v1 / stationary: a FiniteMetricSpace; distances are
-        exact Wasserstein.  v1 forces the drift weight to 1 (kappa = 1).
-      * geom1: a WeightFunction V; distances and gamma use the V-norm,
-        drift uses Vt (two weights).
-      * geom2 / geom3 / geom3_stationary: single-weight variants; the
-        weight is Vt and ``metric`` must be None or that same Vt.
+      which             metric slot        tau fitted under  gamma    drift on
+      thm31             FiniteMetricSpace  the space         W1       Pt, Vt
+      v1                FiniteMetricSpace  the space         W1       Pt, 1
+      stationary        FiniteMetricSpace  the space         W1       Pt, Vt
+      geom1             WeightFunction V   d_V               V-norm   Pt, Vt
+      geom2             None (or Vt)       d_Vt              Vt-norm  P, Vt
+      geom3             None (or Vt)       d_Vt              TV       Pt and P, Vt
+      geom3_stationary  None (or Vt)       d_Vt              TV       Pt and P, Vt
 
-    Stationary variants emit a single row with n = -1.
+    thm31, v1 and geom1 check thm31_bound, geom2 geom2_bound and geom3
+    geom3_bound (w0 in the Vt-norm; L is raised to P's one-step gap).
+    Stationary variants compare the stationary laws in one n = -1 row.
 
     Raises HypothesisViolation (or a subclass) when the selected
-    theorem's standing hypotheses fail on this instance.
+    theorem's standing hypotheses fail on this instance, before either
+    chain is evolved.
     """
-    if which not in WHICH_CHOICES:
-        raise ValueError(f"unknown theorem selector {which!r}; pick from {WHICH_CHOICES}")
-    if not P.space.same_points(Pt.space):
-        raise HypothesisViolation("kernels must share one point set")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-
-    if which in _WASSERSTEIN_WHICH:
-        if not isinstance(metric, FiniteMetricSpace):
-            raise ValueError(f"{which} needs a FiniteMetricSpace in the metric slot")
-        fit_arg = metric
-    elif which == "geom1":
-        if not isinstance(metric, WeightFunction):
-            raise ValueError("geom1 needs the distance WeightFunction in the metric slot")
-        fit_arg = metric
-    else:
-        if metric is not None and metric is not Vt:
-            raise ValueError(f"{which} is a single-weight bound; pass metric=None")
-        fit_arg = Vt
-
-    if which == "v1":
-        Vt = WeightFunction.ones(P.space)
-
-    est = fit_geometric_constants(P, fit_arg, m=m, n_check=m)
-    dist = _distance_fn(which, metric, fit_arg if which != "v1" else None)
-
-    if which in ("thm31", "v1", "stationary"):
-        gamma = kernel_gamma_wasserstein(P, Pt, metric, Vt)
-    elif which == "geom1":
-        gamma = kernel_gamma_vnorm(P, Pt, metric, Vt)
-    elif which == "geom2":
-        gamma = kernel_gamma_vnorm(P, Pt, Vt, Vt)
-    else:
-        gamma = kernel_gamma_tv(P, Pt, Vt)
-
-    # drift: on the perturbed kernel, except geom2 (unperturbed) and geom3 (both)
-    drift_kernel = P if which == "geom2" else Pt
-    L = fit_drift_L(drift_kernel, Vt, delta)
-    if which in _TV_WHICH:
-        one_step_gap = float(np.max(P.apply_to_function(Vt.values) - Vt.values))
-        L = max(L, one_step_gap, 1e-12)
-    check = verify_drift(drift_kernel, DriftEstimate(Vt, delta, L))
-    if not check.ok:
-        raise HypothesisViolation(
-            f"drift condition fails at index {check.worst_index} "
-            f"(slack {check.worst_slack:.3e})"
-        )
-
-    p0_V = pt0.expectation(Vt.values)
-    constants = {"C": est.C, "rho": est.rho, "delta": delta, "L": L,
-                 "gamma": gamma, "p0_V": p0_V, "m": m,
-                 "metric_tag": est.metric_tag}
-
-    if which == "stationary":
-        pi = stationary_distribution(P)
-        pit = stationary_distribution(Pt)
-        b = stationary_wasserstein_bound(est.C, est.rho, gamma, L, delta)
-        d = dist(pi, pit)
-        return PerturbationReport("stationary", np.array([-1]), np.array([d]),
-                                  np.array([b]), constants)
-    if which == "geom3_stationary":
-        pi = stationary_distribution(P)
-        pit = stationary_distribution(Pt)
-        b = geom3_stationary_bound(est.C, est.rho, gamma, delta, L)
-        d = dist(pi, pit)
-        return PerturbationReport("geom3_stationary", np.array([-1]), np.array([d]),
-                                  np.array([b]), constants)
-
-    if which == "geom3":
-        w0 = vnorm_distance(p0, pt0, Vt)
-        k = kappa(p0_V, L, delta)
-        bound_at = lambda n: geom3_bound(est.C, est.rho, n, w0, gamma, delta, L, k)
-        # gamma range check happens on the first call; do it before evolving
-        _geom3_gamma_factor(est.C, L, gamma)
-    elif which == "geom2":
-        w0 = dist(p0, pt0)
-        if gamma + delta >= 1.0:
-            raise HypothesisViolation(
-                f"gamma + delta = {gamma + delta:.6f} >= 1 on this instance"
-            )
-        bound_at = lambda n: geom2_bound(est.C, est.rho, n, w0, gamma, delta, L, p0_V)
-    else:
-        w0 = dist(p0, pt0)
-        k = kappa(p0_V, L, delta)
-        bound_at = lambda n: thm31_bound(BoundInputs(
-            C=est.C, rho=est.rho, delta=delta, L=L,
-            gamma=gamma, kappa=k, n=n, w0=w0))
-
-    ns = np.arange(n_max + 1)
-    distances = np.empty(n_max + 1)
-    bounds = np.empty(n_max + 1)
-    p, q = p0, pt0
-    for n in range(n_max + 1):
-        if n > 0:
-            p = P.push(p)
-            q = Pt.push(q)
-        distances[n] = dist(p, q)
-        bounds[n] = bound_at(n)
-    constants["w0"] = w0
-    return PerturbationReport(which, ns, distances, bounds, constants)
+    return _FittedInstance(P, Pt, Vt, p0, pt0, delta, m).verify(which, metric, n_max)

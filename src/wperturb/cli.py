@@ -19,7 +19,7 @@ Config format (UTF-8 INI, ``#`` comments)::
 
     [finite-verify]             # section name matches the kind
     instances = 50
-    size = 8
+    size = 8                    # 2..200
     contraction_mix = 0.5
     which = thm31               # any selector from WHICH_CHOICES
     n_max = 30
@@ -43,6 +43,7 @@ import numpy as np
 from ._rng import philox
 from .ar1 import Ar1Params, Innovation, ar1_report, ar1_simulate_coupled
 from .bounds import SLACK_TOL, WHICH_CHOICES, PerturbationReport, verify_on_finite
+from .bounds import _FittedInstance, _metric_slot
 from .errors import ConfigError, HypothesisViolation
 from .kernels import (
     DriftEstimate,
@@ -91,7 +92,6 @@ EXIT_BOUND = 4
 _KINDS = ("finite-verify", "ar1", "mh", "langevin")
 _U64_MAX = 2 ** 64 - 1
 _TV_BINS = 256
-_WASSERSTEIN_WHICH = ("thm31", "v1", "stationary")
 
 
 # ------------------------------------------------------------------ config
@@ -111,11 +111,13 @@ def _u64(raw: str) -> int:
     return val
 
 
-def _pos_int(raw: str) -> int:
-    val = int(raw)
-    if val < 1:
-        raise ValueError("must be a positive integer")
-    return val
+def _int_in(lo: int, hi: float = math.inf) -> Callable[[str], int]:
+    def cast(raw: str) -> int:
+        val = int(raw)
+        if not lo <= val <= hi:
+            raise ValueError(f"must be an integer in [{lo}, {hi}]")
+        return val
+    return cast
 
 
 def _finite_float(raw: str) -> float:
@@ -160,12 +162,6 @@ def _mix(raw: str) -> float:
     return val
 
 
-def _which(raw: str) -> str:
-    if raw not in WHICH_CHOICES:
-        raise ValueError(f"must be one of {', '.join(WHICH_CHOICES)}")
-    return raw
-
-
 def _choice(*allowed: str) -> Callable[[str], str]:
     def cast(raw: str) -> str:
         if raw not in allowed:
@@ -198,11 +194,11 @@ _REQUIRED = object()
 
 _SCHEMAS = {
     "finite-verify": {
-        "instances": (_pos_int, 50),
-        "size": (_pos_int, 8),
+        "instances": (_int_in(1), 50),
+        "size": (_int_in(2, 200), 8),
         "contraction_mix": (_mix, 0.5),
-        "which": (_which, "thm31"),
-        "n_max": (_pos_int, 30),
+        "which": (_choice(*WHICH_CHOICES), "thm31"),
+        "n_max": (_int_in(1), 30),
     },
     "ar1": {
         "alpha": (_root, _REQUIRED),
@@ -210,8 +206,8 @@ _SCHEMAS = {
         "mean": (_finite_float, 1.0),
         "sd": (_pos_float, 1.0),
         "x0": (_finite_float, 0.0),
-        "n_max": (_pos_int, 50),
-        "replicas": (_pos_int, 100_000),
+        "n_max": (_int_in(1), 50),
+        "replicas": (_int_in(2), 100_000),
     },
     "mh": {
         "target": (_choice("exponential", "gaussian"), "gaussian"),
@@ -225,21 +221,21 @@ _SCHEMAS = {
         "lam": (_pos_float, _REQUIRED),
         "p0_V": (_pos_float, 1.0),
         "x0": (_finite_float, 0.0),
-        "n_max": (_pos_int, 30),
-        "replicas": (_pos_int, 2000),
+        "n_max": (_int_in(1), 30),
+        "replicas": (_int_in(2), 2000),
     },
     "langevin": {
         "statistic": (_choice("sum", "path-agreement"), "path-agreement"),
-        "M": (_pos_int, 5),
+        "M": (_int_in(1), 5),
         "observed": (_spins, _REQUIRED),
         "sigma_p": (_pos_float, 1.0),
         "sigma": (_pos_float, 0.8),
-        "N": (_pos_int, 100),
+        "N": (_int_in(1), 100),
         "theta0": (_finite_float, 0.0),
-        "n_max": (_pos_int, 8),
-        "replicas": (_pos_int, 20_000),
+        "n_max": (_int_in(1), 8),
+        "replicas": (_int_in(2), 20_000),
         "theta_grid": (_float_list, (-30.0, -5.0, -1.0, 0.0, 1.0, 5.0, 30.0)),
-        "draws": (_pos_int, 20_000),
+        "draws": (_int_in(2), 20_000),
         # optional long-run report; both must be given together
         "C": (_pos_float, None),
         "rho": (_unit_open, None),
@@ -312,14 +308,6 @@ def load_config(path: str, seed_override: Optional[int] = None,
 
 # ------------------------------------------------------- instance generator
 
-def _metric_slot(which: str, sp: FiniteMetricSpace, V: WeightFunction):
-    if which in _WASSERSTEIN_WHICH:
-        return sp
-    if which == "geom1":
-        return V
-    return None
-
-
 def generate_random_instance(seed: int, size: int, contraction_mix: float):
     """Random kernel pair passing every theorem hypothesis by construction.
 
@@ -328,8 +316,8 @@ def generate_random_instance(seed: int, size: int, contraction_mix: float):
     mixing in total variation does not imply contraction under the sampled
     point metric, tau is measured and the blend strengthened when needed.
     Pt multiplies P by 10% entrywise jitter and renormalizes rows.  Each
-    candidate is probed against every bound variant and resampled (up to
-    100 times) until all hypotheses hold.
+    candidate is fitted once and probed against every bound variant, and
+    resampled (up to 100 times) until all hypotheses hold.
 
     Returns (P, Pt, metric, V, p0, pt0).
     """
@@ -359,9 +347,7 @@ def generate_random_instance(seed: int, size: int, contraction_mix: float):
         pt0 = DiscreteDistribution(sp, rng.dirichlet(np.ones(size)))
         kP, kPt = FiniteKernel(sp, P), FiniteKernel(sp, Pt)
         try:
-            for which in WHICH_CHOICES:
-                verify_on_finite(kP, kPt, _metric_slot(which, sp, V), V,
-                                 p0, pt0, n_max=0, which=which)
+            _FittedInstance(kP, kPt, V, p0, pt0).verify_all(sp, V, n_max=0)
         except HypothesisViolation:
             continue
         return kP, kPt, sp, V, p0, pt0
@@ -603,9 +589,8 @@ def _suite_bounds(seed: int) -> list:
     failures = []
     for trial in range(8):
         P, Pt, sp, V, p0, pt0 = generate_random_instance(seed * 77 + trial, 6, 0.5)
-        for which in WHICH_CHOICES:
-            rep = verify_on_finite(P, Pt, _metric_slot(which, sp, V), V,
-                                   p0, pt0, n_max=12, which=which)
+        reports = _FittedInstance(P, Pt, V, p0, pt0).verify_all(sp, V, n_max=12)
+        for which, rep in reports.items():
             if not rep.verified(SLACK_TOL):
                 failures.append(
                     f"trial {trial}: {which} min slack {rep.min_slack:.3e}")

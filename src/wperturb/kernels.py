@@ -161,11 +161,13 @@ def tau(P: FiniteKernel, metric: FiniteMetricSpace) -> float:
 
 def _tau_star(M: np.ndarray, g: np.ndarray) -> float:
     """max_{x!=y} sum_z g(z) |M(x,z) - M(y,z)| / (g(x) + g(y))."""
-    num = np.abs(M[:, None, :] - M[None, :, :]) @ g
-    den = g[:, None] + g[None, :]
-    ratio = num / den
-    np.fill_diagonal(ratio, 0.0)
-    return float(ratio.max(initial=0.0))
+    # one row x at a time: (n, n) temporaries instead of one (n, n, n)
+    worst = 0.0
+    for x in range(len(M)):
+        ratio = (np.abs(M[x] - M) @ g) / (g[x] + g)
+        ratio[x] = 0.0
+        worst = max(worst, float(ratio.max()))
+    return worst
 
 
 def tau_v(P: FiniteKernel, V: WeightFunction) -> float:

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wperturb.bounds import (
+    WHICH_CHOICES,
     BoundInputs,
     PerturbationReport,
+    _FittedInstance,
+    _metric_slot,
     geom2_bound,
     geom3_bound,
     geom3_stationary_bound,
@@ -246,6 +249,22 @@ def test_verify_selector_validation():
         verify_on_finite(P, Pt, None, Vt, p0, pt0, 5, "thm31")
     with pytest.raises(ValueError, match="single-weight"):
         verify_on_finite(P, Pt, sp, Vt, p0, pt0, 5, "geom3")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_instance_reports_match_separate_calls(seed):
+    # V != Vt, and v1 drifts on weight 1: a cache keyed on too little
+    # hands one variant another's fit or gamma
+    P, Pt, sp, V, Vt, p0, pt0 = make_instance(seed)
+    shared = _FittedInstance(P, Pt, Vt, p0, pt0, delta=0.3).verify_all(sp, V, 12)
+    assert tuple(shared) == WHICH_CHOICES
+    for which, rep in shared.items():
+        alone = verify_on_finite(P, Pt, _metric_slot(which, sp, V), Vt, p0, pt0,
+                                 12, which, delta=0.3)
+        assert rep.theorem == alone.theorem == which
+        for field in ("ns", "distances", "bounds"):
+            assert getattr(rep, field).tobytes() == getattr(alone, field).tobytes(), which
+        assert rep.constants == alone.constants, which
 
 
 # -------------------------------------------------------------------- report

@@ -104,6 +104,35 @@ def test_schema_errors(tmp_path, mutation):
         load_config(str(path))
 
 
+FINITE_CFG = """
+    [experiment]
+    kind = finite-verify
+    seed = 42
+    out = {out}
+
+    [finite-verify]
+    instances = 1
+    size = {size}
+"""
+
+
+@pytest.mark.parametrize("text", [
+    FINITE_CFG.format(out="{out}", size=1),
+    FINITE_CFG.format(out="{out}", size=201),
+    AR1_CFG.replace("replicas = 4000", "replicas = 1"),
+    MH_CFG.replace("{s}", "0.02").replace("replicas = 300", "replicas = 1"),
+    LANGEVIN_CFG.format(out="{out}", N=600, extra="C = 1.5\n    rho = 0.5")
+    .replace("replicas = 3000", "replicas = 1"),
+    LANGEVIN_CFG.format(out="{out}", N=600, extra="").replace("draws = 3000", "draws = 1"),
+], ids=["finite-size-1", "finite-size-201", "ar1", "mh", "langevin", "langevin-draws"])
+def test_size_and_replicas_out_of_range_are_config_errors(tmp_path, capsys, text):
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, text.format(out=out))]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "config error" in err and any(k in err for k in ("size", "replicas", "draws"))
+    assert not out.exists()
+
+
 def test_schema_rejects_stray_section(tmp_path):
     path = write_cfg(tmp_path, AR1_CFG.format(out="r") + "\n[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):
@@ -154,6 +183,22 @@ def test_generate_random_instance_hypotheses_hold():
         assert verify_drift(Pt, DriftEstimate(V, 0.5, L)).ok
         assert np.all(P.matrix >= 0) and np.allclose(P.matrix.sum(axis=1), 1.0)
         assert np.all(Pt.matrix >= 0) and np.allclose(Pt.matrix.sum(axis=1), 1.0)
+
+
+def test_generate_random_instance_fits_each_metric_once(monkeypatch):
+    import wperturb.bounds as boundsmod
+    import wperturb.cli as climod
+
+    fits, attempts = [], []
+    fit, philox = boundsmod.fit_geometric_constants, climod.philox
+    monkeypatch.setattr(boundsmod, "fit_geometric_constants",
+                        lambda *a, **kw: fits.append(a[1]) or fit(*a, **kw))
+    monkeypatch.setattr(climod, "philox",
+                        lambda seed, attempt: attempts.append(attempt) or philox(seed, attempt))
+    P, Pt, sp, V, p0, pt0 = generate_random_instance(3, 6, 0.5)
+    assert attempts == [0]  # the first candidate passed
+    # seven variants, two metrics: the space (thm31, v1, stationary) and V
+    assert fits == [sp, V]
 
 
 def test_generate_random_instance_validation():

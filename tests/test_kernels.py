@@ -7,6 +7,8 @@ form versus exact transport under dv_metric.  Spaces built by line_metric,
 trivial_metric and dv_metric take closed forms, so the transport side
 of each cross-check runs on an untagged copy of the space.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from wperturb.kernels import (
     DriftEstimate,
     ErgodicityEstimate,
     FiniteKernel,
+    _tau_star,
     compose,
     evolve,
     fit_drift_L,
@@ -199,6 +202,47 @@ def test_tau_sees_rows_that_differ_by_1e_12(kind):
     M[2, 4] -= 1e-12
     t = tau(FiniteKernel(sp, M), sp)
     assert 0.0 < t < 1e-9
+
+
+def tau_star_3d(M, g):
+    """Reference: the (n, n, n) form of the star-metric tau."""
+    num = np.abs(M[:, None, :] - M[None, :, :]) @ g
+    ratio = num / (g[:, None] + g[None, :])
+    np.fill_diagonal(ratio, 0.0)
+    return float(ratio.max(initial=0.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 39, 120])
+def test_tau_star_row_by_row_is_bitwise_the_3d_form(n):
+    rng = np.random.default_rng(n)
+    for case in range(12):
+        M = random_kernel(rng, n, mix=rng.uniform(0.0, 0.9))
+        if case % 3 == 1:  # exact zeros and dust masses
+            M[rng.random((n, n)) < 0.3] = 0.0
+            M[rng.random((n, n)) < 0.1] = 1e-8
+            M[:, 0] += 1.0 - M.sum(axis=1)
+            M = np.abs(M) / np.abs(M).sum(axis=1, keepdims=True)
+        if case % 4 == 2:  # two rows 1e-12 apart
+            M[-1] = M[0]
+            M[-1, 0] += 1e-12
+        g = np.ones(n) if case % 2 else 1.0 + rng.uniform(0.0, 3.0, size=n)
+        assert _tau_star(M, g) == tau_star_3d(M, g)
+
+
+def test_tau_v_memory_stays_quadratic_at_cli_maximum():
+    n = 200
+    rng = np.random.default_rng(0)
+    sp = trivial_metric(range(n))
+    P = FiniteKernel(sp, random_kernel(rng, n))
+    V = WeightFunction(sp, 1.0 + rng.uniform(0.0, 2.0, size=n))
+    tracemalloc.start()
+    try:
+        tau_v(P, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (n, n) temporary is 0.3 MiB; the (n, n, n) form needed 122 MiB
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 @pytest.mark.parametrize("seed", range(15))
