@@ -1,4 +1,4 @@
-"""Counter-based random streams for reproducible simulations.
+"""Counter-based random streams and the coupled-simulation loop.
 
 Philox generators keyed by (seed, stream indices) through SeedSequence
 spawn keys: per-step streams are independent of each other and of how
@@ -13,3 +13,20 @@ def philox(seed: int, *stream: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def coupled_steps(step, x0: float, n: int, replicas: int):
+    """Yield the two coupled replica clouds after each of n steps.
+
+    Both clouds start at x0.  Step k = 0..n-1 is ``x, xt = step(k, x, xt)``
+    and must return new arrays, since callers may keep the yielded ones.
+    Raises ValueError unless n and replicas are positive integers.
+    """
+    for name, value in (("n", n), ("replicas", replicas)):
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer")
+    x = np.full(replicas, float(x0))
+    xt = x.copy()
+    for k in range(n):
+        x, xt = step(k, x, xt)
+        yield x, xt

@@ -11,9 +11,9 @@ numpy indexing by a wide margin at the support sizes used here.  Certified
 results are memoised (bounded LRU keyed on the exact input bytes), since
 the bound checks re-solve many identical problems.
 
-scipy's HiGHS-backed linprog is reachable only through
-``solve(..., use_linprog=True)``; it works to about 1e-7 rather than
-exactly and serves as the independent oracle in the test suite.
+Every ``solve`` takes this one path.  ``_solve_linprog`` (scipy's HiGHS, good
+to about 1e-7 rather than exact) is kept only as the independent oracle
+the test suite compares against; no production path calls it.
 """
 from __future__ import annotations
 
@@ -228,7 +228,7 @@ class _Memo:
 _memo = _Memo(max_entries=4096, max_bytes=64 << 20)
 
 
-def solve(a, b, C, use_linprog=False):
+def solve(a, b, C):
     """Optimal transport plan between histograms ``a`` and ``b``.
 
     Returns ``(value, plan, u, v)`` where ``(u, v)`` are dual potentials.
@@ -237,15 +237,10 @@ def solve(a, b, C, use_linprog=False):
     solve.  Only certified results enter the memo that answers repeated
     identical problems, and every call returns its own copies of the
     arrays, so a hit is indistinguishable from a fresh solve.
-    ``use_linprog=True`` bypasses both the exact solver and the memo and
-    runs scipy's HiGHS instead; it exists for cross-checking only.
     """
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
-    if use_linprog:
-        plan, u, v = _solve_linprog(a, b, C)
-        return _certify(a, b, C, plan, u, v)
     key = (C.shape, a.tobytes(), b.tobytes(), C.tobytes())
     result = _memo.get(key)
     if result is None:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import philox
+from ._rng import coupled_steps, philox
 from .errors import HypothesisViolation
 from .otcore import empirical_w1_1d
 
@@ -205,21 +205,19 @@ def ar1_simulate_coupled(params: Ar1Params, alpha_t: float, x0: float,
     _check_root("alpha_t", alpha_t)
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x = np.full(replicas, float(x0))
-    xt = np.full(replicas, float(x0))
-    coupled = np.empty(n)
-    se = np.empty(n)
-    emp = np.empty(n)
-    for k in range(n):
+
+    def step(k, x, xt):
         z = params.innovation.sampler(philox(seed, k), replicas)
-        x = params.alpha * x + z
-        xt = alpha_t * xt + z
+        return params.alpha * x + z, alpha_t * xt + z
+
+    # each step is reduced as it comes, so no (n, replicas) cloud is stored
+    root = math.sqrt(replicas)
+    rows = []
+    for x, xt in coupled_steps(step, x0, n, replicas):
         dev = np.abs(x - xt)
-        coupled[k] = dev.mean()
-        se[k] = dev.std(ddof=1) / math.sqrt(replicas)
-        emp[k] = empirical_w1_1d(np.sort(x), np.sort(xt))
+        rows.append((dev.mean(), dev.std(ddof=1) / root,
+                     empirical_w1_1d(np.sort(x), np.sort(xt))))
+    coupled, se, emp = map(np.array, zip(*rows))
     return Ar1CoupledSim(np.arange(1, n + 1), coupled, se, emp)
 
 

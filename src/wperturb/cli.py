@@ -69,7 +69,7 @@ from .otcore import (
     FiniteMetricSpace,
     WeightFunction,
     dv_metric,
-    empirical_w1_1d,
+    empirical_w1_clouds,
     total_variation,
     trivial_metric,
     vnorm_distance,
@@ -459,10 +459,8 @@ def _run_langevin(cfg: ExperimentConfig) -> list:
 
     if p["C"] is not None:
         fb = langevin_final_bound(model, params, p["C"], p["rho"], p["E_absX0"])
-        w1 = np.array([empirical_w1_1d(np.sort(xs[k]), np.sort(xts[k]))
-                       for k in range(p["n_max"])])
-        w1_se = np.array([(xs[k].std(ddof=1) + xts[k].std(ddof=1))
-                          / math.sqrt(p["replicas"]) for k in range(p["n_max"])])
+        w1, w1_se = np.array([empirical_w1_clouds(x, xt)
+                              for x, xt in zip(xs, xts)]).T
         fconsts = dict(consts, C=p["C"], rho=p["rho"], E_absX0=p["E_absX0"])
         results.append(_from_report("langevin_final.csv", PerturbationReport(
             "langevin_final", ns, w1, np.full(p["n_max"], fb), fconsts,

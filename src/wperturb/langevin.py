@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._rng import philox
+from ._rng import coupled_steps, philox
 from .bounds import geom4_bound
 from .errors import HypothesisViolation
 
@@ -375,15 +375,20 @@ def langevin_drift_check(
     )
 
 
+def _likelihood_rows(model: GibbsModel, thetas: np.ndarray) -> np.ndarray:
+    """Exact pmf of l(.|theta) for each entry of a theta block, one per row."""
+    lw = thetas[:, None] * model.s_values[None, :]
+    lw -= lw.max(axis=1, keepdims=True)
+    w = np.exp(lw)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
 def _grad_batch(model: GibbsModel, thetas: np.ndarray) -> np.ndarray:
     """Exact posterior gradient at each entry of a theta vector."""
     out = np.empty_like(thetas)
     for lo in range(0, thetas.size, _BLOCK):
-        th = thetas[lo : lo + _BLOCK]
-        lw = th[:, None] * model.s_values[None, :]
-        lw -= lw.max(axis=1, keepdims=True)
-        w = np.exp(lw)
-        w /= w.sum(axis=1, keepdims=True)
+        w = _likelihood_rows(model, thetas[lo : lo + _BLOCK])
         out[lo : lo + _BLOCK] = w @ model.s_values
     return model.s_obs - out - thetas / model.sigma_p ** 2
 
@@ -394,11 +399,7 @@ def _noisy_grad_batch(
     """Noisy gradient at each entry of a theta vector, one multinomial per row."""
     out = np.empty_like(thetas)
     for lo in range(0, thetas.size, _BLOCK):
-        th = thetas[lo : lo + _BLOCK]
-        lw = th[:, None] * model.s_values[None, :]
-        lw -= lw.max(axis=1, keepdims=True)
-        w = np.exp(lw)
-        w /= w.sum(axis=1, keepdims=True)
+        w = _likelihood_rows(model, thetas[lo : lo + _BLOCK])
         counts = rng.multinomial(N, w)
         out[lo : lo + _BLOCK] = (counts @ model.s_values) / float(N)
     return model.s_obs - out - thetas / model.sigma_p ** 2
@@ -420,22 +421,16 @@ def langevin_simulate_pair(
     them are low-noise.  Returns (xs, xts) of shape (n, replicas): row k holds
     the time-(k+1) samples of the exact and noisy chains.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError("n must be a positive integer")
-    if not (isinstance(replicas, (int, np.integer)) and replicas >= 1):
-        raise ValueError("replicas must be a positive integer")
-    x = np.full(replicas, float(x0))
-    xt = np.full(replicas, float(x0))
     half = 0.5 * params.sigma ** 2
-    xs = np.empty((n, replicas))
-    xts = np.empty((n, replicas))
-    for k in range(n):
+
+    def step(k, x, xt):
         z = params.sigma * philox(seed, 0, k).standard_normal(replicas)
-        x = x + half * _grad_batch(model, x) + z
-        xt = xt + half * _noisy_grad_batch(model, xt, params.N, philox(seed, 1, k)) + z
-        xs[k] = x
-        xts[k] = xt
-    return xs, xts
+        return (x + half * _grad_batch(model, x) + z,
+                xt + half * _noisy_grad_batch(model, xt, params.N,
+                                              philox(seed, 1, k)) + z)
+
+    xs, xts = zip(*coupled_steps(step, x0, n, replicas))
+    return np.stack(xs), np.stack(xts)
 
 
 def empirical_tv_binned(a: np.ndarray, b: np.ndarray, bins: int = 256) -> float:

@@ -19,11 +19,11 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy import integrate
 
-from ._rng import philox
+from ._rng import coupled_steps, philox
 from .bounds import PerturbationReport, _pow
 from .errors import ConfigError, HypothesisViolation
 from .kernels import ROW_TOL, FiniteKernel
-from .otcore import FiniteMetricSpace, WeightFunction, empirical_w1_1d
+from .otcore import FiniteMetricSpace, WeightFunction, empirical_w1_clouds
 
 # quadrature error estimates above this are treated as failures
 _QUAD_ERR_CAP = 1e-6
@@ -523,22 +523,20 @@ def _simulate_pair(problem: MhProblem, perturbation: AcceptancePerturbation,
     paths are therefore identical.
     """
     sampler = problem.proposal.sampler
-    xs = np.empty((n, replicas))
-    xts = np.empty((n, replicas))
-    x = np.full(replicas, float(x0))
-    xt = x.copy()
-    for k in range(n):
+
+    def step(k, x, xt):
         shared = philox(seed, 0, k)
         u = shared.random(replicas)
         start = shared.bit_generator.state
         y = sampler(shared, x)
         shared.bit_generator.state = start
         yt = sampler(shared, xt)
-        x = np.where(u < problem.acceptance(x, y), y, x)
-        xt = _approx_accept(problem, perturbation, xt, yt, u, philox(seed, 1, k))
-        xs[k] = x
-        xts[k] = xt
-    return xs, xts
+        return (np.where(u < problem.acceptance(x, y), y, x),
+                _approx_accept(problem, perturbation, xt, yt, u,
+                               philox(seed, 1, k)))
+
+    xs, xts = zip(*coupled_steps(step, x0, n, replicas))
+    return np.stack(xs), np.stack(xts)
 
 
 def mh_metro_geom_report(problem: MhProblem,
@@ -549,8 +547,8 @@ def mh_metro_geom_report(problem: MhProblem,
 
     Plain |x - y| Wasserstein per step; whenever V(x) >= |x| the V-norm
     bound dominates it, so the comparison is sound for the usual
-    exponential-type weights.  distance_se is a scale proxy for the
-    empirical-W1 fluctuation (cloud spreads over sqrt(samples)).
+    exponential-type weights.  distance_se is the cloud-spread proxy
+    described at ``otcore.empirical_w1_clouds``.
 
     The clouds come from ``_simulate_pair``, keyed per step: the chains
     share each step's proposal draws and acceptance uniforms (stream
@@ -558,23 +556,17 @@ def mh_metro_geom_report(problem: MhProblem,
     (role 1).  Output is byte-reproducible for a seed; the per-step keying
     replaced a per-(replica, step) one, which changed every value once.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if samples < 2:
         raise ValueError("samples must be at least 2")
     xs, xts = _simulate_pair(problem, perturbation, constants.x0, n,
                              samples, seed)
     ns = np.arange(1, n + 1)
-    dists = np.empty(n)
-    ses = np.empty(n)
-    bounds_arr = np.empty(n)
-    root = math.sqrt(samples)
-    for i, step in enumerate(ns):
-        dists[i] = empirical_w1_1d(np.sort(xs[i]), np.sort(xts[i]))
-        ses[i] = (xs[i].std(ddof=1) + xts[i].std(ddof=1)) / root
-        bounds_arr[i] = metro_geom_bound(
-            constants.C, constants.rho, int(step), constants.s,
-            constants.lam, constants.delta, constants.L, constants.p0_V)
+    dists, ses = np.array([empirical_w1_clouds(x, xt)
+                           for x, xt in zip(xs, xts)]).T
+    bounds_arr = np.array([
+        metro_geom_bound(constants.C, constants.rho, int(step), constants.s,
+                         constants.lam, constants.delta, constants.L,
+                         constants.p0_V) for step in ns])
     meta = {"C": constants.C, "rho": constants.rho, "delta": constants.delta,
             "L": constants.L, "lam": constants.lam, "s": constants.s,
             "p0_V": constants.p0_V, "x0": constants.x0,

@@ -317,3 +317,17 @@ def empirical_w1_1d(xs, ys) -> float:
     if np.any(np.diff(xs) < 0) or np.any(np.diff(ys) < 0):
         raise ValueError("samples must be sorted ascending")
     return float(np.mean(np.abs(xs - ys)))
+
+
+def empirical_w1_clouds(xs, ys) -> tuple[float, float]:
+    """Empirical W1 between two unsorted equal-size clouds, and a noise scale.
+
+    The scale, ``(sd(xs) + sd(ys)) / sqrt(size)`` over sample standard
+    deviations, is the ``distance_se`` of the MH and Langevin W1 reports: a
+    proxy for the fluctuation of the empirical W1, not a derived standard
+    error.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    w1 = empirical_w1_1d(np.sort(xs), np.sort(ys))
+    return w1, float((xs.std(ddof=1) + ys.std(ddof=1)) / np.sqrt(xs.size))

@@ -10,12 +10,14 @@ Frozen constants below were computed independently at 25-digit precision:
   tv final (0.5 -> 0.45, C=1, kappa=2) = 10.314660127465824
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+from wperturb._rng import philox
 from wperturb.ar1 import (
     Ar1Params,
     Innovation,
@@ -32,6 +34,7 @@ from wperturb.ar1 import (
     gaussian_abs_mean,
 )
 from wperturb.errors import HypothesisViolation
+from wperturb.otcore import empirical_w1_1d
 
 E_ABS_Z_N11 = 1.1666309411753726
 
@@ -202,6 +205,42 @@ def test_simulation_converges_to_exact_stationary_w1():
     target = ar1_gaussian_stationary_w1(0.5, 0.4, 1.0, 1.0)
     # empirical W1 between the coupled clouds at stationarity; MC tolerance
     assert sim.empirical_w1[-1] == pytest.approx(target, abs=0.02)
+
+
+def test_simulation_statistics_match_stacked_clouds():
+    # the simulator reduces each step as it comes; stepping the same
+    # philox(seed, k) draws into stored clouds must give the same bits
+    params = Ar1Params(0.7, Innovation.gaussian(1.0, 1.0))
+    alpha_t, x0, n, replicas, seed = 0.72, 0.3, 12, 500, 5
+    sim = ar1_simulate_coupled(params, alpha_t, x0, n, replicas, seed)
+    xs = np.empty((n, replicas))
+    xts = np.empty((n, replicas))
+    x = xt = np.full(replicas, x0)
+    for k in range(n):
+        z = params.innovation.sampler(philox(seed, k), replicas)
+        x, xt = 0.7 * x + z, alpha_t * xt + z
+        xs[k], xts[k] = x, xt
+    devs = np.abs(xs - xts)
+    dev = np.array([d.mean() for d in devs])
+    se = np.array([d.std(ddof=1) / math.sqrt(replicas) for d in devs])
+    emp = np.array([empirical_w1_1d(np.sort(a), np.sort(b))
+                    for a, b in zip(xs, xts)])
+    assert sim.ns.tolist() == list(range(1, n + 1))
+    assert sim.coupled_dev.tobytes() == dev.tobytes()
+    assert sim.coupled_dev_se.tobytes() == se.tobytes()
+    assert sim.empirical_w1.tobytes() == emp.tobytes()
+
+
+def test_simulation_does_not_store_the_clouds():
+    params = Ar1Params(0.7, Innovation.gaussian(1.0, 1.0))
+    tracemalloc.start()
+    try:
+        ar1_simulate_coupled(params, 0.71, 0.0, n=200, replicas=20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one cloud is 0.15 MiB; storing both for every step takes 61 MiB
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_simulation_input_validation():

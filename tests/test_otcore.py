@@ -25,6 +25,7 @@ from wperturb.otcore import (
     WeightFunction,
     dv_metric,
     empirical_w1_1d,
+    empirical_w1_clouds,
     line_metric,
     point_mass,
     total_variation,
@@ -32,6 +33,12 @@ from wperturb.otcore import (
     vnorm_distance,
     wasserstein1_exact,
 )
+
+
+def linprog_value(a, b, C):
+    """The HiGHS oracle's value, certified like a production solve."""
+    a, b, C = (np.ascontiguousarray(x, dtype=float) for x in (a, b, C))
+    return _transport._certify(a, b, C, *_transport._solve_linprog(a, b, C))[0]
 
 
 def random_simplex(rng, n):
@@ -275,7 +282,7 @@ def test_duality_lower_bound_and_linprog_cross_check(seed):
         c = rng.normal(size=n) * 2
         f = np.min(c[None, :] + sp.dist, axis=1)
         assert (mu.weights - nu.weights) @ f <= val + 1e-9
-    ref, _, _, _ = _transport.solve(mu.weights, nu.weights, sp.dist, use_linprog=True)
+    ref = linprog_value(mu.weights, nu.weights, sp.dist)
     assert val == pytest.approx(ref, abs=1e-6)
 
 
@@ -372,6 +379,16 @@ def test_empirical_w1_input_validation():
         empirical_w1_1d([2.0, 1.0], [1.0, 2.0])
 
 
+def test_empirical_w1_clouds_hand_values():
+    # sorted pairs (0, 1) and (1, 4): W1 = (1 + 3) / 2; sample sds 1/sqrt(2)
+    # and 3/sqrt(2), so the proxy is (4 / sqrt(2)) / sqrt(2) = 2
+    w1, se = empirical_w1_clouds([1.0, 0.0], [4.0, 1.0])
+    assert w1 == 2.0
+    assert se == pytest.approx(2.0, rel=1e-15)
+    with pytest.raises(ValueError, match="sizes differ"):
+        empirical_w1_clouds([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_empirical_w1_agrees_with_exact_on_atoms(seed):
     rng = np.random.default_rng(400 + seed)
@@ -433,7 +450,7 @@ def test_large_problem_matches_reference_lp_value():
     a = random_simplex(rng, 60)
     b = random_simplex(rng, 60)
     value, plan, _, _ = _transport.solve(a, b, sp.dist)
-    ref, _, _, _ = _transport.solve(a, b, sp.dist, use_linprog=True)
+    ref = linprog_value(a, b, sp.dist)
     assert value == pytest.approx(ref, abs=1e-6)
     np.testing.assert_allclose(plan.sum(axis=1), a, atol=1e-12)
     np.testing.assert_allclose(plan.sum(axis=0), b, atol=1e-12)
@@ -449,7 +466,7 @@ def _random_problem(seed, n=6, m=5):
 
 def test_production_paths_never_reach_linprog(monkeypatch):
     def refuse(*args):
-        raise AssertionError("HiGHS reached without use_linprog=True")
+        raise AssertionError("HiGHS reached from a production path")
 
     monkeypatch.setattr(_transport, "_solve_linprog", refuse)
     rng = np.random.default_rng(3)
@@ -500,13 +517,6 @@ def test_memo_holds_only_certified_results(monkeypatch):
     monkeypatch.setattr(_transport, "_ssp", good)
     _transport.solve(a, b, C)
     assert len(_transport._memo) == 1
-
-
-def test_linprog_oracle_bypasses_the_memo():
-    a, b, C = _random_problem(24)
-    _transport._memo.clear()
-    _transport.solve(a, b, C, use_linprog=True)
-    assert (_transport._memo.hits, _transport._memo.misses, len(_transport._memo)) == (0, 0, 0)
 
 
 def test_memo_evicts_least_recently_used_within_its_bounds():
