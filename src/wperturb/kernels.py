@@ -11,19 +11,25 @@ geometric (C, rho) rates.  Two metric structures need fewer or no
 transport solves: on a line the sup is attained by neighbouring points,
 and under a star metric ``(g(x) + g(y)) 1{x != y}`` (d_V with g = V, the
 trivial metric with g = 1) the coefficient has the transport-free closed
-form of ``tau_v``.  Any other metric makes one transport solve per pair
-of states.
+form of ``tau_v``.  Under any other metric the sup runs over all pairs of
+states, but only the pairs that can still attain it get a transport
+solve: the cost of a cheap feasible plan bounds each pair and orders the
+solves, and the sweep stops once no remaining bound can beat the best
+exact ratio (``_sup_w1_ratio``, which also takes the one-step gamma of
+``kernel_gamma_wasserstein`` over rows).  The result is the all-pairs
+value bit for bit.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from ._transport import CERT_TOL
 from .errors import NoContractionError, NonUniqueStationaryError, SpaceMismatchError
 from .otcore import (
+    METRIC_TOL,
     DiscreteDistribution,
     FiniteMetricSpace,
     WeightFunction,
@@ -34,6 +40,21 @@ ROW_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
 DRIFT_SLACK_TOL = 1e-10
 _EIG_ONE_TOL = 1e-8
+# ``_sup_w1_ratio`` skips a candidate only when its plan bound ub (see
+# ``_plan_bounds``), widened to (ub + slack) * (1 + _PRUNE_REL) / scale, is
+# below the best solved ratio.  The widening covers all that may put a
+# solved W1 above the computed plan cost:
+#   * every ``_w1`` result passes an optimality certificate that leaves it
+#     at most 2 * CERT_TOL * max(1, max dist) above the optimum;
+#   * two rows' sums may differ by 2 * ROW_TOL; balancing them, with the
+#     mass the plan leaves unmatched, moves a value by at most
+#     4 * ROW_TOL * max dist;
+#   * a metric's diagonal is zero only to METRIC_TOL.
+# The slack, 4 * (CERT_TOL * max(1, max dist) + ROW_TOL * max dist) +
+# METRIC_TOL, counts the certificate term twice: the spare half covers
+# float rounding in the solve and in the certificate's own sums, which
+# stays far below it.  _PRUNE_REL covers rounding in the bound and ratio.
+_PRUNE_REL = 1e-9
 
 
 class FiniteKernel:
@@ -141,19 +162,69 @@ def tau(P: FiniteKernel, metric: FiniteMetricSpace) -> float:
     the n - 1 neighbouring pairs are visited: for x < y < z,
     d(x, z) = d(x, y) + d(y, z) while W1 obeys the triangle inequality, so
     the ratio at (x, z) never exceeds the larger of the two beside it.
+    Under any other metric a pair is solved only while its widened plan
+    bound can still beat the best ratio solved so far (``_sup_w1_ratio``).
     """
     if not P.space.same_points(metric):
         raise SpaceMismatchError("metric does not match the kernel's points")
     if metric._star is not None:
         return _tau_star(P.matrix, metric._star)
-    if metric._line is not None:
-        order = metric._line[0]
-        pairs = zip(order[:-1], order[1:])
-    else:
-        pairs = itertools.combinations(range(metric.size), 2)
+    if metric._line is None:
+        ia, ib = np.triu_indices(metric.size, k=1)
+        return _sup_w1_ratio(P.matrix, P.matrix, ia, ib, metric.dist[ia, ib], metric)
+    order = metric._line[0]
     worst = 0.0
-    for i, j in pairs:
+    for i, j in zip(order[:-1], order[1:]):
         w = _w1(P.matrix[i], P.matrix[j], metric)[0] / metric.dist[i, j]
+        if w > worst:
+            worst = w
+    return worst
+
+
+def _plan_bounds(A: np.ndarray, B: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+                 dist: np.ndarray) -> np.ndarray:
+    """Per candidate k, the cost of a feasible plan from A[ia[k]] to B[ib[k]].
+
+    The plan is the one ``otcore._w1`` uses on star metrics: the common mass
+    stays put and the excess ``pos`` is spread over the deficit ``neg`` in
+    proportion, at cost ``pos @ dist @ neg / max(sum pos, sum neg)``.  By
+    the triangle inequality this never exceeds the best single-hub route
+    ``min_h sum_z |A[ia[k]] - B[ib[k]]|_z dist(z, h)``.
+    """
+    n = max(len(dist), 1)
+    ub = np.empty(len(ia))
+    for s in range(0, len(ia), n):  # n candidates at a time: (n, n) temporaries
+        k = slice(s, s + n)
+        d = A[ia[k]] - B[ib[k]]
+        pos = np.maximum(d, 0.0)
+        neg = np.maximum(-d, 0.0)
+        mass = np.maximum(pos.sum(axis=1), neg.sum(axis=1))
+        ub[k] = ((pos @ dist) * neg).sum(axis=1) / np.where(mass > 0.0, mass, 1.0)
+    return ub
+
+
+def _sup_w1_ratio(A: np.ndarray, B: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+                  scale: np.ndarray, metric: FiniteMetricSpace) -> float:
+    """max(0, max_k W(A[ia[k]], B[ib[k]]) / scale[k]), each W from ``_w1``.
+
+    Candidates are solved in falling order of their plan bounds, widened as
+    the note at ``_PRUNE_REL`` describes so that none falls below the ratio
+    its solve would return, and the sweep stops at the first widened bound
+    below the best solved ratio.  Every candidate left unsolved would have
+    given a ratio strictly below that best, so the result is the
+    all-candidates max bit for bit: a max of floats does not depend on the
+    order it is taken in, and the candidate attaining it, ties included, is
+    never skipped.
+    """
+    ub = _plan_bounds(A, B, ia, ib, metric.dist)
+    maxd = float(metric.dist.max(initial=0.0))
+    slack = 4.0 * (CERT_TOL * max(1.0, maxd) + ROW_TOL * maxd) + METRIC_TOL
+    wide = (ub + slack) * (1.0 + _PRUNE_REL) / scale
+    worst = 0.0
+    for k in np.argsort(-wide, kind="stable"):
+        if wide[k] < worst:
+            break
+        w = _w1(A[ia[k]], B[ib[k]], metric)[0] / scale[k]
         if w > worst:
             worst = w
     return worst
@@ -292,18 +363,18 @@ def fit_geometric_constants(P: FiniteKernel,
 def kernel_gamma_wasserstein(P: FiniteKernel, Pt: FiniteKernel,
                              metric: FiniteMetricSpace,
                              Vt: WeightFunction | None = None) -> float:
-    """One-step perturbation size sup_x W(P(x,.), Pt(x,.)) / Vt(x)."""
+    """One-step perturbation size sup_x W(P(x,.), Pt(x,.)) / Vt(x).
+
+    A row is solved only while its widened plan bound can still beat the
+    best ratio solved so far (``_sup_w1_ratio``).
+    """
     if not P.space.same_points(Pt.space):
         raise SpaceMismatchError("kernels live on different point sets")
     if not P.space.same_points(metric):
         raise SpaceMismatchError("metric does not match the kernels' points")
     vt = np.ones(P.space.size) if Vt is None else Vt.values
-    worst = 0.0
-    for i in range(P.space.size):
-        w = _w1(P.matrix[i], Pt.matrix[i], metric)[0] / vt[i]
-        if w > worst:
-            worst = w
-    return worst
+    rows = np.arange(P.space.size)
+    return _sup_w1_ratio(P.matrix, Pt.matrix, rows, rows, vt, metric)
 
 
 def kernel_gamma_tv(P: FiniteKernel, Pt: FiniteKernel,

@@ -7,18 +7,21 @@ form versus exact transport under dv_metric.  Spaces built by line_metric,
 trivial_metric and dv_metric take closed forms, so the transport side
 of each cross-check runs on an untagged copy of the space.
 """
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wperturb import _transport
+from wperturb import _transport, generate_random_instance, kernels, otcore
 from wperturb.errors import NoContractionError, NonUniqueStationaryError
 from wperturb.kernels import (
     DriftCheck,
     DriftEstimate,
     ErgodicityEstimate,
     FiniteKernel,
+    _plan_bounds,
     _tau_star,
     compose,
     evolve,
@@ -242,6 +245,139 @@ def test_tau_v_memory_stays_quadratic_at_cli_maximum():
     finally:
         tracemalloc.stop()
     # one (n, n) temporary is 0.3 MiB; the (n, n, n) form needed 122 MiB
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+# The pruned sups of tau and kernel_gamma_wasserstein against the plain
+# loops they replace: one otcore._w1 solve per candidate, max taken in
+# visiting order.
+
+def all_pairs_tau(P, sp):
+    worst = 0.0
+    for i, j in itertools.combinations(range(sp.size), 2):
+        w = otcore._w1(P.matrix[i], P.matrix[j], sp)[0] / sp.dist[i, j]
+        if w > worst:
+            worst = w
+    return worst
+
+
+def all_rows_gamma(P, Pt, sp, vt):
+    worst = 0.0
+    for i in range(sp.size):
+        w = otcore._w1(P.matrix[i], Pt.matrix[i], sp)[0] / vt[i]
+        if w > worst:
+            worst = w
+    return worst
+
+
+def euclidean_space(rng, n):
+    while True:
+        pts = rng.normal(size=(n, 2))
+        dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+        if np.min(dist[~np.eye(n, dtype=bool)]) > 1e-6:
+            return FiniteMetricSpace(range(n), dist)
+
+
+def shaped_kernel(rng, n, shape):
+    """A kernel with dust masses (1e-8), exact zeros, duplicate rows, or
+    every row within 1e-12 of one common row."""
+    M = random_kernel(rng, n, mix=rng.uniform(0.0, 0.9))
+    if shape in ("dust", "zeros"):
+        M[rng.random((n, n)) < 0.3] = 1e-8 if shape == "dust" else 0.0
+        M[np.arange(n), rng.integers(0, n, size=n)] += 0.5  # no empty row
+    elif shape == "duplicate":
+        M[rng.random(n) < 0.5] = M[0]
+    elif shape == "near":
+        M[:] = rng.dirichlet(np.ones(n)) * 0.5 + 0.5 / n
+        for i in rng.choice(n, size=max(1, n // 2), replace=False):
+            a, b = rng.choice(n, size=2, replace=False)
+            M[i, a] += 1e-12
+            M[i, b] -= 1e-12
+        return M
+    return M / M.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16),
+       st.sampled_from(("plain", "dust", "zeros", "duplicate", "near")),
+       st.integers(1, 4), st.integers(0, 10_000))
+@example(2, "near", 1, 0)
+@example(9, "dust", 1, 1)
+@example(9, "zeros", 3, 2)
+@example(12, "duplicate", 2, 3)
+def test_pruned_tau_and_gamma_equal_the_all_pairs_loop(n, shape, power, seed):
+    rng = np.random.default_rng(seed)
+    sp = euclidean_space(rng, n)
+    M = shaped_kernel(rng, n, shape)
+    K = np.linalg.matrix_power(M, power)
+    P = FiniteKernel(sp, K / K.sum(axis=1, keepdims=True))
+    assert tau(P, sp) == all_pairs_tau(P, sp)
+    Pt = FiniteKernel(sp, shaped_kernel(rng, n, shape))
+    vt = 1.0 + rng.uniform(0.0, 2.0, size=n)
+    assert kernel_gamma_wasserstein(P, Pt, sp, WeightFunction(sp, vt)) == \
+        all_rows_gamma(P, Pt, sp, vt)
+    assert kernel_gamma_wasserstein(P, P, sp) == 0.0
+
+
+def test_pruned_tau_keeps_tied_maximal_pairs():
+    # the 8-cycle's path metric and a circulant kernel with dyadic entries:
+    # all arithmetic is exact, so every rotation of the worst pair ties
+    n = 8
+    k = np.arange(n)
+    gap = np.abs(k[:, None] - k[None, :])
+    sp = FiniteMetricSpace(range(n), np.minimum(gap, n - gap).astype(float))
+    c = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.0078125])
+    P = FiniteKernel(sp, np.array([np.roll(c, i) for i in range(n)]))
+    ref = all_pairs_tau(P, sp)
+    ratios = [otcore._w1(P.matrix[i], P.matrix[j], sp)[0] / sp.dist[i, j]
+              for i, j in itertools.combinations(range(n), 2)]
+    assert ratios.count(ref) >= n
+    assert tau(P, sp) == ref
+    Pt = FiniteKernel(sp, np.array([np.roll(c, i + 1) for i in range(n)]))
+    assert kernel_gamma_wasserstein(P, Pt, sp) == all_rows_gamma(P, Pt, sp, np.ones(n))
+
+
+def test_pruning_margin_covers_the_row_sum_slack():
+    # Row 1 has W1 = plan bound = 0.2.  Row 2's sums are 1 + e and 1 - e,
+    # so its plan bound is 0.2 - e while its rebalanced W1 is 0.2 + 0.4 e:
+    # an unwidened bound would skip the row that attains the sup.
+    e = 5e-13
+    sp = FiniteMetricSpace(range(2), [[0.0, 1.0], [1.0, 0.0]])
+    P = FiniteKernel(sp, [[0.5, 0.5], [0.5 + e, 0.5]])
+    Pt = FiniteKernel(sp, [[0.3, 0.7], [0.3, 0.7 - e]])
+    ub = _plan_bounds(P.matrix, Pt.matrix, np.arange(2), np.arange(2), sp.dist)
+    gamma = kernel_gamma_wasserstein(P, Pt, sp)
+    assert ub[1] < 0.2 < gamma
+    assert gamma == all_rows_gamma(P, Pt, sp, np.ones(2))
+
+
+@pytest.mark.parametrize("size", [12, 30])
+@pytest.mark.parametrize("seed", [1, 4])
+def test_pruned_sups_solve_few_candidates(size, seed, monkeypatch):
+    P, Pt, sp, V, _, _ = generate_random_instance(seed, size, 0.5)
+    solves = []
+    w1 = kernels._w1
+    monkeypatch.setattr(kernels, "_w1", lambda *args: solves.append(args) or w1(*args))
+    tau(P, sp)
+    assert len(solves) <= size * (size - 1) // 2 // 4
+    solves.clear()
+    kernel_gamma_wasserstein(P, Pt, sp, V)
+    assert len(solves) < size
+
+
+def test_plan_bounds_memory_stays_quadratic_at_cli_maximum():
+    n = 200
+    rng = np.random.default_rng(0)
+    sp = euclidean_space(rng, n)
+    M = random_kernel(rng, n)
+    tracemalloc.start()
+    try:
+        ia, ib = np.triu_indices(n, k=1)
+        _plan_bounds(M, M, ia, ib, sp.dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # bounding all 19,900 pairs at once would need (19900, n) = 30 MiB
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
