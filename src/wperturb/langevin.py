@@ -5,9 +5,12 @@ The setting: a scalar parameter ``theta`` with Gaussian prior N(0, sigma_p^2)
 and a Gibbs likelihood l(y|theta) = exp(theta*s(y)) / z(theta) over a finite
 configuration space Y^M.  The posterior gradient needs the likelihood mean of
 the statistic s, which involves z(theta); the noisy variant replaces that mean
-by an average over N exact draws from l(.|theta).  Everything here enumerates
-the configuration space, so z(theta) is computed exactly and the noisy chain's
-auxiliary draws are exact categorical samples.
+by an average over N exact draws from l(.|theta).  The configuration space is
+enumerated once, at construction, to find the distinct levels of s and how many
+configurations sit on each.  The likelihood depends on y only through s(y), so
+the law of s(Y) lives on those levels with weights proportional to
+count * exp(theta*level): z(theta), the likelihood mean of s and the noisy
+chain's auxiliary draws (one exact multinomial over the levels) all work there.
 
 The drift/contraction constants and the two perturbation bounds follow the
 same pattern as the rest of the package: explicit constants, explicit
@@ -49,15 +52,19 @@ __all__ = [
 _MAX_ENUM = 1 << 20
 
 # replica block size for the vectorized simulators, keeps the (block, K)
-# likelihood matrices small even when K runs into the thousands
+# likelihood matrices small even when a custom statistic has thousands of
+# levels K
 _BLOCK = 4096
 
 
 class GibbsModel:
     """Exponential-family model l(y|theta) = exp(theta*s(y))/z(theta) on Y^M.
 
-    The full configuration space is enumerated at construction, so all
-    likelihood quantities (z, means, exact sampling weights) are exact.
+    The full configuration space is enumerated at construction and reduced to
+    the sorted distinct values of s (``levels``) and the log of how many
+    configurations take each (``log_counts``).  Every likelihood quantity
+    (z, means, exact sampling weights) is computed exactly on the levels;
+    ``s_values`` and the per-configuration ``likelihood`` stay available.
 
     alphabet : the label set Y, e.g. (-1, 1)
     M        : number of nodes
@@ -110,6 +117,9 @@ class GibbsModel:
         self.observed = observed
         self.sigma_p = sigma_p
         self.s_values = s_values
+        levels, counts = np.unique(s_values, return_counts=True)
+        self.levels = levels
+        self.log_counts = np.log(counts)
         self.s_inf = s_inf
         self.s_obs = float(statistic(observed))
 
@@ -119,9 +129,13 @@ class GibbsModel:
         w = np.exp(lw - lw.max())
         return w / w.sum()
 
+    def level_likelihood(self, theta: float) -> np.ndarray:
+        """Exact pmf of s(Y) over ``levels`` for Y ~ l(.|theta)."""
+        return _likelihood_rows(self, np.array([float(theta)]))[0]
+
     def log_partition(self, theta: float) -> float:
-        """log z(theta), computed with max subtraction."""
-        lw = float(theta) * self.s_values
+        """log z(theta), computed on the levels with max subtraction."""
+        lw = float(theta) * self.levels + self.log_counts
         m = lw.max()
         return float(m + np.log(np.exp(lw - m).sum()))
 
@@ -156,7 +170,7 @@ class LangevinParams:
 
 def likelihood_mean_s(model: GibbsModel, theta: float) -> float:
     """E_{l(.|theta)} s(Y), exactly."""
-    return float(model.likelihood(theta) @ model.s_values)
+    return float(model.level_likelihood(theta) @ model.levels)
 
 
 def grad_log_posterior(model: GibbsModel, theta: float) -> float:
@@ -167,13 +181,14 @@ def grad_log_posterior(model: GibbsModel, theta: float) -> float:
 def noisy_grad(model: GibbsModel, theta: float, N: int, rng: np.random.Generator) -> float:
     """Gradient with the likelihood mean replaced by an N-sample average.
 
-    The N i.i.d. draws from l(.|theta) enter only through their configuration
-    counts, so a single exact multinomial draw realizes the batch.
+    The N i.i.d. draws from l(.|theta) enter only through how many of them
+    land on each level of s, so a single exact multinomial over the levels
+    realizes the batch.
     """
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise ValueError("N must be a positive integer")
-    counts = rng.multinomial(int(N), model.likelihood(theta))
-    mean_s = float(counts @ model.s_values) / float(N)
+    counts = rng.multinomial(int(N), model.level_likelihood(theta))
+    mean_s = float(counts @ model.levels) / float(N)
     return model.s_obs - mean_s - theta / model.sigma_p ** 2
 
 
@@ -358,8 +373,8 @@ def langevin_drift_check(
         e_mean[i] = v.mean()
         e_se[i] = v.std(ddof=1) / math.sqrt(draws)
 
-        counts = rng.multinomial(params.N, model.likelihood(th), size=draws)
-        g = model.s_obs - (counts @ model.s_values) / params.N - th / model.sigma_p ** 2
+        counts = rng.multinomial(params.N, model.level_likelihood(th), size=draws)
+        g = model.s_obs - (counts @ model.levels) / params.N - th / model.sigma_p ** 2
         v = 1.0 + np.abs(th + half * g + params.sigma * rng.standard_normal(draws))
         z_mean[i] = v.mean()
         z_se[i] = v.std(ddof=1) / math.sqrt(draws)
@@ -376,8 +391,9 @@ def langevin_drift_check(
 
 
 def _likelihood_rows(model: GibbsModel, thetas: np.ndarray) -> np.ndarray:
-    """Exact pmf of l(.|theta) for each entry of a theta block, one per row."""
-    lw = thetas[:, None] * model.s_values[None, :]
+    """Exact pmf of s(Y) over the levels for each entry of a theta block, one
+    per row."""
+    lw = thetas[:, None] * model.levels[None, :] + model.log_counts[None, :]
     lw -= lw.max(axis=1, keepdims=True)
     w = np.exp(lw)
     w /= w.sum(axis=1, keepdims=True)
@@ -389,19 +405,20 @@ def _grad_batch(model: GibbsModel, thetas: np.ndarray) -> np.ndarray:
     out = np.empty_like(thetas)
     for lo in range(0, thetas.size, _BLOCK):
         w = _likelihood_rows(model, thetas[lo : lo + _BLOCK])
-        out[lo : lo + _BLOCK] = w @ model.s_values
+        out[lo : lo + _BLOCK] = w @ model.levels
     return model.s_obs - out - thetas / model.sigma_p ** 2
 
 
 def _noisy_grad_batch(
     model: GibbsModel, thetas: np.ndarray, N: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Noisy gradient at each entry of a theta vector, one multinomial per row."""
+    """Noisy gradient at each entry of a theta vector, one multinomial over
+    the levels per row."""
     out = np.empty_like(thetas)
     for lo in range(0, thetas.size, _BLOCK):
         w = _likelihood_rows(model, thetas[lo : lo + _BLOCK])
         counts = rng.multinomial(N, w)
-        out[lo : lo + _BLOCK] = (counts @ model.s_values) / float(N)
+        out[lo : lo + _BLOCK] = (counts @ model.levels) / float(N)
     return model.s_obs - out - thetas / model.sigma_p ** 2
 
 

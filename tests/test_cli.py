@@ -288,6 +288,26 @@ def test_byte_identical_reruns(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_byte_identical_reruns_mh_and_langevin(tmp_path):
+    configs = {
+        "mh": MH_CFG.format(out="{out}", s="0.02"),
+        "langevin": LANGEVIN_CFG.format(out="{out}", N=1000,
+                                        extra="C = 1.5\nrho = 0.5\n"),
+    }
+    for kind, text in configs.items():
+        outs = [tmp_path / f"{kind}_{i}" for i in range(2)]
+        for i, out in enumerate(outs):
+            path = write_cfg(tmp_path, text.format(out=out), f"{kind}_{i}.ini")
+            assert main(["run", path]) == EXIT_OK
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        assert "summary.txt" in names
+        if kind == "langevin":
+            assert "langevin_final.csv" in names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     import subprocess
     import sys

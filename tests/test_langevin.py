@@ -32,7 +32,7 @@ from wperturb.langevin import (
     likelihood_mean_s,
     noisy_grad,
 )
-from wperturb.langevin import _as_geom4
+from wperturb.langevin import _as_geom4, _noisy_grad_batch
 
 TV_FROZEN = 0.27631021115928548
 FINAL_FROZEN = 5.035018861342399
@@ -86,6 +86,60 @@ def test_likelihood_is_pmf_and_stable_at_large_theta():
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
     # at theta -> +inf the all-ones configuration takes all the mass
     assert likelihood_mean_s(m, 300.0) == pytest.approx(8.0, abs=1e-12)
+
+
+def level_models():
+    """Built-in, constant and non-integer custom statistics."""
+    def custom(c):
+        # three-letter alphabet, irrational weights: non-integer levels with
+        # uneven multiplicities
+        return 0.37 * sum(c) + math.sqrt(2.0) * c[0] * c[1] - 1.0 / 3.0
+
+    return [
+        GibbsModel.ising_sum(6, (1, -1, 1, 1, -1, 1), sigma_p=0.8),
+        GibbsModel.path_agreement(7, (1, 1, -1, 1, -1, -1, 1)),
+        constant_model(-1.25),
+        GibbsModel((-1, 0, 1), 4, custom, (0, 1, -1, 1), 1.3),
+    ]
+
+
+LEVEL_THETAS = (-300.0, -3.0, 0.0, 3.0, 300.0)
+
+
+def test_level_weights_are_configuration_weights_summed_by_level():
+    for m in level_models():
+        levels, inverse = np.unique(m.s_values, return_inverse=True)
+        np.testing.assert_array_equal(m.levels, levels)
+        for th in LEVEL_THETAS:
+            by_level = np.zeros(levels.size)
+            np.add.at(by_level, inverse, m.likelihood(th))
+            np.testing.assert_allclose(m.level_likelihood(th), by_level,
+                                       rtol=1e-12, atol=1e-15)
+
+
+def test_level_quantities_match_the_enumerated_formula():
+    for m in level_models():
+        for th in LEVEL_THETAS:
+            enumerated = float(m.likelihood(th) @ m.s_values)
+            assert likelihood_mean_s(m, th) == pytest.approx(enumerated, abs=1e-12)
+            grad = m.s_obs - enumerated - th / m.sigma_p ** 2
+            assert grad_log_posterior(m, th) == pytest.approx(grad, abs=1e-12)
+            lw = th * m.s_values
+            lz = lw.max() + math.log(np.exp(lw - lw.max()).sum())
+            assert m.log_partition(th) == pytest.approx(lz, abs=1e-12)
+
+
+def test_level_counts_of_the_built_in_statistics():
+    for M in range(2, 10):
+        spins = (1,) * M
+        path = GibbsModel.path_agreement(M, spins)
+        ising = GibbsModel.ising_sum(M, spins)
+        np.testing.assert_array_equal(path.levels, np.arange(M, dtype=float))
+        np.testing.assert_array_equal(ising.levels,
+                                      np.arange(-M, M + 1, 2, dtype=float))
+        for m in (path, ising):
+            assert np.exp(m.log_counts).sum() == pytest.approx(2.0 ** M, rel=1e-12)
+    assert constant_model().levels.size == 1
 
 
 # --------------------------------------------------------- gradient oracles
@@ -172,6 +226,21 @@ def test_noisy_grad_unbiased():
         assert abs(vals.mean() - exact) <= 3.0 * se + 1e-12
 
 
+def test_noisy_grad_batch_mean_and_variance():
+    # the N-sample average of s has mean E_theta s and variance Var_theta(s)/N
+    N, th, reps = 40, 0.3, 20000
+    for m in (GibbsModel.path_agreement(5, (1, -1, -1, 1, 1)),
+              level_models()[-1]):
+        w = m.likelihood(th)
+        var = float(w @ m.s_values ** 2) - float(w @ m.s_values) ** 2
+        g = _noisy_grad_batch(m, np.full(reps, th), N, philox(24, 0))
+        c = g - g.mean()
+        z_mean = abs(g.mean() - grad_log_posterior(m, th)) / math.sqrt(var / N / reps)
+        z_var = abs(g.var(ddof=1) - var / N) / math.sqrt(
+            ((c ** 4).mean() - c.var() ** 2) / reps)
+        assert z_mean <= 4.0 and z_var <= 4.0
+
+
 def test_noisy_grad_range_and_validation():
     m = GibbsModel.path_agreement(4, (1, 1, -1, 1))
     exact = grad_log_posterior(m, -0.3)
@@ -194,15 +263,27 @@ def test_step_decomposes_into_update():
 
 
 def test_noisy_step_draw_order():
-    # likelihood counts are consumed before the innovation; with a constant
+    # the level counts are consumed before the innovation; with a constant
     # statistic the noisy step is then exactly reproducible
     m = constant_model()
     p = LangevinParams(sigma=0.9, N=25)
     got = langevin_step(m, p, -0.5, philox(8, 0, 0), noisy=True)
     g = philox(8, 0, 0)
-    g.multinomial(25, m.likelihood(-0.5))
+    g.multinomial(25, m.level_likelihood(-0.5))
     z = 0.9 * g.standard_normal()
     assert got == langevin_update(p, -0.5, grad_log_posterior(m, -0.5), z)
+
+
+def test_noisy_step_replays_level_multinomial():
+    # a statistic with several levels, so the multinomial consumes draws
+    m = GibbsModel.ising_sum(3, (1, -1, 1))
+    p = LangevinParams(sigma=0.9, N=25)
+    got = langevin_step(m, p, -0.5, philox(8, 0, 0), noisy=True)
+    g = philox(8, 0, 0)
+    counts = g.multinomial(25, m.level_likelihood(-0.5))
+    grad = m.s_obs - float(counts @ m.levels) / 25.0 - (-0.5) / m.sigma_p ** 2
+    z = 0.9 * g.standard_normal()
+    assert got == langevin_update(p, -0.5, grad, z)
 
 
 def test_one_step_mean_matches_drift_in_mean():
