@@ -7,7 +7,6 @@ noisy Langevin for Gibbs random fields).
 """
 
 from .errors import (
-    BoundViolation,
     ConfigError,
     HypothesisViolation,
     NoContractionError,

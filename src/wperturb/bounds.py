@@ -225,18 +225,12 @@ class PerturbationReport:
 
     def to_csv(self) -> str:
         # repr(float) is the shortest decimal that round-trips exactly
-        if self.distance_se is None:
-            lines = ["n,distance,bound,slack"]
-            rows = zip(self.ns, self.distances, self.bounds, self.slack)
-            for n, d, b, s in rows:
-                lines.append(f"{int(n)},{float(d)!r},{float(b)!r},{float(s)!r}")
-        else:
-            lines = ["n,distance,bound,slack,distance_se"]
-            rows = zip(self.ns, self.distances, self.bounds, self.slack,
-                       self.distance_se)
-            for n, d, b, s, se in rows:
-                lines.append(f"{int(n)},{float(d)!r},{float(b)!r},"
-                             f"{float(s)!r},{float(se)!r}")
+        cols = {"distance": self.distances, "bound": self.bounds,
+                "slack": self.slack, "distance_se": self.distance_se}
+        cols = {k: v for k, v in cols.items() if v is not None}
+        lines = [",".join(["n", *cols])]
+        for n, *vals in zip(self.ns, *cols.values()):
+            lines.append(",".join([str(int(n)), *(repr(float(v)) for v in vals)]))
         return "\n".join(lines) + "\n"
 
 

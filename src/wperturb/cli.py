@@ -104,13 +104,6 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
-def _u64(raw: str) -> int:
-    val = int(raw)
-    if not 0 <= val <= _U64_MAX:
-        raise ValueError("must fit in an unsigned 64-bit integer")
-    return val
-
-
 def _int_in(lo: int, hi: float = math.inf) -> Callable[[str], int]:
     def cast(raw: str) -> int:
         val = int(raw)
@@ -120,46 +113,18 @@ def _int_in(lo: int, hi: float = math.inf) -> Callable[[str], int]:
     return cast
 
 
-def _finite_float(raw: str) -> float:
-    val = float(raw)
-    if not math.isfinite(val):
-        raise ValueError("must be finite")
-    return val
-
-
-def _pos_float(raw: str) -> float:
-    val = _finite_float(raw)
-    if val <= 0.0:
-        raise ValueError("must be positive")
-    return val
-
-
-def _nonneg_float(raw: str) -> float:
-    val = _finite_float(raw)
-    if val < 0.0:
-        raise ValueError("must be nonnegative")
-    return val
-
-
-def _unit_open(raw: str) -> float:
-    val = _finite_float(raw)
-    if not 0.0 <= val < 1.0:
-        raise ValueError("must lie in [0, 1)")
-    return val
-
-
-def _root(raw: str) -> float:
-    val = _finite_float(raw)
-    if not abs(val) < 1.0:
-        raise ValueError("must lie in (-1, 1)")
-    return val
-
-
-def _mix(raw: str) -> float:
-    val = _finite_float(raw)
-    if not 0.0 < val <= 1.0:
-        raise ValueError("must lie in (0, 1]")
-    return val
+def _float_in(lo: float = -math.inf, hi: float = math.inf,
+              ends: str = "()") -> Callable[[str], float]:
+    """Caster to a finite float in the interval from lo to hi, open or
+    closed at each end as ``ends`` says ("[)" is [lo, hi))."""
+    def cast(raw: str) -> float:
+        val = float(raw)
+        above = lo < val if ends[0] == "(" else lo <= val
+        below = val < hi if ends[1] == ")" else val <= hi
+        if not (math.isfinite(val) and above and below):
+            raise ValueError(f"must be a finite number in {ends[0]}{lo}, {hi}{ends[1]}")
+        return val
+    return cast
 
 
 def _choice(*allowed: str) -> Callable[[str], str]:
@@ -183,7 +148,7 @@ def _spins(raw: str) -> tuple:
 
 
 def _float_list(raw: str) -> tuple:
-    out = tuple(_finite_float(tok) for tok in raw.split(",") if tok.strip())
+    out = tuple(_float_in()(tok) for tok in raw.split(",") if tok.strip())
     if not out:
         raise ValueError("must be a nonempty comma-separated list of floats")
     return out
@@ -196,31 +161,31 @@ _SCHEMAS = {
     "finite-verify": {
         "instances": (_int_in(1), 50),
         "size": (_int_in(2, 200), 8),
-        "contraction_mix": (_mix, 0.5),
+        "contraction_mix": (_float_in(0.0, 1.0, "(]"), 0.5),
         "which": (_choice(*WHICH_CHOICES), "thm31"),
         "n_max": (_int_in(1), 30),
     },
     "ar1": {
-        "alpha": (_root, _REQUIRED),
-        "alpha_t": (_root, _REQUIRED),
-        "mean": (_finite_float, 1.0),
-        "sd": (_pos_float, 1.0),
-        "x0": (_finite_float, 0.0),
+        "alpha": (_float_in(-1.0, 1.0), _REQUIRED),
+        "alpha_t": (_float_in(-1.0, 1.0), _REQUIRED),
+        "mean": (_float_in(), 1.0),
+        "sd": (_float_in(0.0), 1.0),
+        "x0": (_float_in(), 0.0),
         "n_max": (_int_in(1), 50),
         "replicas": (_int_in(2), 100_000),
     },
     "mh": {
         "target": (_choice("exponential", "gaussian"), "gaussian"),
-        "half_width": (_pos_float, 1.5),
-        "sd": (_pos_float, 1.0),
-        "s": (_nonneg_float, _REQUIRED),
-        "C": (_pos_float, _REQUIRED),
-        "rho": (_unit_open, _REQUIRED),
-        "delta": (_unit_open, _REQUIRED),
-        "L": (_nonneg_float, _REQUIRED),
-        "lam": (_pos_float, _REQUIRED),
-        "p0_V": (_pos_float, 1.0),
-        "x0": (_finite_float, 0.0),
+        "half_width": (_float_in(0.0), 1.5),
+        "sd": (_float_in(0.0), 1.0),
+        "s": (_float_in(0.0, ends="[)"), _REQUIRED),
+        "C": (_float_in(0.0), _REQUIRED),
+        "rho": (_float_in(0.0, 1.0, "[)"), _REQUIRED),
+        "delta": (_float_in(0.0, 1.0, "[)"), _REQUIRED),
+        "L": (_float_in(0.0, ends="[)"), _REQUIRED),
+        "lam": (_float_in(0.0), _REQUIRED),
+        "p0_V": (_float_in(0.0), 1.0),
+        "x0": (_float_in(), 0.0),
         "n_max": (_int_in(1), 30),
         "replicas": (_int_in(2), 2000),
     },
@@ -228,18 +193,18 @@ _SCHEMAS = {
         "statistic": (_choice("sum", "path-agreement"), "path-agreement"),
         "M": (_int_in(1), 5),
         "observed": (_spins, _REQUIRED),
-        "sigma_p": (_pos_float, 1.0),
-        "sigma": (_pos_float, 0.8),
+        "sigma_p": (_float_in(0.0), 1.0),
+        "sigma": (_float_in(0.0), 0.8),
         "N": (_int_in(1), 100),
-        "theta0": (_finite_float, 0.0),
+        "theta0": (_float_in(), 0.0),
         "n_max": (_int_in(1), 8),
         "replicas": (_int_in(2), 20_000),
         "theta_grid": (_float_list, (-30.0, -5.0, -1.0, 0.0, 1.0, 5.0, 30.0)),
         "draws": (_int_in(2), 20_000),
         # optional long-run report; both must be given together
-        "C": (_pos_float, None),
-        "rho": (_unit_open, None),
-        "E_absX0": (_nonneg_float, 0.0),
+        "C": (_float_in(0.0), None),
+        "rho": (_float_in(0.0, 1.0, "[)"), None),
+        "E_absX0": (_float_in(0.0, ends="[)"), 0.0),
     },
 }
 
@@ -267,7 +232,7 @@ def load_config(path: str, seed_override: Optional[int] = None,
     if kind not in _KINDS:
         raise ConfigError(f"kind must be one of {', '.join(_KINDS)}, got {kind!r}")
     try:
-        seed = _u64(exp.get("seed", ""))
+        seed = _int_in(0, _U64_MAX)(exp.get("seed", ""))
     except ValueError as exc:
         raise ConfigError(f"bad seed: {exc}") from exc
     if seed_override is not None:

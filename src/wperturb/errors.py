@@ -21,9 +21,5 @@ class NoContractionError(HypothesisViolation):
     """No contraction certificate at the requested horizon (tau >= 1)."""
 
 
-class BoundViolation(RuntimeError):
-    """An exact distance exceeded its theoretical bound beyond tolerance."""
-
-
 class ConfigError(ValueError):
     """Experiment config file fails schema validation."""

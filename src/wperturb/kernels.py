@@ -7,17 +7,17 @@ The generalized ergodicity coefficient of a kernel P under a metric d is
 computed exactly from the row-pair distances of ``otcore._w1``.  It is
 submultiplicative over composition and contracts Wasserstein distances
 between distributions, which is what turns one-step estimates into
-geometric (C, rho) rates.  Two metric structures need fewer or no
-transport solves: on a line the sup is attained by neighbouring points,
-and under a star metric ``(g(x) + g(y)) 1{x != y}`` (d_V with g = V, the
-trivial metric with g = 1) the coefficient has the transport-free closed
-form of ``tau_v``.  Under any other metric the sup runs over all pairs of
-states, but only the pairs that can still attain it get a transport
-solve: the cost of a cheap feasible plan bounds each pair and orders the
-solves, and the sweep stops once no remaining bound can beat the best
-exact ratio (``_sup_w1_ratio``, which also takes the one-step gamma of
-``kernel_gamma_wasserstein`` over rows).  The result is the all-pairs
-value bit for bit.
+geometric (C, rho) rates.  Under a star metric
+``(g(x) + g(y)) 1{x != y}`` (d_V with g = V, the trivial metric with
+g = 1) the coefficient has the transport-free closed form of ``tau_v``.
+Every other sup of a W1 ratio is one ``_sup_w1_ratio`` call over a list
+of candidates: for ``tau`` the n - 1 neighbouring pairs on a line (the
+sup is attained there) and all pairs of states otherwise, for the
+one-step gamma of ``kernel_gamma_wasserstein`` the rows.  Only the
+candidates that can still attain the sup get a W1 solve: the cost of a
+cheap feasible plan bounds each one and orders the solves, and the sweep
+stops once no remaining bound can beat the best exact ratio.  The result
+is the all-candidates value bit for bit.
 """
 from __future__ import annotations
 
@@ -158,12 +158,13 @@ def tau(P: FiniteKernel, metric: FiniteMetricSpace) -> float:
     """Generalized ergodicity coefficient under a metric: worst pairwise
     transport distance between rows relative to the points' distance.
 
-    Under a star metric this is the ``tau_v`` closed form.  On a line only
-    the n - 1 neighbouring pairs are visited: for x < y < z,
+    Under a star metric this is the ``tau_v`` closed form.  Every other
+    metric goes through ``_sup_w1_ratio``: a pair is solved only while its
+    widened plan bound can still beat the best ratio solved so far.  On a
+    line the candidates are the n - 1 neighbouring pairs: for x < y < z,
     d(x, z) = d(x, y) + d(y, z) while W1 obeys the triangle inequality, so
     the ratio at (x, z) never exceeds the larger of the two beside it.
-    Under any other metric a pair is solved only while its widened plan
-    bound can still beat the best ratio solved so far (``_sup_w1_ratio``).
+    Under any other metric they are all pairs of states.
     """
     if not P.space.same_points(metric):
         raise SpaceMismatchError("metric does not match the kernel's points")
@@ -171,14 +172,10 @@ def tau(P: FiniteKernel, metric: FiniteMetricSpace) -> float:
         return _tau_star(P.matrix, metric._star)
     if metric._line is None:
         ia, ib = np.triu_indices(metric.size, k=1)
-        return _sup_w1_ratio(P.matrix, P.matrix, ia, ib, metric.dist[ia, ib], metric)
-    order = metric._line[0]
-    worst = 0.0
-    for i, j in zip(order[:-1], order[1:]):
-        w = _w1(P.matrix[i], P.matrix[j], metric)[0] / metric.dist[i, j]
-        if w > worst:
-            worst = w
-    return worst
+    else:
+        order = metric._line[0]
+        ia, ib = order[:-1], order[1:]
+    return _sup_w1_ratio(P.matrix, P.matrix, ia, ib, metric.dist[ia, ib], metric)
 
 
 def _plan_bounds(A: np.ndarray, B: np.ndarray, ia: np.ndarray, ib: np.ndarray,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,20 +80,17 @@ class GibbsModel:
         statistic: Callable[[tuple], float],
         observed: Sequence,
         sigma_p: float,
-        cap: int = _MAX_ENUM,
     ):
         alphabet = tuple(alphabet)
         if len(alphabet) == 0 or len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet must be nonempty with distinct labels")
         if not (isinstance(M, (int, np.integer)) and M >= 1):
             raise ValueError("M must be a positive integer")
-        if not (0 < cap <= _MAX_ENUM):
-            raise ValueError(f"cap must be in (0, {_MAX_ENUM}]")
         n_conf = len(alphabet) ** M
-        if n_conf > cap:
+        if n_conf > _MAX_ENUM:
             raise ValueError(
                 f"enumeration of {len(alphabet)}^{M} = {n_conf} configurations "
-                f"exceeds the cap of {cap}"
+                f"exceeds the cap of {_MAX_ENUM}"
             )
         sigma_p = float(sigma_p)
         if not (sigma_p > 0 and math.isfinite(sigma_p)):
@@ -264,12 +261,10 @@ def langevin_final_bound(
     C: float,
     rho: float,
     E_absX0: float,
-    n_unused: Optional[int] = None,
 ) -> float:
     """Wasserstein distance between the exact and noisy chains at any time n.
 
-    The bound is uniform in n (n_unused is accepted so callers can tabulate
-    per-n reports against a constant cap).  Requires sigma^2 < 4*sigma_p^2 and
+    The bound is uniform in n.  Requires sigma^2 < 4*sigma_p^2 and
     N > 90*max(s^2 sigma^4, s^-3 sigma^-6); it decays like (log N)^2 / N.
     """
     sigma, N = params.sigma, params.N

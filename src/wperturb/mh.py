@@ -25,6 +25,8 @@ from .errors import ConfigError, HypothesisViolation
 from .kernels import ROW_TOL, FiniteKernel
 from .otcore import FiniteMetricSpace, WeightFunction, empirical_w1_clouds
 
+# absolute tolerance of every line-constant quadrature
+_QUAD_TOL = 1e-8
 # quadrature error estimates above this are treated as failures
 _QUAD_ERR_CAP = 1e-6
 # lambda integrals above this are reported as divergent
@@ -309,13 +311,13 @@ def _approx_accept(problem: MhProblem, perturbation: AcceptancePerturbation,
 # constants: gamma, delta_V, lambda
 
 
-def _quad(f, lo: float, hi: float, tol: float, kinks=()) -> float:
+def _quad(f, lo: float, hi: float, kinks=()) -> float:
     pts = sorted(p for p in kinks if lo < p < hi)
-    val, err = integrate.quad(f, lo, hi, epsabs=tol, limit=200,
+    val, err = integrate.quad(f, lo, hi, epsabs=_QUAD_TOL, limit=200,
                               points=pts or None)
     # error cap scales with the value so huge-but-converged integrals
     # (the divergence guard's food) are not misreported as quad failures
-    if err > max(10.0 * tol, _QUAD_ERR_CAP) * max(1.0, abs(val)):
+    if err > max(10.0 * _QUAD_TOL, _QUAD_ERR_CAP) * max(1.0, abs(val)):
         raise RuntimeError(
             f"quadrature error estimate {err:.3e} too large on [{lo}, {hi}]")
     return val
@@ -330,6 +332,20 @@ def _line_support(problem: MhProblem, x: float) -> Tuple[float, float]:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise HypothesisViolation("proposal support must be a bounded interval")
     return lo, hi
+
+
+def _sup_over_starts(problem: MhProblem, x_grid, name: str,
+                     per_start: Callable[[float, float, float], float]) -> float:
+    """max(0, max over x in x_grid of per_start(x, lo, hi)), where [lo, hi]
+    carries all of Q(x, .); ``name`` labels the empty-grid ConfigError."""
+    if x_grid is None or len(x_grid) == 0:
+        raise ConfigError(f"line {name} needs a non-empty x_grid")
+    best = 0.0
+    for x in x_grid:
+        x = float(x)
+        lo, hi = _line_support(problem, x)
+        best = max(best, per_start(x, lo, hi))
+    return best
 
 
 def _weight_values(V, problem: FiniteMhProblem) -> np.ndarray:
@@ -347,13 +363,13 @@ def _finite_eps(problem: FiniteMhProblem,
 
 
 def gamma_from_acceptance(problem, perturbation: AcceptancePerturbation,
-                          Vt=None, x_grid=None,
-                          quad_tol: float = 1e-8) -> float:
+                          Vt=None, x_grid=None) -> float:
     """sup_x of [integral d(x,y) E(x,y) Q(x,dy)] / Vt(x).
 
     Exact sums on a FiniteMhProblem (its metric space supplies d; x_grid is
     ignored).  On the line d(x,y) = |x - y| and the sup runs over x_grid,
-    so the result is a lower bound of the true sup there.
+    so the result is a lower bound of the true sup there; each integral is
+    a quadrature to absolute tolerance ``_QUAD_TOL`` (1e-8).
     """
     if isinstance(problem, FiniteMhProblem):
         E = _finite_eps(problem, perturbation)
@@ -361,31 +377,30 @@ def gamma_from_acceptance(problem, perturbation: AcceptancePerturbation,
         per_x = (problem.space.dist * E * problem.Q).sum(axis=1) / v
         return float(per_x.max())
 
-    if x_grid is None or len(x_grid) == 0:
-        raise ConfigError("line gamma needs a non-empty x_grid")
     vt = Vt if Vt is not None else (lambda x: 1.0)
-    best = 0.0
-    for x in x_grid:
-        x = float(x)
-        lo, hi = _line_support(problem, x)
+
+    def per_start(x: float, lo: float, hi: float) -> float:
         q = problem.proposal.density
 
         def integrand(y: float) -> float:
             a = problem.acceptance(x, y)
             return abs(y - x) * perturbation.eps(a, x, y) * q(x, y)
 
-        val = _quad(integrand, lo, hi, quad_tol, kinks=(x,))
-        best = max(best, val / float(vt(x)))
-    return best
+        # divide after integrating: 1/Vt(x) inside the integrand would
+        # change the quadrature's rounding
+        return _quad(integrand, lo, hi, kinks=(x,)) / float(vt(x))
+
+    return _sup_over_starts(problem, x_grid, "gamma", per_start)
 
 
 def delta_v_transfer(problem, perturbation: AcceptancePerturbation,
-                     V=None, x_grid=None, quad_tol: float = 1e-8) -> float:
+                     V=None, x_grid=None) -> float:
     """sup_z of integral (V(y)/V(z) + 1) E(z,y) Q(z,dy).
 
     Transfers a Lyapunov pair (delta, L) of the exact chain to the
     perturbed one: P~V <= (delta + delta_V) V + L, usable when
-    delta + delta_V < 1.
+    delta + delta_V < 1.  On the line the sup runs over x_grid, each
+    integral a quadrature to absolute tolerance ``_QUAD_TOL`` (1e-8).
     """
     if isinstance(problem, FiniteMhProblem):
         E = _finite_eps(problem, perturbation)
@@ -393,13 +408,9 @@ def delta_v_transfer(problem, perturbation: AcceptancePerturbation,
         ratio = v[None, :] / v[:, None] + 1.0
         return float((ratio * E * problem.Q).sum(axis=1).max())
 
-    if x_grid is None or len(x_grid) == 0:
-        raise ConfigError("line delta_V needs a non-empty x_grid")
     vf = V if V is not None else (lambda x: 1.0)
-    best = 0.0
-    for z in x_grid:
-        z = float(z)
-        lo, hi = _line_support(problem, z)
+
+    def per_start(z: float, lo: float, hi: float) -> float:
         q = problem.proposal.density
         vz = float(vf(z))
 
@@ -407,28 +418,29 @@ def delta_v_transfer(problem, perturbation: AcceptancePerturbation,
             a = problem.acceptance(z, y)
             return (float(vf(y)) / vz + 1.0) * perturbation.eps(a, z, y) * q(z, y)
 
-        best = max(best, _quad(integrand, lo, hi, quad_tol, kinks=(z,)))
-    return best
+        return _quad(integrand, lo, hi, kinks=(z,))
+
+    return _sup_over_starts(problem, x_grid, "delta_V", per_start)
 
 
-def lambda_constant(problem, V=None, x_grid=None,
-                    quad_tol: float = 1e-8) -> float:
-    """1 + sup_x of integral V(y)/V(x) Q(x,dy); invariant to scaling V."""
+def lambda_constant(problem, V=None, x_grid=None) -> float:
+    """1 + sup_x of integral V(y)/V(x) Q(x,dy); invariant to scaling V.
+
+    On the line the sup runs over x_grid, each integral a quadrature to
+    absolute tolerance ``_QUAD_TOL`` (1e-8) with no breakpoint.
+    """
     if isinstance(problem, FiniteMhProblem):
         v = _weight_values(V, problem)
         val = float(((v[None, :] / v[:, None]) * problem.Q).sum(axis=1).max())
     else:
-        if x_grid is None or len(x_grid) == 0:
-            raise ConfigError("line lambda needs a non-empty x_grid")
         vf = V if V is not None else (lambda x: 1.0)
-        val = 0.0
-        for x in x_grid:
-            x = float(x)
-            lo, hi = _line_support(problem, x)
+
+        def per_start(x: float, lo: float, hi: float) -> float:
             q = problem.proposal.density
             vx = float(vf(x))
-            val = max(val, _quad(
-                lambda y: float(vf(y)) / vx * q(x, y), lo, hi, quad_tol))
+            return _quad(lambda y: float(vf(y)) / vx * q(x, y), lo, hi)
+
+        val = _sup_over_starts(problem, x_grid, "lambda", per_start)
     if not val < _LAMBDA_CAP:
         raise HypothesisViolation("lambda integral appears divergent")
     return 1.0 + val

@@ -86,24 +86,6 @@ def test_load_config_defaults_and_overrides(tmp_path):
     assert cfg.seed == 9 and cfg.out == "elsewhere"
 
 
-@pytest.mark.parametrize("mutation", [
-    ("[experiment]", "[wrong]"),                    # missing experiment section
-    ("kind = ar1", "kind = nonsense"),
-    ("seed = 42", "seed = -1"),
-    ("seed = 42", "seed = 18446744073709551616"),   # 2^64
-    ("seed = 42", "seed = not-a-number"),
-    ("alpha = 0.5", "alpha = 1.5"),                 # outside (-1, 1)
-    ("alpha = 0.5", "alphq = 0.5"),                 # unknown key (and alpha missing)
-    ("replicas = 4000", "replicas = 0"),
-])
-def test_schema_errors(tmp_path, mutation):
-    text = textwrap.dedent(AR1_CFG.format(out="results")).replace(*mutation)
-    path = tmp_path / "bad.ini"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_config(str(path))
-
-
 FINITE_CFG = """
     [experiment]
     kind = finite-verify
@@ -114,6 +96,54 @@ FINITE_CFG = """
     instances = 1
     size = {size}
 """
+
+AR1 = AR1_CFG.format(out="results")
+MH = MH_CFG.format(out="results", s="0.02")
+FINITE = FINITE_CFG.format(out="results", size=8)
+LANGEVIN = LANGEVIN_CFG.format(out="results", N=600, extra="")
+
+
+@pytest.mark.parametrize("mutation", [
+    (AR1, "[experiment]", "[wrong]"),                 # missing experiment section
+    (AR1, "kind = ar1", "kind = nonsense"),
+    (AR1, "seed = 42", "seed = -1"),
+    (AR1, "seed = 42", "seed = 18446744073709551616"),  # 2^64
+    (AR1, "seed = 42", "seed = not-a-number"),
+    (AR1, "alpha = 0.5", "alpha = 1.5"),              # outside (-1, 1)
+    (AR1, "alpha = 0.5", "alphq = 0.5"),              # unknown key (and alpha missing)
+    (AR1, "replicas = 4000", "replicas = 0"),
+    # each end of each float interval, NaN, infinities and -0.0
+    (AR1, "alpha = 0.5", "alpha = 1"),
+    (AR1, "alpha_t = 0.4", "alpha_t = -1"),
+    (AR1, "n_max = 10", "n_max = 10\n    sd = 0"),
+    (AR1, "n_max = 10", "n_max = 10\n    sd = -0.0"),
+    (AR1, "n_max = 10", "n_max = 10\n    mean = nan"),
+    (AR1, "n_max = 10", "n_max = 10\n    x0 = -inf"),
+    (MH, "rho = 0.95", "rho = 1"),
+    (MH, "delta = 0.9", "delta = nan"),
+    (MH, "s = 0.02", "s = -0.1"),
+    (MH, "s = 0.02", "s = inf"),
+    (MH, "L = 0.85", "L = -5e-324"),
+    (FINITE, "size = 8", "size = 8\n    contraction_mix = 0"),
+    (FINITE, "size = 8", "size = 8\n    contraction_mix = -0.0"),
+    (FINITE, "size = 8", "size = 8\n    contraction_mix = 1.0000000000000002"),
+    (LANGEVIN, "theta_grid = -30,0,30", "theta_grid = -30,nan,30"),
+])
+def test_schema_errors(tmp_path, mutation):
+    template, old, new = mutation
+    assert old in template
+    with pytest.raises(ConfigError):
+        load_config(write_cfg(tmp_path, template.replace(old, new), "bad.ini"))
+
+
+def test_schema_accepts_closed_ends(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, FINITE.replace(
+        "size = 8", "size = 8\n    contraction_mix = 1")))
+    assert cfg.params["contraction_mix"] == 1.0
+    cfg = load_config(write_cfg(tmp_path, MH.replace("s = 0.02", "s = 0").replace(
+        "rho = 0.95", "rho = 0").replace("L = 0.85", "L = 0\n    x0 = -0.0")))
+    assert cfg.params["s"] == cfg.params["rho"] == cfg.params["L"] == 0.0
+    assert str(cfg.params["x0"]) == "-0.0"
 
 
 @pytest.mark.parametrize("text", [

@@ -261,6 +261,16 @@ def all_pairs_tau(P, sp):
     return worst
 
 
+def neighbour_pairs_tau(P, sp):
+    order = sp._line[0]
+    worst = 0.0
+    for i, j in zip(order[:-1], order[1:]):
+        w = otcore._w1(P.matrix[i], P.matrix[j], sp)[0] / sp.dist[i, j]
+        if w > worst:
+            worst = w
+    return worst
+
+
 def all_rows_gamma(P, Pt, sp, vt):
     worst = 0.0
     for i in range(sp.size):
@@ -317,6 +327,14 @@ def test_pruned_tau_and_gamma_equal_the_all_pairs_loop(n, shape, power, seed):
     assert kernel_gamma_wasserstein(P, Pt, sp, WeightFunction(sp, vt)) == \
         all_rows_gamma(P, Pt, sp, vt)
     assert kernel_gamma_wasserstein(P, P, sp) == 0.0
+    # the same kernels on a line: unsorted points spanning six decades
+    xs = rng.permutation(10.0 ** rng.uniform(-3.0, 3.0, size=n))
+    line = line_metric(xs * rng.choice([-1.0, 1.0], size=n))
+    Pl = FiniteKernel(line, P.matrix)
+    assert tau(Pl, line) == neighbour_pairs_tau(Pl, line)
+    assert kernel_gamma_wasserstein(Pl, FiniteKernel(line, Pt.matrix), line,
+                                    WeightFunction(line, vt)) == \
+        all_rows_gamma(Pl, Pt, line, vt)
 
 
 def test_pruned_tau_keeps_tied_maximal_pairs():
@@ -363,6 +381,11 @@ def test_pruned_sups_solve_few_candidates(size, seed, monkeypatch):
     solves.clear()
     kernel_gamma_wasserstein(P, Pt, sp, V)
     assert len(solves) < size
+    # on a line the candidates are the size - 1 neighbouring pairs
+    line = tagged_space(np.random.default_rng(seed), "line", size)
+    solves.clear()
+    tau(FiniteKernel(line, P.matrix), line)
+    assert 0 < len(solves) < size - 1
 
 
 def test_plan_bounds_memory_stays_quadratic_at_cli_maximum():
