@@ -43,17 +43,28 @@ _EIG_ONE_TOL = 1e-8
 # ``_sup_w1_ratio`` skips a candidate only when its plan bound ub (see
 # ``_plan_bounds``), widened to (ub + slack) * (1 + _PRUNE_REL) / scale, is
 # below the best solved ratio.  The widening covers all that may put a
-# solved W1 above the computed plan cost:
-#   * every ``_w1`` result passes an optimality certificate that leaves it
-#     at most 2 * CERT_TOL * max(1, max dist) above the optimum;
-#   * two rows' sums may differ by 2 * ROW_TOL; balancing them, with the
-#     mass the plan leaves unmatched, moves a value by at most
-#     4 * ROW_TOL * max dist;
-#   * a metric's diagonal is zero only to METRIC_TOL.
-# The slack, 4 * (CERT_TOL * max(1, max dist) + ROW_TOL * max dist) +
-# METRIC_TOL, counts the certificate term twice: the spare half covers
-# float rounding in the solve and in the certificate's own sums, which
-# stays far below it.  _PRUNE_REL covers rounding in the bound and ratio.
+# solved W1 above the computed plan cost.  Write pos and neg for the parts
+# of the row difference, sp and sn for their masses, and D for max dist;
+# sp <= 1 + ROW_TOL and |sp - sn| <= 2 * ROW_TOL.
+#   * On the transport route ``_w1`` returns the cost of the lifted plan,
+#     diag(min(rows)) + sp * sub, where sub solves pos / sp onto neg / sn.
+#     Its certificate leaves sub at most 2 * CERT_TOL * max(1, D) above the
+#     product plan (pos / sp) x (neg / sn), so the value is at most
+#     pos @ dist @ neg / sn + 2 * sp * CERT_TOL * max(1, D); dividing by sn
+#     rather than max(sp, sn) adds at most D * |sp - sn| <= 2 * ROW_TOL * D.
+#   * When rounding leaves pos or neg empty, ub is 0 and ``_w1`` solves
+#     each row at unit mass over its support, scaled by the first row's
+#     mass m <= 1 + ROW_TOL; the two unit rows differ by at most
+#     4 * ROW_TOL / m in l1, so the value is at most
+#     2 * ROW_TOL * D + 2 * m * CERT_TOL * max(1, D).
+#   * The line and star closed forms give the exact W1 of the rows once at
+#     most 2 * ROW_TOL of mass is added to balance them, so they too lie
+#     at most 2 * ROW_TOL * D above ub.
+#   * The kept mass sits on a diagonal that is zero only to METRIC_TOL.
+# The slack, 4 * (CERT_TOL * max(1, D) + ROW_TOL * D) + METRIC_TOL, is
+# about twice these terms: the spare half covers float rounding in the
+# rescaling, the solve and the certificate's own sums, which stays far
+# below it.  _PRUNE_REL covers rounding in the bound and ratio.
 _PRUNE_REL = 1e-9
 
 

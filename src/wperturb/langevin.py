@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._rng import coupled_steps, philox
-from .bounds import geom4_bound
 from .errors import HypothesisViolation
 
 __all__ = [
@@ -292,16 +291,6 @@ def langevin_final_bound(
     base = 2.0 * C * (sigma + sigma ** 2 * s + 3.0)
     log_n = math.log(N)
     return R * base ** (2.0 / log_n) * log_n ** 2 / N
-
-
-def _as_geom4(model: GibbsModel, params: LangevinParams, C: float, rho: float,
-              E_absX0: float) -> float:
-    """Same quantity routed through the generic geom4 bound; kept for tests."""
-    s, sigma = model.s_inf, params.sigma
-    kappa = 2.0 + max(E_absX0, 4.0 * model.sigma_p ** 2 * (s + 1.0 / sigma))
-    K = 6.0 * max(s * sigma ** 2, s ** -2 * sigma ** -4)
-    base = 2.0 * C * (sigma + sigma ** 2 * s + 3.0)
-    return geom4_bound(base, rho, kappa, K, params.N)
 
 
 @dataclass

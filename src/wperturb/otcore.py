@@ -9,11 +9,16 @@ one place that picks how a Wasserstein distance is computed:
     is a "star" ``(g(x) + g(y)) 1{x != y}``, W1 is ``sum_x g(x)
     |mu(x) - nu(x)|``;
   * on any other space, including a ``FiniteMetricSpace`` built directly
-    from a matrix, W1 comes from a min-cost transport solve.
+    from a matrix, W1 comes from a min-cost transport solve.  Under a
+    metric cost W1 depends only on mu - nu (Kantorovich-Rubinstein) and
+    some optimal plan leaves the common mass min(mu, nu) in place, so the
+    solve moves only the excess onto the deficit, each scaled to unit
+    mass: a problem about half the size on each side.
 
-Every route returns a plan and dual potentials that pass the same
-optimality certificate, so a wrong closed form raises rather than
-returning a wrong distance.  Total variation and the weighted norm
+Every route returns a full-size plan and dual potentials ``(f, -f)`` that
+pass the same optimality certificate on the whole space, so a wrong
+closed form or a wrong lift raises rather than returning a wrong
+distance.  Total variation and the weighted norm
 ``sum_x V(x) |mu(x) - nu(x)|`` are closed forms too; they equal W1 under
 the trivial metric and under ``d_V(x, y) = (V(x) + V(y)) 1{x != y}``.
 The test suite cross-checks each closed form against the transport solve
@@ -207,9 +212,17 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
     """Exact W1 between two weight vectors on ``space`` and an optimal plan.
 
     Picks the closed form the space's constructor recorded, else a
-    transport solve on the positive-weight points (the plan is re-embedded
-    full size).  Closed-form plans pass the transport solver's certificate
-    with the potentials ``u = f``, ``v = -f`` of an extremal 1-Lipschitz f.
+    transport solve from the excess ``max(wa - wb, 0)`` onto the deficit
+    ``max(wb - wa, 0)``, each scaled to unit mass.  That plan, scaled back
+    by the excess mass, is lifted to full size by adding the common mass
+    ``diag(min(wa, wb))``, and its value is the lifted plan's cost.  When
+    rounding leaves the excess or the deficit empty (rows equal up to
+    ``kernels.ROW_TOL``), the same solve moves all of ``wa`` onto ``wb``
+    over their positive supports instead.  Every plan passes the
+    transport solver's certificate on the full ``space.dist`` with the
+    potentials ``u = f``, ``v = -f`` of a 1-Lipschitz f: an extremal one
+    for the closed forms, the c-transform of the solve's column potentials
+    for the transport route.
     """
     n = space.size
     if np.array_equal(wa, wb):
@@ -245,16 +258,32 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
         # the two excess masses differ only by rounding; max never divides by 0
         plan = np.diag(np.minimum(wa, wb)) + np.outer(pos, neg) / max(pos.sum(), neg.sum())
     else:
-        ia = np.flatnonzero(wa > 0.0)
-        ib = np.flatnonzero(wb > 0.0)
-        a = wa[ia]
-        b = wb[ib]
-        b = b * (a.sum() / b.sum())  # balance to float precision
+        # W1 depends only on wa - wb, so the common mass min(wa, wb) stays
+        # in place and only the excess is moved onto the deficit
+        d = wa - wb
+        src = d > 0.0
+        dst = d < 0.0
+        if src.any() and dst.any():
+            a, b, keep = d, -d, np.minimum(wa, wb)
+        else:
+            # rows equal up to rounding leave one side empty: move all of
+            # wa onto wb over their positive supports instead
+            src, dst, a, b, keep = wa > 0.0, wb > 0.0, wa, wb, np.zeros(n)
+        ia = np.flatnonzero(src)
+        ib = np.flatnonzero(dst)
+        a = a[ia]
+        b = b[ib]
+        mass = a.sum()
         rows = ia[:, None]  # cheaper than np.ix_ on this hot path
-        value, sub, _, _ = _transport.solve(a, b, space.dist[rows, ib])
-        plan = np.zeros((n, n))
-        plan[rows, ib] = sub
-        return value, plan
+        # each side at unit mass, so a tiny distance is solved to relative
+        # accuracy; the plan is scaled back by the excess mass
+        _, sub, _, v = _transport.solve(a / mass, b / b.sum(), space.dist[rows, ib])
+        plan = np.diag(keep)
+        plan[rows, ib] += mass * sub
+        # the c-transform of the column potentials is 1-Lipschitz on the
+        # whole space, so (f, -f) certifies the lifted plan on the full problem
+        f = np.min(space.dist[:, ib] - v, axis=1)
+        return _transport._certify(wa, wb, space.dist, plan, f, -f)[:2]
     _transport._certify(wa, wb, space.dist, plan, f, -f)
     return value, plan
 
@@ -268,8 +297,9 @@ def wasserstein1_exact(mu: DiscreteDistribution, nu: DiscreteDistribution,
     same point set evaluates the distance under that metric instead (used
     for d_V and trivial-metric comparisons).  Spaces from ``line_metric``,
     ``trivial_metric`` and ``dv_metric`` use their closed forms; any other
-    space goes through a certified transport solve, with zero-weight
-    points pruned first.  The returned plan is always full size.
+    space goes through a certified transport solve of the excess of mu
+    over nu onto its deficit, the common mass staying in place.  The
+    returned plan is always full size.
     """
     if space is None:
         space = mu.space

@@ -127,6 +127,22 @@ def test_stationary_sandwich_randomized(seed):
     assert mid <= hi + 1e-9
 
 
+def test_stationary_bound_is_sharp_as_the_innovation_mean_grows():
+    # the abstract's "cannot be improved": with E|Z| / EZ -> 1 the upper
+    # bound over the exact W1 falls to 1 (1.767, 1.060, 1.006, 1.0006)
+    ratios = []
+    for mean in (1.0, 10.0, 100.0, 1000.0):
+        lo = ar1_stationary_lower_bound(0.5, 0.4, mean)
+        exact = ar1_gaussian_stationary_w1(0.5, 0.4, mean, 1.0)
+        hi = ar1_stationary_bound(0.5, 0.4, gaussian_abs_mean(mean, 1.0))
+        # at means 10 and 100 lo exceeds exact by 1-2 ulp of rounding
+        assert lo <= exact * (1.0 + 1e-14)
+        assert exact <= hi * (1.0 + 1e-14)
+        ratios.append(hi / exact)
+    assert all(later < earlier for earlier, later in zip(ratios, ratios[1:]))
+    assert ratios[-1] < 1.001
+
+
 # ------------------------------------------------------------- TV machinery
 
 

@@ -32,7 +32,8 @@ from wperturb.langevin import (
     likelihood_mean_s,
     noisy_grad,
 )
-from wperturb.langevin import _as_geom4, _noisy_grad_batch
+from wperturb.bounds import geom4_bound
+from wperturb.langevin import _noisy_grad_batch
 
 TV_FROZEN = 0.27631021115928548
 FINAL_FROZEN = 5.035018861342399
@@ -364,6 +365,15 @@ def test_final_bound_frozen():
     assert langevin_final_bound(m, p, 1.0, 0.5, 0.0) == pytest.approx(
         FINAL_FROZEN, rel=1e-13
     )
+
+
+def _as_geom4(model, params, C, rho, E_absX0):
+    """The final bound's quantity routed through the generic geom4 bound."""
+    s, sigma = model.s_inf, params.sigma
+    kappa = 2.0 + max(E_absX0, 4.0 * model.sigma_p ** 2 * (s + 1.0 / sigma))
+    K = 6.0 * max(s * sigma ** 2, s ** -2 * sigma ** -4)
+    base = 2.0 * C * (sigma + sigma ** 2 * s + 3.0)
+    return geom4_bound(base, rho, kappa, K, params.N)
 
 
 def test_final_bound_agrees_with_generic_route():

@@ -337,6 +337,84 @@ def test_zero_weight_points_are_pruned_but_plan_is_full_size():
     assert np.all(plan.joint[1, :] == 0) and np.all(plan.joint[:, 0] == 0)
 
 
+# ----------------------------------------------- excess-to-deficit transport
+
+
+def recorded_solves(monkeypatch):
+    """Cost-matrix shapes of every ``_transport.solve`` call from now on."""
+    shapes = []
+    solve = _transport.solve
+
+    def record(a, b, C):
+        shapes.append(C.shape)
+        return solve(a, b, C)
+
+    monkeypatch.setattr(_transport, "solve", record)
+    return shapes
+
+
+@pytest.mark.parametrize("shape", ["plain", "dust", "zeros", "point"])
+@pytest.mark.parametrize("seed", range(8))
+def test_excess_to_deficit_solve_matches_the_highs_oracle(monkeypatch, shape, seed):
+    rng = np.random.default_rng(700 + seed)
+    n = int(rng.integers(2, 25))
+    sp = euclidean_space(rng, n)
+    if shape == "point":
+        # a point mass against a spread law, or against another point mass
+        mu_w = np.eye(n)[rng.integers(n)]
+        nu_w = random_simplex(rng, n) if seed % 2 else np.eye(n)[(np.argmax(mu_w) + 1) % n]
+    else:
+        mu_w, nu_w = shaped_pair(rng, n, shape)
+    shapes = recorded_solves(monkeypatch)
+    val, plan = wasserstein1_exact(DiscreteDistribution(sp, mu_w), DiscreteDistribution(sp, nu_w))
+    d = mu_w - nu_w
+    assert shapes == [(np.sum(d > 0.0), np.sum(d < 0.0))]  # only the mass that moves
+    assert val == pytest.approx(linprog_value(mu_w, nu_w, sp.dist), abs=1e-6)
+    assert plan.cost() == pytest.approx(val, abs=1e-12)
+    ma, mb = plan.marginals()
+    np.testing.assert_allclose(ma, mu_w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mb, nu_w, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(np.diag(plan.joint), np.minimum(mu_w, nu_w))
+
+
+def test_rows_equal_up_to_rounding_take_the_balanced_solve(monkeypatch):
+    rng = np.random.default_rng(3)
+    n = 7
+    sp = euclidean_space(rng, n)
+    mu_w = random_simplex(rng, n)
+    nu_w = mu_w.copy()
+    nu_w[2] -= 4e-13  # mu - nu has no negative entry
+    shapes = recorded_solves(monkeypatch)
+    val, plan = wasserstein1_exact(DiscreteDistribution(sp, mu_w), DiscreteDistribution(sp, nu_w))
+    assert shapes == [(n, n)]  # both positive supports
+    assert 0.0 <= val <= 4e-13 * sp.dist.max()
+    ma, mb = plan.marginals()
+    np.testing.assert_allclose(ma, mu_w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mb, nu_w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rows_1e_12_apart_are_solved_to_relative_accuracy(seed):
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(3, 30))
+    sp = euclidean_space(rng, n)
+    mu_w = random_simplex(rng, n)
+    z = rng.normal(size=n)
+    nu_w = np.maximum(mu_w + 1e-12 * (z - z.mean()), 0.0)
+    val, _ = wasserstein1_exact(DiscreteDistribution(sp, mu_w), DiscreteDistribution(sp, nu_w))
+    # the excess-to-deficit problem at unit mass and its primal-dual bracket
+    d = mu_w - nu_w
+    ia, ib = np.flatnonzero(d > 0.0), np.flatnonzero(d < 0.0)
+    mass = d[ia].sum()
+    a, b, C = d[ia] / mass, -d[ib] / -d[ib].sum(), sp.dist[np.ix_(ia, ib)]
+    primal, _, u, v = _transport.solve(a, b, C)
+    dual = a @ u + b @ v
+    assert 0.0 < mass * dual * (1.0 - 1e-12) <= val <= mass * primal * (1.0 + 1e-12)
+    assert primal - dual <= 1e-9 * primal
+    # an independent solver on the same unit-mass problem
+    assert val == pytest.approx(mass * linprog_value(a, b, C), rel=1e-6)
+
+
 def test_mismatched_spaces_raise():
     spa = trivial_metric(range(3))
     spb = trivial_metric(range(4))
