@@ -7,9 +7,9 @@ before the caller sees it, so a solver bug can produce an exception but
 never a silently wrong distance.
 
 The solver runs in pure Python over lists, which beats element-wise
-numpy indexing by a wide margin at the support sizes used here.  Certified
-results are memoised (bounded LRU keyed on the exact input bytes), since
-the bound checks re-solve many identical problems.
+numpy indexing by a wide margin at the support sizes used here.  ``_memo``
+is the one memo of certified W1 results; it is keyed and filled by
+``otcore._w1``, on whole problems, not here.
 
 Every ``solve`` takes this one path.  ``_solve_linprog`` (scipy's HiGHS, good
 to about 1e-7 rather than exact) is kept only as the independent oracle
@@ -181,7 +181,7 @@ def _solve_linprog(a, b, C):
 
 
 class _Memo:
-    """Thread-safe LRU of certified solves, bounded in entries and bytes."""
+    """Thread-safe LRU of certified results, bounded in entries and bytes."""
 
     def __init__(self, max_entries: int, max_bytes: int) -> None:
         self.max_entries = max_entries
@@ -234,24 +234,16 @@ def solve(a, b, C):
     Returns ``(value, plan, u, v)`` where ``(u, v)`` are dual potentials.
     The result is certified: dual feasibility and a vanishing duality gap
     are checked to ``CERT_TOL`` (scaled by the largest cost) on every
-    solve.  Only certified results enter the memo that answers repeated
-    identical problems, and every call returns its own copies of the
-    arrays, so a hit is indistinguishable from a fresh solve.
+    solve.  Every call solves afresh and returns new arrays.
     """
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
-    key = (C.shape, a.tobytes(), b.tobytes(), C.tobytes())
-    result = _memo.get(key)
-    if result is None:
-        x, u, v, status = _ssp(a, b, C)
-        if status != 0:
-            raise TransportError(f"successive shortest paths failed (status {status})")
-        result = _certify(a, b, C, np.array(x, dtype=float).reshape(C.shape),
-                          np.array(u, dtype=float), np.array(v, dtype=float))
-        _memo.put(key, result, 2 * C.nbytes + 2 * (a.nbytes + b.nbytes))
-    value, plan, u, v = result
-    return value, plan.copy(), u.copy(), v.copy()
+    x, u, v, status = _ssp(a, b, C)
+    if status != 0:
+        raise TransportError(f"successive shortest paths failed (status {status})")
+    return _certify(a, b, C, np.array(x, dtype=float).reshape(C.shape),
+                    np.array(u, dtype=float), np.array(v, dtype=float))
 
 
 def _certify(a, b, C, plan, u, v):

@@ -26,27 +26,20 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import HypothesisViolation
+from .errors import HypothesisViolation, SpaceMismatchError
 from .kernels import (
     DriftEstimate,
     FiniteKernel,
+    _walk,
     fit_drift_L,
     fit_geometric_constants,
     kernel_gamma_tv,
     kernel_gamma_vnorm,
     kernel_gamma_wasserstein,
     stationary_distribution,
-    trajectory,
     verify_drift,
 )
-from .otcore import (
-    DiscreteDistribution,
-    FiniteMetricSpace,
-    WeightFunction,
-    total_variation,
-    vnorm_distance,
-    wasserstein1_exact,
-)
+from .otcore import DiscreteDistribution, FiniteMetricSpace, WeightFunction, _tv, _vnorm, _w1
 
 SLACK_TOL = 1e-9
 
@@ -251,13 +244,16 @@ def _geom3_stationary_at(C, rho, n, w0, gamma, delta, L, p0_V):
     return geom3_stationary_bound(C, rho, gamma, delta, L)
 
 
-# per distance: (distance between two laws, one-step gamma), both taking the
-# metric object; W1 goes through the module names, so a tracer or test that
-# rebinds them sees every call
-_W1 = (lambda p, q, metric: wasserstein1_exact(p, q, metric)[0],
+# per distance: (distance between two weight rows, one-step gamma), both
+# taking the metric object.  The distances are the weight-level functions
+# behind wasserstein1_exact, vnorm_distance and total_variation, so a report
+# holds the public values bit for bit without building a law per step; gamma
+# goes through the module name, so a tracer or test that rebinds it sees
+# every call
+_W1 = (lambda p, q, metric: _w1(p, q, metric)[0],
        lambda P, Pt, metric, Vt: kernel_gamma_wasserstein(P, Pt, metric, Vt))
-_VNORM = (vnorm_distance, kernel_gamma_vnorm)
-_TV = (lambda p, q, _: total_variation(p, q), lambda P, Pt, _, Vt: kernel_gamma_tv(P, Pt, Vt))
+_VNORM = (lambda p, q, V: _vnorm(p, q, V.values), kernel_gamma_vnorm)
+_TV = (lambda p, q, _: _tv(p, q), lambda P, Pt, _, Vt: kernel_gamma_tv(P, Pt, Vt))
 
 
 class _Variant(NamedTuple):
@@ -346,14 +342,19 @@ class _FittedInstance:
         constants = {"C": est.C, "rho": est.rho, "delta": delta, "L": L,
                      "gamma": gamma, "p0_V": p0_V, "m": m,
                      "metric_tag": est.metric_tag}
+        # both chains evolve as weight rows, as ``trajectory`` evolves them
         if row.w0 is None:
             ns, w0 = np.array([-1]), None
-            laws = [(self._once(stationary_distribution, P),
-                     self._once(stationary_distribution, Pt))]
+            laws = [(self._once(stationary_distribution, P).weights,
+                     self._once(stationary_distribution, Pt).weights)]
         else:
+            if not (self.p0.space.same_points(P.space)
+                    and self.pt0.space.same_points(P.space)):
+                raise SpaceMismatchError("start laws and kernels disagree on points")
             ns = np.arange(n_max + 1)
-            w0 = constants["w0"] = row.w0[0](self.p0, self.pt0, metric)
-            laws = zip(trajectory(self.p0, P, n_max), trajectory(self.pt0, Pt, n_max))
+            p0, pt0 = self.p0.weights, self.pt0.weights
+            w0 = constants["w0"] = row.w0[0](p0, pt0, metric)
+            laws = zip(_walk(p0, P.matrix, n_max), _walk(pt0, Pt.matrix, n_max))
         # every bound first, so that one whose hypotheses fail raises before evolving
         bounds = np.array([row.bound(est.C, est.rho, n, w0, gamma, delta, L, p0_V)
                            for n in ns])

@@ -112,24 +112,29 @@ def compose(P: FiniteKernel, Q: FiniteKernel) -> FiniteKernel:
     return FiniteKernel(P.space, P.matrix @ Q.matrix)
 
 
+def _walk(w: np.ndarray, matrix: np.ndarray, n: int) -> list[np.ndarray]:
+    """[w, w M, ..., w M^n] on raw weight rows: the one evolve loop."""
+    out = [w]
+    for _ in range(n):
+        out.append(out[-1] @ matrix)
+    return out
+
+
 def evolve(p0: DiscreteDistribution, P: FiniteKernel, n: int) -> DiscreteDistribution:
     """Distribution of the chain after n steps from p0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    w = p0.weights
     if not p0.space.same_points(P.space):
         raise SpaceMismatchError("distribution and kernel disagree on points")
-    for _ in range(n):
-        w = w @ P.matrix
-    return DiscreteDistribution(P.space, w)
+    return DiscreteDistribution(P.space, _walk(p0.weights, P.matrix, n)[-1])
 
 
 def trajectory(p0: DiscreteDistribution, P: FiniteKernel, n: int) -> list[DiscreteDistribution]:
     """[p0, p0 P, ..., p0 P^n]."""
-    out = [p0]
-    for _ in range(n):
-        out.append(P.push(out[-1]))
-    return out
+    if not p0.space.same_points(P.space):
+        raise SpaceMismatchError("distribution and kernel disagree on points")
+    steps = _walk(p0.weights, P.matrix, n)[1:]
+    return [p0] + [DiscreteDistribution(P.space, w) for w in steps]
 
 
 def stationary_distribution(P: FiniteKernel) -> DiscreteDistribution:

@@ -18,11 +18,17 @@ one place that picks how a Wasserstein distance is computed:
 Every route returns a full-size plan and dual potentials ``(f, -f)`` that
 pass the same optimality certificate on the whole space, so a wrong
 closed form or a wrong lift raises rather than returning a wrong
-distance.  Total variation and the weighted norm
-``sum_x V(x) |mu(x) - nu(x)|`` are closed forms too; they equal W1 under
-the trivial metric and under ``d_V(x, y) = (V(x) + V(y)) 1{x != y}``.
-The test suite cross-checks each closed form against the transport solve
-on an untagged copy of the same space.
+distance.  The bound checks ask for many identical distances, so the
+transport route keeps its certified results in ``_transport._memo``, a
+bounded LRU (4,096 entries, 64 MiB) keyed on the exact bytes of the whole
+problem ``(n, mu, nu, dist)``: a repeat costs one lookup and a copy of the
+stored plan, and every caller gets its own copy.
+
+Total variation and the weighted norm ``sum_x V(x) |mu(x) - nu(x)|`` are
+closed forms too; they equal W1 under the trivial metric and under
+``d_V(x, y) = (V(x) + V(y)) 1{x != y}``.  The test suite cross-checks
+each closed form against the transport solve on an untagged copy of the
+same space.
 """
 from __future__ import annotations
 
@@ -77,6 +83,8 @@ class FiniteMetricSpace:
         # a star metric (g(x) + g(y)) 1{x != y}
         self._line = None
         self._star = None
+        # dist.tobytes(), taken by _w1 on first use as part of its memo key
+        self._dist_bytes = None
 
     @property
     def size(self) -> int:
@@ -222,7 +230,9 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
     transport solver's certificate on the full ``space.dist`` with the
     potentials ``u = f``, ``v = -f`` of a 1-Lipschitz f: an extremal one
     for the closed forms, the c-transform of the solve's column potentials
-    for the transport route.
+    for the transport route.  The transport route answers a problem it has
+    certified before from ``_transport._memo`` without solving again; the
+    closed forms are not memoised.
     """
     n = space.size
     if np.array_equal(wa, wb):
@@ -258,6 +268,15 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
         # the two excess masses differ only by rounding; max never divides by 0
         plan = np.diag(np.minimum(wa, wb)) + np.outer(pos, neg) / max(pos.sum(), neg.sum())
     else:
+        # the whole problem is the memo key, so a repeat skips the
+        # extraction, the solve, the lift and the certificate; the metric
+        # is read-only, so its bytes are taken once per space
+        if space._dist_bytes is None:
+            space._dist_bytes = space.dist.tobytes()
+        key = (n, wa.tobytes(), wb.tobytes(), space._dist_bytes)
+        hit = _transport._memo.get(key)
+        if hit is not None:
+            return hit[0], hit[1].copy()
         # W1 depends only on wa - wb, so the common mass min(wa, wb) stays
         # in place and only the excess is moved onto the deficit
         d = wa - wb
@@ -283,7 +302,10 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
         # the c-transform of the column potentials is 1-Lipschitz on the
         # whole space, so (f, -f) certifies the lifted plan on the full problem
         f = np.min(space.dist[:, ib] - v, axis=1)
-        return _transport._certify(wa, wb, space.dist, plan, f, -f)[:2]
+        value, plan = _transport._certify(wa, wb, space.dist, plan, f, -f)[:2]
+        # only a certified result reaches the memo, and callers get copies
+        _transport._memo.put(key, (value, plan), plan.nbytes + sum(map(len, key[1:])))
+        return value, plan.copy()
     _transport._certify(wa, wb, space.dist, plan, f, -f)
     return value, plan
 
@@ -314,7 +336,12 @@ def total_variation(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float
     Equals ``wasserstein1_exact`` under the trivial metric.
     """
     _require_same_points(mu, nu)
-    return float(np.abs(mu.weights - nu.weights).sum())
+    return _tv(mu.weights, nu.weights)
+
+
+def _tv(wa: np.ndarray, wb: np.ndarray) -> float:
+    """``total_variation`` on two weight vectors, unchecked."""
+    return float(np.abs(wa - wb).sum())
 
 
 def vnorm_distance(mu: DiscreteDistribution, nu: DiscreteDistribution,
@@ -327,7 +354,12 @@ def vnorm_distance(mu: DiscreteDistribution, nu: DiscreteDistribution,
     _require_same_points(mu, nu)
     if not V.space.same_points(mu.space):
         raise SpaceMismatchError("weight function lives on a different point set")
-    return float(V.values @ np.abs(mu.weights - nu.weights))
+    return _vnorm(mu.weights, nu.weights, V.values)
+
+
+def _vnorm(wa: np.ndarray, wb: np.ndarray, v: np.ndarray) -> float:
+    """``vnorm_distance`` on two weight vectors and the values of V, unchecked."""
+    return float(v @ np.abs(wa - wb))
 
 
 def empirical_w1_1d(xs, ys) -> float:

@@ -143,6 +143,35 @@ def test_stationary_bound_is_sharp_as_the_innovation_mean_grows():
     assert ratios[-1] < 1.001
 
 
+def _gaussian_nstep_law(a, x0, mean, sd, n):
+    """Mean and sd of X_n from X_0 = x0 with N(mean, sd^2) innovations."""
+    an = a ** n
+    return (x0 * an + mean * (1.0 - an) / (1.0 - a),
+            sd * math.sqrt((1.0 - an * an) / (1.0 - a * a)))
+
+
+@pytest.mark.parametrize("alpha,alpha_t", [(0.5, 0.4), (0.5, 0.6), (0.9, 0.85),
+                                           (0.2, 0.3), (-0.5, -0.4), (0.7, 0.71)])
+def test_nstep_bound_holds_against_the_exact_gaussian_w1(alpha, alpha_t):
+    # both chains start at x0, so w0 = 0; each X_n is Gaussian and the exact
+    # W1 between them is the folded-normal mean of the comonotone coupling
+    sd = 1.0
+    rate = max(abs(alpha), abs(alpha_t))
+    for mean in (0.0, 1.0, -2.0, 10.0):
+        limit = ar1_gaussian_stationary_w1(alpha, alpha_t, mean, sd)
+        for x0 in (0.0, 3.0):
+            kap = ar1_kappa(alpha_t, gaussian_abs_mean(mean, sd), x0)
+            for n in range(1, 401):
+                m1, s1 = _gaussian_nstep_law(alpha, x0, mean, sd, n)
+                m2, s2 = _gaussian_nstep_law(alpha_t, x0, mean, sd, n)
+                exact = gaussian_abs_mean(m1 - m2, abs(s1 - s2))
+                if n <= 200:
+                    bound = ar1_nstep_bound(alpha, alpha_t, 0.0, n, kap)
+                    assert exact <= bound, (mean, x0, n)
+                if rate ** n < 1e-15:  # both laws have forgotten x0
+                    assert abs(exact - limit) <= 1e-12 * max(1.0, limit), (mean, x0, n)
+
+
 # ------------------------------------------------------------- TV machinery
 
 

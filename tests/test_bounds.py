@@ -24,13 +24,18 @@ from wperturb.bounds import (
     thm31_bound,
     verify_on_finite,
 )
+from wperturb import _transport
+from wperturb.cli import generate_random_instance
 from wperturb.errors import HypothesisViolation
-from wperturb.kernels import FiniteKernel
+from wperturb.kernels import FiniteKernel, stationary_distribution, trajectory
 from wperturb.otcore import (
     DiscreteDistribution,
     FiniteMetricSpace,
     WeightFunction,
+    total_variation,
     trivial_metric,
+    vnorm_distance,
+    wasserstein1_exact,
 )
 
 
@@ -265,6 +270,36 @@ def test_shared_instance_reports_match_separate_calls(seed):
         for field in ("ns", "distances", "bounds"):
             assert getattr(rep, field).tobytes() == getattr(alone, field).tobytes(), which
         assert rep.constants == alone.constants, which
+
+
+@pytest.mark.parametrize("seed, size, mix", [
+    (1, 4, 0.3), (2, 5, 0.5), (3, 6, 0.8), (4, 7, 0.3), (5, 8, 0.5),
+    (6, 9, 0.8), (7, 10, 0.3), (8, 11, 0.5), (9, 12, 0.8), (10, 12, 0.3)])
+def test_verifier_distances_match_the_public_route_bit_for_bit(seed, size, mix):
+    # the verifier evolves and measures raw weight rows; the public route
+    # builds a validated law per step and measures it, each distance alone
+    P, Pt, sp, V, p0, pt0 = generate_random_instance(seed, size, mix)
+    n_max = 30
+    reports = {which: verify_on_finite(P, Pt, _metric_slot(which, sp, V), V, p0, pt0,
+                                       n_max, which)
+               for which in WHICH_CHOICES}
+    _transport._memo.clear()  # every W1 below is solved afresh
+    measures = {
+        "thm31": lambda p, q: wasserstein1_exact(p, q, sp)[0],
+        "v1": lambda p, q: wasserstein1_exact(p, q, sp)[0],
+        "stationary": lambda p, q: wasserstein1_exact(p, q, sp)[0],
+        "geom1": lambda p, q: vnorm_distance(p, q, V),
+        "geom2": lambda p, q: vnorm_distance(p, q, V),
+        "geom3": total_variation,
+        "geom3_stationary": total_variation,
+    }
+    assert tuple(measures) == WHICH_CHOICES
+    stationary = [(stationary_distribution(P), stationary_distribution(Pt))]
+    steps = list(zip(trajectory(p0, P, n_max), trajectory(pt0, Pt, n_max)))
+    for which, measure in measures.items():
+        laws = stationary if "stationary" in which else steps
+        expected = np.array([measure(p, q) for p, q in laws])
+        assert reports[which].distances.tobytes() == expected.tobytes(), which
 
 
 # -------------------------------------------------------------------- report

@@ -23,6 +23,7 @@ from wperturb.otcore import (
     DiscreteDistribution,
     FiniteMetricSpace,
     WeightFunction,
+    _w1,
     dv_metric,
     empirical_w1_1d,
     empirical_w1_clouds,
@@ -534,12 +535,15 @@ def test_large_problem_matches_reference_lp_value():
     np.testing.assert_allclose(plan.sum(axis=0), b, atol=1e-12)
 
 
-# --------------------------------------------------------------- solver memo
+# ------------------------------------------------------------------- W1 memo
 
 
-def _random_problem(seed, n=6, m=5):
+def _random_laws(seed, n=6):
+    """Two laws on an untagged space, so W1 takes the memoised transport route."""
     rng = np.random.default_rng(seed)
-    return random_simplex(rng, n), random_simplex(rng, m), rng.uniform(0.0, 5.0, (n, m))
+    sp = euclidean_space(rng, n)
+    mu = DiscreteDistribution(sp, random_simplex(rng, n))
+    return mu, DiscreteDistribution(sp, random_simplex(rng, n))
 
 
 def test_production_paths_never_reach_linprog(monkeypatch):
@@ -556,44 +560,67 @@ def test_production_paths_never_reach_linprog(monkeypatch):
 
 
 def test_memo_hit_is_bitwise_identical_to_fresh_solve():
-    a, b, C = _random_problem(21)
-    _transport._memo.clear()
-    fresh = _transport.solve(a, b, C)
-    hit = _transport.solve(a, b, C)
+    mu, nu = _random_laws(21)
+    fresh = wasserstein1_exact(mu, nu)
+    hit = wasserstein1_exact(mu, nu)
     assert (_transport._memo.hits, _transport._memo.misses) == (1, 1)
     assert hit[0] == fresh[0]
-    for x, y in zip(hit[1:], fresh[1:]):
-        assert x.tobytes() == y.tobytes()
+    assert hit[1].joint.tobytes() == fresh[1].joint.tobytes()
+
+
+def test_memo_hit_skips_the_solve_and_the_certificate(monkeypatch):
+    mu, nu = _random_laws(24)
+    first, _ = wasserstein1_exact(mu, nu)
+
+    def refuse(*args):
+        raise AssertionError("a memo hit reached the solver")
+
+    monkeypatch.setattr(_transport, "solve", refuse)
+    monkeypatch.setattr(_transport, "_certify", refuse)
+    # the key is the metric's bytes, so a second space with the same metric hits too
+    for space in (mu.space, untagged(mu.space)):
+        assert wasserstein1_exact(mu, nu, space)[0] == first
+    assert (_transport._memo.hits, _transport._memo.misses) == (2, 1)
+    # and another metric on the same points misses
+    monkeypatch.undo()
+    doubled = FiniteMetricSpace(mu.space.points, 2.0 * mu.space.dist)
+    assert wasserstein1_exact(mu, nu, doubled)[0] == pytest.approx(2.0 * first, rel=1e-12)
+    assert (_transport._memo.hits, _transport._memo.misses) == (2, 2)
 
 
 def test_memo_results_are_private_to_each_caller():
-    a, b, C = _random_problem(22)
-    _transport._memo.clear()
-    first = _transport.solve(a, b, C)
-    kept = [arr.copy() for arr in first[1:]]
-    for arr in first[1:]:
-        arr[...] = np.nan  # a caller scribbling on its own result
-    second = _transport.solve(a, b, C)
-    assert _transport._memo.hits == 1
-    for arr, ref in zip(second[1:], kept):
-        np.testing.assert_array_equal(arr, ref)
+    mu, nu = _random_laws(22)
+    # the memo's own layer hands out the raw plan
+    _, plan = _w1(mu.weights, nu.weights, mu.space)
+    kept = plan.copy()
+    plan[...] = np.nan  # a caller scribbling on its own result
+    _, second = _w1(mu.weights, nu.weights, mu.space)
+    _, coupling = wasserstein1_exact(mu, nu)
+    assert _transport._memo.hits == 2
+    np.testing.assert_array_equal(second, kept)
+    np.testing.assert_array_equal(coupling.joint, kept)
 
 
 def test_memo_holds_only_certified_results(monkeypatch):
-    a, b, C = _random_problem(23)
-    _transport._memo.clear()
-    good = _transport._ssp
+    mu, nu = _random_laws(23)
+    ssp, solve = _transport._ssp, _transport.solve
 
-    def suboptimal(a, b, C):
-        plan, u, v, status = good(a, b, C)
+    def zero_potentials(a, b, C):
+        plan, u, v, status = ssp(a, b, C)
         return plan, [0.0] * len(u), [0.0] * len(v), status  # gap != 0
 
-    monkeypatch.setattr(_transport, "_ssp", suboptimal)
-    with pytest.raises(_transport.TransportError, match="certificate"):
-        _transport.solve(a, b, C)
-    assert len(_transport._memo) == 0
-    monkeypatch.setattr(_transport, "_ssp", good)
-    _transport.solve(a, b, C)
+    def product_plan(a, b, C):
+        value, _, u, v = solve(a, b, C)
+        return value, np.outer(a, b), u, v  # feasible, not optimal
+
+    # the solve's own certificate, then the certificate of the lifted plan
+    for name, broken in (("_ssp", zero_potentials), ("solve", product_plan)):
+        with monkeypatch.context() as m:
+            m.setattr(_transport, name, broken)
+            with pytest.raises(_transport.TransportError, match="certificate"):
+                wasserstein1_exact(mu, nu)
+        assert len(_transport._memo) == 0
+    wasserstein1_exact(mu, nu)
     assert len(_transport._memo) == 1
 
 
@@ -614,8 +641,8 @@ def test_memo_counts_survive_concurrent_solves():
     import sys
     import threading
 
-    problems = [_random_problem(30 + k) for k in range(4)]
-    expected = [_transport.solve(*p)[0] for p in problems]
+    problems = [_random_laws(30 + k) for k in range(4)]
+    expected = [wasserstein1_exact(*p)[0] for p in problems]
     _transport._memo.clear()
     calls_per_thread = 40
     errors = []
@@ -624,7 +651,7 @@ def test_memo_counts_survive_concurrent_solves():
         try:
             for k in range(calls_per_thread):
                 idx = (k + offset) % len(problems)
-                if _transport.solve(*problems[idx])[0] != expected[idx]:
+                if wasserstein1_exact(*problems[idx])[0] != expected[idx]:
                     errors.append(idx)
         except Exception as exc:  # reported below; a thread cannot raise into pytest
             errors.append(exc)
