@@ -240,9 +240,8 @@ class Ar1BoundReport:
     tv_gamma: Optional[float]
 
     def __post_init__(self):
-        if self.lower_bound is not None:
-            assert self.lower_bound <= self.stationary_bound + 1e-12, (
-                "stationary sandwich inverted; bound formulas inconsistent")
+        if self.lower_bound is not None and self.lower_bound > self.stationary_bound + 1e-12:
+            raise ValueError("stationary sandwich inverted; bound formulas inconsistent")
 
 
 def ar1_report(params: Ar1Params, alpha_t: float, x0: float, n_max: int) -> Ar1BoundReport:

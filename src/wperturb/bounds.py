@@ -20,6 +20,7 @@ against bound, step by step.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
@@ -284,82 +285,15 @@ def _metric_slot(which: str, space: FiniteMetricSpace, V: WeightFunction):
     return {FiniteMetricSpace: space, WeightFunction: V, None: None}[_VARIANTS[which].slot]
 
 
-class _FittedInstance:
-    """A kernel pair with its start laws, shared by all seven variants.
-
-    Fits, gammas, the unit weight and the stationary laws are computed on
-    first use and kept, keyed on the function and every argument; metric
-    spaces, weight functions and kernels hash by identity.
-    """
-
-    def __init__(self, P: FiniteKernel, Pt: FiniteKernel, Vt: WeightFunction,
-                 p0: DiscreteDistribution, pt0: DiscreteDistribution, delta=0.5, m=2):
-        self.P, self.Pt, self.Vt, self.p0, self.pt0 = P, Pt, Vt, p0, pt0
-        self.delta, self.m = delta, m
-        self._cache = {}
-
-    def _once(self, fn, *args):
-        key = (fn, *args)
-        if key not in self._cache:
-            self._cache[key] = fn(*args)
-        return self._cache[key]
-
-    def verify_all(self, space: FiniteMetricSpace, V: WeightFunction, n_max: int) -> dict:
-        return {which: self.verify(which, _metric_slot(which, space, V), n_max)
-                for which in WHICH_CHOICES}
-
-    def verify(self, which: str, metric, n_max: int) -> PerturbationReport:
-        """``verify_on_finite`` on this instance."""
-        if which not in _VARIANTS:
-            raise ValueError(f"unknown theorem selector {which!r}; pick from {WHICH_CHOICES}")
-        P, Pt, delta, m = self.P, self.Pt, self.delta, self.m
-        if not P.space.same_points(Pt.space):
-            raise HypothesisViolation("kernels must share one point set")
-        if not (0.0 < delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        row = _VARIANTS[which]
-        if row.slot is None:
-            if metric is not None and metric is not self.Vt:
-                raise ValueError(f"{which} is a single-weight bound; pass metric=None")
-            metric = self.Vt
-        elif not isinstance(metric, row.slot):
-            raise ValueError(f"{which} needs a {row.slot.__name__} in the metric slot")
-        Vt = self._once(WeightFunction.ones, P.space) if row.unit_weight else self.Vt
-
-        est = self._once(fit_geometric_constants, P, metric, m, m)
-        distance, gamma_of = row.measure
-        gamma = self._once(gamma_of, P, Pt, metric, Vt)
-        drift_kernel = P if row.drift == "P" else Pt
-        L = fit_drift_L(drift_kernel, Vt, delta)
-        if row.drift == "both":
-            L = max(L, float(np.max(P.apply_to_function(Vt.values) - Vt.values)), 1e-12)
-        check = verify_drift(drift_kernel, DriftEstimate(Vt, delta, L))
-        if not check.ok:
-            raise HypothesisViolation(f"drift condition fails at index {check.worst_index} "
-                                      f"(slack {check.worst_slack:.3e})")
-
-        p0_V = self.pt0.expectation(Vt.values)
-        constants = {"C": est.C, "rho": est.rho, "delta": delta, "L": L,
-                     "gamma": gamma, "p0_V": p0_V, "m": m,
-                     "metric_tag": est.metric_tag}
-        # both chains evolve as weight rows, as ``trajectory`` evolves them
-        if row.w0 is None:
-            ns, w0 = np.array([-1]), None
-            laws = [(self._once(stationary_distribution, P).weights,
-                     self._once(stationary_distribution, Pt).weights)]
-        else:
-            if not (self.p0.space.same_points(P.space)
-                    and self.pt0.space.same_points(P.space)):
-                raise SpaceMismatchError("start laws and kernels disagree on points")
-            ns = np.arange(n_max + 1)
-            p0, pt0 = self.p0.weights, self.pt0.weights
-            w0 = constants["w0"] = row.w0[0](p0, pt0, metric)
-            laws = zip(_walk(p0, P.matrix, n_max), _walk(pt0, Pt.matrix, n_max))
-        # every bound first, so that one whose hypotheses fail raises before evolving
-        bounds = np.array([row.bound(est.C, est.rho, n, w0, gamma, delta, L, p0_V)
-                           for n in ns])
-        distances = np.array([distance(p, q, metric) for p, q in laws])
-        return PerturbationReport(which, ns, distances, bounds, constants)
+# Fits, gammas, the unit weight and the stationary laws of the instances
+# verified last, keyed on the function and every argument, so that the
+# seven variants of one instance share them across calls.  Kernels, spaces,
+# weight functions and laws copy their input, are read-only and hash by
+# identity; the cache holds its keys, so no cached id is reused.  One
+# instance needs at most 11 entries.
+@functools.lru_cache(maxsize=64)
+def _once(fn, *args):
+    return fn(*args)
 
 
 def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
@@ -389,8 +323,60 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
     geom3_bound (w0 in the Vt-norm; L is raised to P's one-step gap).
     Stationary variants compare the stationary laws in one n = -1 row.
 
+    The fits, the gammas and the stationary laws of the instances
+    verified last are kept, keyed on the kernel, metric and weight
+    objects themselves, so the calls for the seven variants of one
+    instance compute each of them once.
+
     Raises HypothesisViolation (or a subclass) when the selected
     theorem's standing hypotheses fail on this instance, before either
     chain is evolved.
     """
-    return _FittedInstance(P, Pt, Vt, p0, pt0, delta, m).verify(which, metric, n_max)
+    if which not in _VARIANTS:
+        raise ValueError(f"unknown theorem selector {which!r}; pick from {WHICH_CHOICES}")
+    if not P.space.same_points(Pt.space):
+        raise HypothesisViolation("kernels must share one point set")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    row = _VARIANTS[which]
+    if row.slot is None:
+        if metric is not None and metric is not Vt:
+            raise ValueError(f"{which} is a single-weight bound; pass metric=None")
+        metric = Vt
+    elif not isinstance(metric, row.slot):
+        raise ValueError(f"{which} needs a {row.slot.__name__} in the metric slot")
+    if row.unit_weight:
+        Vt = _once(WeightFunction.ones, P.space)
+
+    est = _once(fit_geometric_constants, P, metric, m, m)
+    distance, gamma_of = row.measure
+    gamma = _once(gamma_of, P, Pt, metric, Vt)
+    drift_kernel = P if row.drift == "P" else Pt
+    L = fit_drift_L(drift_kernel, Vt, delta)
+    if row.drift == "both":
+        L = max(L, float(np.max(P.apply_to_function(Vt.values) - Vt.values)), 1e-12)
+    check = verify_drift(drift_kernel, DriftEstimate(Vt, delta, L))
+    if not check.ok:
+        raise HypothesisViolation(f"drift condition fails at index {check.worst_index} "
+                                  f"(slack {check.worst_slack:.3e})")
+
+    p0_V = pt0.expectation(Vt.values)
+    constants = {"C": est.C, "rho": est.rho, "delta": delta, "L": L,
+                 "gamma": gamma, "p0_V": p0_V, "m": m,
+                 "metric_tag": est.metric_tag}
+    # both chains evolve as weight rows, as ``trajectory`` evolves them
+    if row.w0 is None:
+        ns, w0 = np.array([-1]), None
+        laws = [(_once(stationary_distribution, P).weights,
+                 _once(stationary_distribution, Pt).weights)]
+    else:
+        if not (p0.space.same_points(P.space) and pt0.space.same_points(P.space)):
+            raise SpaceMismatchError("start laws and kernels disagree on points")
+        ns = np.arange(n_max + 1)
+        w0 = constants["w0"] = row.w0[0](p0.weights, pt0.weights, metric)
+        laws = zip(_walk(p0.weights, P.matrix, n_max), _walk(pt0.weights, Pt.matrix, n_max))
+    # every bound first, so that one whose hypotheses fail raises before evolving
+    bounds = np.array([row.bound(est.C, est.rho, n, w0, gamma, delta, L, p0_V)
+                       for n in ns])
+    distances = np.array([distance(p, q, metric) for p, q in laws])
+    return PerturbationReport(which, ns, distances, bounds, constants)

@@ -1,11 +1,13 @@
 """Fixtures shared by the whole suite."""
 import pytest
 
-from wperturb import _transport
+from wperturb import _transport, bounds
 
 
 @pytest.fixture(autouse=True)
-def empty_transport_memo():
+def empty_memos():
     """Start every test with an empty W1 memo and zeroed hit and miss counts,
-    so that solve counts and hit checks do not depend on earlier tests."""
+    and with no fits kept by the verifier, so that solve and fit counts and
+    hit checks do not depend on earlier tests."""
     _transport._memo.clear()
+    bounds._once.cache_clear()

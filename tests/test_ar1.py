@@ -19,6 +19,7 @@ from scipy.stats import norm
 
 from wperturb._rng import philox
 from wperturb.ar1 import (
+    Ar1BoundReport,
     Ar1Params,
     Innovation,
     ar1_constants,
@@ -324,3 +325,14 @@ def test_report_assembles_consistent_fields():
     lim = ar1_nstep_bound(0.5, 0.4, 0.0, math.inf, rep.kappa)
     assert rep.nstep_bounds[-1] <= lim + 1e-12
     assert rep.tv_gamma == pytest.approx(ar1_tv_gamma(0.5, 0.4, params.innovation.h_max))
+
+
+def test_report_rejects_an_inverted_stationary_sandwich():
+    # raised, not asserted, so that python -O keeps the check
+    params = Ar1Params(0.5, Innovation.gaussian(1.0, 1.0))
+    rep = ar1_report(params, 0.4, x0=0.0, n_max=5)
+    fields = dict(vars(rep), lower_bound=rep.stationary_bound + 1e-9)
+    with pytest.raises(ValueError, match="sandwich inverted"):
+        Ar1BoundReport(**fields)
+    # within the rounding allowance the report stands
+    Ar1BoundReport(**dict(fields, lower_bound=rep.stationary_bound + 1e-13))

@@ -13,7 +13,6 @@ from wperturb.bounds import (
     WHICH_CHOICES,
     BoundInputs,
     PerturbationReport,
-    _FittedInstance,
     _metric_slot,
     geom2_bound,
     geom3_bound,
@@ -24,7 +23,7 @@ from wperturb.bounds import (
     thm31_bound,
     verify_on_finite,
 )
-from wperturb import _transport
+from wperturb import _transport, bounds
 from wperturb.cli import generate_random_instance
 from wperturb.errors import HypothesisViolation
 from wperturb.kernels import FiniteKernel, stationary_distribution, trajectory
@@ -256,20 +255,38 @@ def test_verify_selector_validation():
         verify_on_finite(P, Pt, sp, Vt, p0, pt0, 5, "geom3")
 
 
+def _all_variants(P, Pt, sp, V, Vt, p0, pt0, m=2):
+    return {which: verify_on_finite(P, Pt, _metric_slot(which, sp, V), Vt, p0, pt0,
+                                    12, which, delta=0.3, m=m)
+            for which in WHICH_CHOICES}
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_shared_instance_reports_match_separate_calls(seed):
     # V != Vt, and v1 drifts on weight 1: a cache keyed on too little
-    # hands one variant another's fit or gamma
+    # hands one variant another's fit or gamma.  Other kernels on the same
+    # space and weights, and the same objects at another horizon m, must
+    # not be handed the first instance's fits either
     P, Pt, sp, V, Vt, p0, pt0 = make_instance(seed)
-    shared = _FittedInstance(P, Pt, Vt, p0, pt0, delta=0.3).verify_all(sp, V, 12)
-    assert tuple(shared) == WHICH_CHOICES
-    for which, rep in shared.items():
-        alone = verify_on_finite(P, Pt, _metric_slot(which, sp, V), Vt, p0, pt0,
-                                 12, which, delta=0.3)
-        assert rep.theorem == alone.theorem == which
-        for field in ("ns", "distances", "bounds"):
-            assert getattr(rep, field).tobytes() == getattr(alone, field).tobytes(), which
-        assert rep.constants == alone.constants, which
+    Q, Qt = make_instance(seed + 10)[:2]
+    Q, Qt = FiniteKernel(sp, Q.matrix), FiniteKernel(sp, Qt.matrix)
+    inputs = [(P, Pt, sp, V, Vt, p0, pt0, 2), (Q, Qt, sp, V, Vt, p0, pt0, 2),
+              (P, Pt, sp, V, Vt, p0, pt0, 3)]
+    shared = [_all_variants(*args) for args in inputs]  # back to back
+    alone = []
+    for args in inputs:
+        bounds._once.cache_clear()
+        alone.append(_all_variants(*args))
+    for got, want in zip(shared, alone):
+        for which in WHICH_CHOICES:
+            rep, ref = got[which], want[which]
+            assert rep.theorem == ref.theorem == which
+            for field in ("ns", "distances", "bounds"):
+                assert getattr(rep, field).tobytes() == getattr(ref, field).tobytes(), which
+            assert rep.constants == ref.constants, which
+    # the three inputs fit differently, so a wrongly shared fit would show
+    first, other, horizon = (r["thm31"].constants for r in shared)
+    assert first["rho"] != other["rho"] and first["rho"] != horizon["rho"]
 
 
 @pytest.mark.parametrize("seed, size, mix", [

@@ -16,6 +16,7 @@ from wperturb.cli import (
     main,
     run,
 )
+from wperturb.bounds import WHICH_CHOICES, _metric_slot, verify_on_finite
 from wperturb.errors import ConfigError
 from wperturb.kernels import DriftEstimate, fit_drift_L, tau, verify_drift
 
@@ -228,6 +229,10 @@ def test_generate_random_instance_fits_each_metric_once(monkeypatch):
     P, Pt, sp, V, p0, pt0 = generate_random_instance(3, 6, 0.5)
     assert attempts == [0]  # the first candidate passed
     # seven variants, two metrics: the space (thm31, v1, stationary) and V
+    assert fits == [sp, V]
+    # one public call per variant on the instance reuses the probe's fits
+    for which in WHICH_CHOICES:
+        verify_on_finite(P, Pt, _metric_slot(which, sp, V), V, p0, pt0, 5, which)
     assert fits == [sp, V]
 
 
