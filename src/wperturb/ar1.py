@@ -240,7 +240,8 @@ class Ar1BoundReport:
     tv_gamma: Optional[float]
 
     def __post_init__(self):
-        if self.lower_bound is not None and self.lower_bound > self.stationary_bound + 1e-12:
+        if self.lower_bound is not None and not (
+                self.lower_bound <= self.stationary_bound + 1e-12):
             raise ValueError("stationary sandwich inverted; bound formulas inconsistent")
 
 

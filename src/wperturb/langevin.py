@@ -357,7 +357,8 @@ def langevin_drift_check(
         e_mean[i] = v.mean()
         e_se[i] = v.std(ddof=1) / math.sqrt(draws)
 
-        g = _noisy_grad_batch(model, np.full(draws, th), params.N, rng)
+        counts = rng.multinomial(params.N, model.level_likelihood(th), size=draws)
+        g = model.s_obs - (counts @ model.levels) / params.N - th / model.sigma_p ** 2
         v = 1.0 + np.abs(th + half * g + params.sigma * rng.standard_normal(draws))
         z_mean[i] = v.mean()
         z_se[i] = v.std(ddof=1) / math.sqrt(draws)

@@ -334,5 +334,10 @@ def test_report_rejects_an_inverted_stationary_sandwich():
     fields = dict(vars(rep), lower_bound=rep.stationary_bound + 1e-9)
     with pytest.raises(ValueError, match="sandwich inverted"):
         Ar1BoundReport(**fields)
+    # a NaN on either side compares false and must not slip through
+    assert rep.lower_bound is not None
+    for nan_side in ("lower_bound", "stationary_bound"):
+        with pytest.raises(ValueError, match="sandwich inverted"):
+            Ar1BoundReport(**{**vars(rep), nan_side: math.nan})
     # within the rounding allowance the report stands
     Ar1BoundReport(**dict(fields, lower_bound=rep.stationary_bound + 1e-13))
