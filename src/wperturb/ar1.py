@@ -22,7 +22,6 @@ import numpy as np
 
 from ._rng import coupled_steps, philox
 from .errors import HypothesisViolation
-from .otcore import empirical_w1_1d
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -188,7 +187,20 @@ class Ar1CoupledSim:
     ns: np.ndarray
     coupled_dev: np.ndarray      # mean |X_n - Xt_n| over replicas
     coupled_dev_se: np.ndarray   # standard error of that mean
-    empirical_w1: np.ndarray     # empirical_w1_1d between the replica clouds
+
+
+def _coupled_clouds(params: Ar1Params, alpha_t: float, x0: float, n: int,
+                    replicas: int, seed: int):
+    """Yield the two replica clouds after each of n shared-innovation steps.
+
+    Step k draws its innovations from ``philox(seed, k)``; both chains
+    start at x0.
+    """
+    def step(k, x, xt):
+        z = params.innovation.sampler(philox(seed, k), replicas)
+        return params.alpha * x + z, alpha_t * xt + z
+
+    return coupled_steps(step, x0, n, replicas)
 
 
 def ar1_simulate_coupled(params: Ar1Params, alpha_t: float, x0: float,
@@ -200,25 +212,20 @@ def ar1_simulate_coupled(params: Ar1Params, alpha_t: float, x0: float,
     recursions, so mean |X_n - Xt_n| is a valid (upper) sample estimate
     of the step-n Wasserstein distance.  Per-step innovations come from
     a counter-based stream keyed by (seed, step); output is
-    deterministic given the seed.
+    deterministic given the seed.  Only the coupled deviation and its
+    standard error are returned.
     """
     _check_root("alpha_t", alpha_t)
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
-
-    def step(k, x, xt):
-        z = params.innovation.sampler(philox(seed, k), replicas)
-        return params.alpha * x + z, alpha_t * xt + z
-
     # each step is reduced as it comes, so no (n, replicas) cloud is stored
     root = math.sqrt(replicas)
     rows = []
-    for x, xt in coupled_steps(step, x0, n, replicas):
+    for x, xt in _coupled_clouds(params, alpha_t, x0, n, replicas, seed):
         dev = np.abs(x - xt)
-        rows.append((dev.mean(), dev.std(ddof=1) / root,
-                     empirical_w1_1d(np.sort(x), np.sort(xt))))
-    coupled, se, emp = map(np.array, zip(*rows))
-    return Ar1CoupledSim(np.arange(1, n + 1), coupled, se, emp)
+        rows.append((dev.mean(), dev.std(ddof=1) / root))
+    coupled, se = map(np.array, zip(*rows))
+    return Ar1CoupledSim(np.arange(1, n + 1), coupled, se)
 
 
 @dataclass

@@ -16,6 +16,7 @@ from wperturb import mh as mhmod
 from wperturb.ar1 import (
     Ar1Params,
     Innovation,
+    _coupled_clouds,
     ar1_gaussian_stationary_w1,
     ar1_kappa,
     ar1_nstep_bound,
@@ -48,6 +49,7 @@ from wperturb.otcore import (
     FiniteMetricSpace,
     WeightFunction,
     dv_metric,
+    empirical_w1_1d,
     line_metric,
     point_mass,
     trivial_metric,
@@ -185,7 +187,9 @@ def test_criterion_05_ar1_simulation_vs_bound():
         bound = ar1_nstep_bound(0.5, 0.4, 0.0, int(n), k)
         assert sim.coupled_dev[i] <= bound + 3.0 * sim.coupled_dev_se[i]
     exact = ar1_gaussian_stationary_w1(0.5, 0.4, 1.0, 1.0)
-    assert abs(sim.empirical_w1[-1] - exact) <= 3.0 * sim.coupled_dev_se[-1]
+    *_, (x, xt) = _coupled_clouds(params, 0.4, 0.0, 50, 100_000, 42)
+    emp = empirical_w1_1d(np.sort(x), np.sort(xt))
+    assert abs(emp - exact) <= 3.0 * sim.coupled_dev_se[-1]
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0, f"runtime cap exceeded: {elapsed:.1f}s"
     print(f"CRITERION 5 PASS: 100000 replicas, n <= 50, all under bound + 3SE "

@@ -9,6 +9,7 @@ Frozen constants below were computed independently at 25-digit precision:
   tv gamma (h_max = 1/sqrt(2pi)) = 0.079788456080286536
   tv final (0.5 -> 0.45, C=1, kappa=2) = 10.314660127465824
 """
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from wperturb.ar1 import (
     Ar1BoundReport,
     Ar1Params,
     Innovation,
+    _coupled_clouds,
     ar1_constants,
     ar1_gaussian_stationary_w1,
     ar1_kappa,
@@ -34,6 +36,7 @@ from wperturb.ar1 import (
     ar1_tv_gamma,
     gaussian_abs_mean,
 )
+from wperturb.bounds import PerturbationReport
 from wperturb.errors import HypothesisViolation
 from wperturb.otcore import empirical_w1_1d
 
@@ -217,11 +220,17 @@ def test_tv_final_bound_vanishes_at_zero_gap():
 # --------------------------------------------------------------- simulation
 
 
+def _cloud_w1(params, alpha_t, x0, n, replicas, seed):
+    """Empirical W1 between the two coupled replica clouds at steps 1..n."""
+    return np.array([empirical_w1_1d(np.sort(x), np.sort(xt)) for x, xt in
+                     _coupled_clouds(params, alpha_t, x0, n, replicas, seed)])
+
+
 def test_simulation_identical_chains_are_zero():
     params = Ar1Params(0.5, Innovation.gaussian(1.0, 1.0))
     sim = ar1_simulate_coupled(params, 0.5, x0=2.0, n=5, replicas=100, seed=1)
     np.testing.assert_array_equal(sim.coupled_dev, 0.0)
-    np.testing.assert_array_equal(sim.empirical_w1, 0.0)
+    np.testing.assert_array_equal(_cloud_w1(params, 0.5, 2.0, 5, 100, 1), 0.0)
 
 
 def test_simulation_deterministic_given_seed():
@@ -229,7 +238,8 @@ def test_simulation_deterministic_given_seed():
     a = ar1_simulate_coupled(params, 0.4, 0.0, n=8, replicas=500, seed=42)
     b = ar1_simulate_coupled(params, 0.4, 0.0, n=8, replicas=500, seed=42)
     assert a.coupled_dev.tobytes() == b.coupled_dev.tobytes()
-    assert a.empirical_w1.tobytes() == b.empirical_w1.tobytes()
+    assert (_cloud_w1(params, 0.4, 0.0, 8, 500, 42).tobytes()
+            == _cloud_w1(params, 0.4, 0.0, 8, 500, 42).tobytes())
     c = ar1_simulate_coupled(params, 0.4, 0.0, n=8, replicas=500, seed=43)
     assert a.coupled_dev.tobytes() != c.coupled_dev.tobytes()
 
@@ -237,20 +247,21 @@ def test_simulation_deterministic_given_seed():
 def test_simulation_respects_nstep_bound():
     params = Ar1Params(0.5, Innovation.gaussian(1.0, 1.0))
     sim = ar1_simulate_coupled(params, 0.4, 0.0, n=25, replicas=20_000, seed=7)
+    emp = _cloud_w1(params, 0.4, 0.0, 25, 20_000, 7)
     k = ar1_kappa(0.4, params.innovation.abs_mean, 0.0)
     for i, n in enumerate(sim.ns):
         bound = ar1_nstep_bound(0.5, 0.4, 0.0, int(n), k)
         assert sim.coupled_dev[i] <= bound + 3.0 * sim.coupled_dev_se[i]
         # the empirical W1 is dominated by the coupled deviation
-        assert sim.empirical_w1[i] <= sim.coupled_dev[i] + 1e-12
+        assert emp[i] <= sim.coupled_dev[i] + 1e-12
 
 
 def test_simulation_converges_to_exact_stationary_w1():
     params = Ar1Params(0.5, Innovation.gaussian(1.0, 1.0))
-    sim = ar1_simulate_coupled(params, 0.4, 0.0, n=60, replicas=50_000, seed=3)
+    emp = _cloud_w1(params, 0.4, 0.0, 60, 50_000, 3)
     target = ar1_gaussian_stationary_w1(0.5, 0.4, 1.0, 1.0)
     # empirical W1 between the coupled clouds at stationarity; MC tolerance
-    assert sim.empirical_w1[-1] == pytest.approx(target, abs=0.02)
+    assert emp[-1] == pytest.approx(target, abs=0.02)
 
 
 def test_simulation_statistics_match_stacked_clouds():
@@ -266,15 +277,44 @@ def test_simulation_statistics_match_stacked_clouds():
         z = params.innovation.sampler(philox(seed, k), replicas)
         x, xt = 0.7 * x + z, alpha_t * xt + z
         xs[k], xts[k] = x, xt
+    clouds = list(_coupled_clouds(params, alpha_t, x0, n, replicas, seed))
+    assert len(clouds) == n
+    for k, (a, b) in enumerate(clouds):
+        assert a.tobytes() == xs[k].tobytes()
+        assert b.tobytes() == xts[k].tobytes()
     devs = np.abs(xs - xts)
     dev = np.array([d.mean() for d in devs])
     se = np.array([d.std(ddof=1) / math.sqrt(replicas) for d in devs])
-    emp = np.array([empirical_w1_1d(np.sort(a), np.sort(b))
-                    for a, b in zip(xs, xts)])
     assert sim.ns.tolist() == list(range(1, n + 1))
     assert sim.coupled_dev.tobytes() == dev.tobytes()
     assert sim.coupled_dev_se.tobytes() == se.tobytes()
-    assert sim.empirical_w1.tobytes() == emp.tobytes()
+
+
+def test_simulation_sorts_no_cloud(monkeypatch):
+    # ar1_nstep.csv reads only the coupled deviation and its SE, neither
+    # of which needs the clouds in order
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.sort called during the simulation")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    params = Ar1Params(0.5, Innovation.gaussian(1.0, 1.0))
+    sim = ar1_simulate_coupled(params, 0.4, 0.0, n=5, replicas=200, seed=1)
+    assert sim.coupled_dev.shape == (5,)
+
+
+def test_nstep_report_can_fail():
+    # the ar1_nstep report as cli._run_ar1 builds it verifies; with its
+    # bounds set to half the observed deviation, the 3-SE allowance cannot
+    # hide the gap, so this Monte Carlo check is able to fail
+    params = Ar1Params(0.5, Innovation.gaussian(1.0, 1.0))
+    rep = ar1_report(params, 0.4, 0.0, 10)
+    sim = ar1_simulate_coupled(params, 0.4, 0.0, 10, replicas=4000, seed=42)
+    nstep = PerturbationReport("ar1_nstep", sim.ns, sim.coupled_dev,
+                               rep.nstep_bounds, distance_se=sim.coupled_dev_se)
+    assert nstep.verified()
+    halved = dataclasses.replace(nstep, bounds=sim.coupled_dev / 2)
+    assert not halved.verified()
+    assert halved.min_slack < -3.0 * sim.coupled_dev_se.max()
 
 
 def test_simulation_does_not_store_the_clouds():

@@ -314,6 +314,45 @@ def test_langevin_final_report_when_contraction_given(tmp_path):
     assert "langevin_final," in (out / "summary.txt").read_text()
 
 
+# the README [langevin] block without C and rho and with fewer drift draws;
+# only the replica count varies between runs
+LANGEVIN_README_CFG = """
+    [experiment]
+    kind = langevin
+    seed = 1
+    out = {out}
+
+    [langevin]
+    statistic = path-agreement
+    M = 5
+    observed = 1,-1,1,1,-1
+    sigma_p = 1.0
+    sigma = 0.8
+    N = 600
+    theta0 = 0.0
+    n_max = 8
+    replicas = {replicas}
+    theta_grid = -30,-5,-1,0,1,5,30
+    draws = 2000
+"""
+
+
+def test_langevin_names_tv_rows_that_cannot_fail(tmp_path, capsys):
+    # binned TV is at most 2: at 2,000 replicas the allowance 3 * sqrt(256 /
+    # 2000) = 1.07 lifts the caps of n = 6, 7, 8 (0.98, 1.15, 1.31) past 2
+    path = write_cfg(tmp_path, LANGEVIN_README_CFG.format(
+        out=tmp_path / "small", replicas=2000))
+    assert main(["run", path]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "langevin_tv.csv rows n = 6, 7, 8 cannot fail" in err
+    assert len(err.splitlines()) == 1
+    # at 20,000 replicas the allowance is 0.34, so every row can fail
+    path = write_cfg(tmp_path, LANGEVIN_README_CFG.format(
+        out=tmp_path / "large", replicas=20000), "large.ini")
+    assert main(["run", path]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_byte_identical_reruns(tmp_path):
     p1 = write_cfg(tmp_path, AR1_CFG.format(out=tmp_path / "a"))
     p2 = write_cfg(tmp_path, AR1_CFG.format(out=tmp_path / "b"), "again.ini")
