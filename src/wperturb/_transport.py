@@ -1,13 +1,17 @@
 """Exact min-cost transportation on dense cost matrices.
 
-Successive shortest paths with Dijkstra on reduced costs, specialised to
-the bipartite transportation polytope.  Every solve returns dual
-potentials and is certified optimal through complementary slackness
-before the caller sees it, so a solver bug can produce an exception but
-never a silently wrong distance.
+A primal transportation simplex on the bipartite graph of sources and
+sinks: a least-cost greedy start completed to a spanning tree, potentials
+from one traversal of the tree, Dantzig pricing (the most negative reduced
+cost ``C - u - v``, in numpy), the ratio test on the tree cycle, and
+Cunningham's strongly feasible trees so that degenerate pivots cannot
+cycle.  A pivot cap turns a runaway solve into a ``TransportError``.  Every
+solve returns dual potentials and is certified optimal through
+complementary slackness before the caller sees it, so a solver bug can
+produce an exception but never a silently wrong distance.
 
-The solver runs in pure Python over lists, which beats element-wise
-numpy indexing by a wide margin at the support sizes used here.  ``_memo``
+The tree is kept in Python lists, which beat element-wise numpy indexing
+at the support sizes used here; only the pricing runs in numpy.  ``_memo``
 is the one memo of certified W1 results; it is keyed and filled by
 ``otcore._w1``, on whole problems, not here.
 
@@ -29,6 +33,14 @@ CERT_TOL = 1e-9
 # to 1e-12 themselves, and supplies are rescaled to match demands).
 _MASS_EPS = 1e-13
 
+# Pricing stops once no reduced cost is below -_PRICE_TOL times the largest
+# |cost|: far above the rounding in the potentials, far below CERT_TOL.
+_PRICE_TOL = 1e-12
+
+# Pivots allowed per node of the problem before a solve gives up (random
+# and degenerate problems up to 200 x 200 take fewer than 2 per node).
+_PIVOT_CAP = 100
+
 _INF = 1e300
 
 
@@ -36,119 +48,229 @@ class TransportError(RuntimeError):
     """The solver failed to produce a certified optimal plan."""
 
 
-def _ssp(a, b, C):
-    """Successive shortest paths; returns ``(plan, u, v, status)`` as lists.
+def _simplex(a, b, C):
+    """Transportation simplex; returns ``(plan, u, v, status)`` as arrays.
 
-    status is 0 on success, -1 when some demand is unreachable and -2 when
-    the round limit is hit.
+    status is 0 on success, -1 when the supplies and the demands differ by
+    more than ``_MASS_EPS`` and -2 when the pivot cap is hit.
     """
     n, m = C.shape
-    Cl = C.tolist()
-    x = [[0.0] * m for _ in range(n)]
-    u = [0.0] * n
-    v = [min(col) for col in zip(*Cl)] if n else [_INF] * m
-    sa = a.tolist()
-    sb = b.tolist()
-    # sources i with x[i][j] > 0: the only residual arcs leaving sink j
-    into = [set() for _ in range(m)]
-    max_rounds = 10 * (n * m + n + m)
-    rounds = 0
+    ra = a.tolist()
+    rb = b.tolist()
+    if min(ra, default=0.0) > 0.0 and min(rb, default=0.0) > 0.0:
+        cut = False
+        Cs = C
+    else:
+        # a point of zero mass carries no flow: it stays out of the tree
+        # and gets the c-transform potential at the end
+        cut = True
+        rows = np.flatnonzero(a > 0.0)
+        cols = np.flatnonzero(b > 0.0)
+        if not (rows.size and cols.size):
+            v = C.min(axis=0) if n else np.zeros(m)
+            status = 0 if max(a.sum(), b.sum()) <= _MASS_EPS else -1
+            return np.zeros((n, m)), np.zeros(n), v, status
+        ra = a[rows].tolist()
+        rb = b[cols].tolist()
+        Cs = C[np.ix_(rows, cols)]
+    p, q = Cs.shape
+    N = p + q  # sources are nodes 0..p-1, sinks p..N-1
+    Cl = Cs.tolist()
+    # least-cost greedy start: walk the arcs in rising cost order and put
+    # as much flow on each as both ends still allow; every such arc
+    # exhausts one of its ends, so these arcs form a forest
+    order = np.argsort(Cs, axis=None, kind="stable").tolist()
+    adj = [[] for _ in range(N)]
+    open_rows, open_cols = p, q
+    for k in order:
+        i, j = divmod(k, q)
+        x = ra[i]
+        y = rb[j]
+        if x > 0.0 and y > 0.0:
+            f = x if x < y else y
+            ra[i] = x - f
+            rb[j] = y - f
+            adj[i].append((p + j, f))
+            adj[p + j].append((i, f))
+            if x == f:
+                open_rows -= 1
+            if y == f:
+                open_cols -= 1
+            if not (open_rows and open_cols):
+                break
+    if sum(ra) > _MASS_EPS or sum(rb) > _MASS_EPS:
+        return None, None, None, -1
+    for j in range(p, N):
+        if not adj[j]:
+            # a sink that rounding left unserved takes its few ulps from
+            # its cheapest source, so that no zero-flow arc points down
+            i = min(range(p), key=lambda i: Cl[i][j - p])
+            adj[i].append((j, rb[j - p]))
+            adj[j].append((i, rb[j - p]))
+    # complete the forest to a spanning tree rooted at a sink: every other
+    # component hangs from its first source, by that source's cheapest
+    # zero-flow arc to a sink already in the tree.  Every zero-flow arc
+    # then points toward the root, so the tree is strongly feasible
+    # (Cunningham), and the leaving-arc rule below keeps it so: no pivot
+    # sequence can cycle
+    parent = [-1] * N
+    flow = [0.0] * N
+    seen = [False] * N
+
+    def hang(top, up):
+        parent[top] = up
+        seen[top] = True
+        nodes = [top]
+        for x in nodes:
+            for y, g in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    parent[y] = x
+                    flow[y] = g
+                    nodes.append(y)
+        return nodes
+
+    root = p
+    tree_cols = [x - p for x in hang(root, -1) if x >= p]
+    for s in range(p):
+        if not seen[s]:
+            j = tree_cols[int(np.argmin(Cs[s, tree_cols]))]
+            tree_cols += [x - p for x in hang(s, p + j) if x >= p]
+    children = [set() for _ in range(N)]
+    for x in range(N):
+        if x != root:
+            children[parent[x]].add(x)
+    depth = [0] * N
+    # signed potentials: -u for the sources, v for the sinks, so that
+    # re-hanging a subtree shifts all of its nodes by the same amount
+    phi = np.empty(N)
+
+    def potentials():
+        # one traversal from the root; every tree arc has reduced cost 0
+        w = [0.0] * N
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            d = depth[x] + 1
+            for y in children[x]:
+                depth[y] = d
+                w[y] = w[x] - Cl[y][x - p] if y < p else Cl[x][y - p] + w[x]
+                stack.append(y)
+        phi[:] = w
+
+    potentials()
+    # the sort already holds the cheapest and the dearest arc
+    tol = _PRICE_TOL * max(abs(float(Cs.flat[order[0]])), abs(float(Cs.flat[order[-1]])))
+    cap = _PIVOT_CAP * N
+    R = np.empty((p, q))
+    fresh = True
+    pivots = 0
     while True:
-        # the outstanding mass is re-summed from the demand residuals each
-        # round; tracking it by subtraction drifts once augmentations get
-        # down to dust-sized flows and can strand the loop
-        remaining = 0.0
-        for s in sb:
-            remaining += s
-        if remaining <= _MASS_EPS:
-            break
-        rounds += 1
-        if rounds > max_rounds:
-            return x, u, v, -2
-        # du/dv hold the labels; k holds the sources' then the sinks' labels
-        # with +inf for settled nodes, so its first minimum is the next node
-        # to settle (sources win ties, as do lower indices)
-        du = [0.0 if s > 0.0 else _INF for s in sa]
-        dv = [_INF] * m
-        k = du + dv
-        pu = [-1] * n
-        pv = [-1] * m
-        fu = [False] * n
-        open_v = list(range(m))
-        t = -1
-        D = _INF
-        while True:
-            best = min(k, default=_INF)
-            if not best < _INF:
+        # Dantzig pricing: the most negative reduced cost enters
+        np.add(Cs, phi[:p, None], out=R)
+        R -= phi[p:]
+        k = int(R.argmin())
+        rc = float(R.flat[k])
+        if not rc < -tol:
+            if fresh:
                 break
-            node = k.index(best)
-            k[node] = np.inf
-            if node < n:
-                i = node
-                fu[i] = True
-                ui = u[i]
-                row = Cl[i]
-                for j in open_v:
-                    rc = row[j] - ui - v[j]
-                    if rc < 0.0:
-                        rc = 0.0
-                    nd = best + rc
-                    if nd < dv[j]:
-                        dv[j] = k[n + j] = nd
-                        pv[j] = i
+            # potentials shifted pivot by pivot carry rounding; price once
+            # more against potentials recomputed from the tree
+            potentials()
+            fresh = True
+            continue
+        if pivots == cap:
+            return None, None, None, -2
+        pivots += 1
+        fresh = False
+        s, t = divmod(k, q)
+        t += p  # the entering arc s -> t
+        # the cycle: s -> t, up from t to the apex, down from there to s
+        up_t = []
+        up_s = []
+        x, y = t, s
+        while depth[x] > depth[y]:
+            up_t.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            up_s.append(y)
+            y = parent[y]
+        while x != y:
+            up_t.append(x)
+            x = parent[x]
+            up_s.append(y)
+            y = parent[y]
+        # ratio test: the arc above a sink runs against the cycle on t's
+        # side, the arc above a source on s's side.  Cunningham's rule takes
+        # the last blocking arc met going round from the apex: t's side is
+        # met last, and walked here in cycle order, s's side in reverse
+        theta = _INF
+        out = -1
+        for x in up_t:
+            if x >= p and flow[x] <= theta:
+                theta = flow[x]
+                out = x
+        on_t = True
+        for x in up_s:
+            if x < p and flow[x] < theta:
+                theta = flow[x]
+                out = x
+                on_t = False
+        if theta > 0.0:
+            for x in up_t:
+                flow[x] += -theta if x >= p else theta
+            for x in up_s:
+                flow[x] += -theta if x < p else theta
+        # drop the arc above ``out``: its subtree hangs from the entering
+        # arc instead, and the path from the entering end to ``out`` turns
+        # round; the shift gives the entering arc reduced cost 0
+        if on_t:
+            path, top, shift = up_t, s, rc
+        else:
+            path, top, shift = up_s, t, -rc
+        children[parent[out]].remove(out)
+        f = theta
+        for x in path:
+            above = parent[x]
+            g = flow[x]
+            parent[x] = top
+            flow[x] = f
+            children[top].add(x)
+            if x == out:
+                break
+            children[above].remove(x)
+            top = x
+            f = g
+        first = path[0]
+        depth[first] = depth[parent[first]] + 1
+        nodes = [first]
+        for x in nodes:
+            d = depth[x] + 1
+            for y in children[x]:
+                depth[y] = d
+                nodes.append(y)
+        phi[nodes] += shift
+    X = np.zeros((p, q))
+    for x in range(N):
+        if x != root:
+            if x < p:
+                X[x, parent[x] - p] = flow[x]
             else:
-                j = node - n
-                open_v.remove(j)
-                # any strictly positive residual demand is a valid target:
-                # requiring more than _MASS_EPS here would refuse to finish
-                # solves whose leftover mass is split into tiny pieces
-                if sb[j] > 0.0:
-                    t = j
-                    D = best
-                    break
-                vj = v[j]
-                for i in into[j]:
-                    if not fu[i]:
-                        rc = u[i] + vj - Cl[i][j]
-                        if rc < 0.0:
-                            rc = 0.0
-                        nd = best + rc
-                        if nd < du[i]:
-                            du[i] = k[i] = nd
-                            pu[i] = j
-        if t < 0:
-            return x, u, v, -1
-        u = [ui - (D if d > D else d) for ui, d in zip(u, du)]
-        v = [vj + (D if d > D else d) for vj, d in zip(v, dv)]
-        # bottleneck along the augmenting path t <- ... <- root source
-        f = sb[t]
-        j = t
-        while True:
-            i = pv[j]
-            if pu[i] == -1:
-                if sa[i] < f:
-                    f = sa[i]
-                break
-            jj = pu[i]
-            if x[i][jj] < f:
-                f = x[i][jj]
-            j = jj
-        j = t
-        while True:
-            i = pv[j]
-            xi = x[i]
-            xi[j] += f
-            into[j].add(i)
-            if pu[i] == -1:
-                sa[i] -= f
-                break
-            jj = pu[i]
-            xi[jj] -= f
-            if xi[jj] <= 0.0:
-                into[jj].discard(i)
-            j = jj
-        sb[t] -= f
-    return x, u, v, 0
+                X[parent[x], x - p] = flow[x]
+    u = -phi[:p]
+    v = phi[p:].copy()
+    if not cut:
+        return X, u, v, 0
+    plan = np.zeros((n, m))
+    plan[np.ix_(rows, cols)] = X
+    U = np.zeros(n)
+    V = np.zeros(m)
+    U[rows] = u
+    V[cols] = v
+    # c-transforms keep every arc at a zero-mass point dual feasible
+    V[b <= 0.0] = np.min(C[rows][:, b <= 0.0] - u[:, None], axis=0)
+    U[a <= 0.0] = np.min(C[a <= 0.0] - V, axis=1)
+    return plan, U, V, 0
 
 
 def _solve_linprog(a, b, C):
@@ -239,11 +361,10 @@ def solve(a, b, C):
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
-    x, u, v, status = _ssp(a, b, C)
+    plan, u, v, status = _simplex(a, b, C)
     if status != 0:
-        raise TransportError(f"successive shortest paths failed (status {status})")
-    return _certify(a, b, C, np.array(x, dtype=float).reshape(C.shape),
-                    np.array(u, dtype=float), np.array(v, dtype=float))
+        raise TransportError(f"transportation simplex failed (status {status})")
+    return _certify(a, b, C, plan, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
 
 def _certify(a, b, C, plan, u, v):

@@ -535,6 +535,99 @@ def test_large_problem_matches_reference_lp_value():
     np.testing.assert_allclose(plan.sum(axis=0), b, atol=1e-12)
 
 
+def assert_matches_highs(a, b, C):
+    """``solve`` against the HiGHS oracle; returns the plan."""
+    value, plan, _, _ = _transport.solve(a, b, C)  # certified, or it raises
+    assert value == pytest.approx(linprog_value(a, b, C), rel=1e-7, abs=1e-12)
+    assert np.all(plan >= 0.0)
+    np.testing.assert_allclose(plan.sum(axis=1), a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plan.sum(axis=0), b, rtol=0, atol=1e-12)
+    return plan
+
+
+@pytest.mark.parametrize("costs", ["random", "integer-L1", "all-equal"])
+def test_degenerate_uniform_assignments_match_the_highs_oracle(costs):
+    # every greedy arc of a uniform assignment exhausts its row and its
+    # column at once, so most pivots move no mass: the ones that can cycle
+    rng = np.random.default_rng(41)
+    for n in range(2, 101):
+        if costs == "random":
+            C = rng.uniform(0.0, 1.0, size=(n, n))
+        elif costs == "integer-L1":
+            x, y = rng.integers(0, 4, size=(2, n, 2))
+            C = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=-1).astype(float)
+        else:
+            C = np.full((n, n), 3.0)
+        w = np.full(n, 1.0 / n)
+        assert_matches_highs(w, w, C)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_single_row_and_single_column_problems(seed):
+    rng = np.random.default_rng(60 + seed)
+    k = int(rng.integers(1, 40))
+    C = rng.uniform(0.0, 5.0, size=(1, k))
+    w = random_simplex(rng, k)
+    # one feasible plan each way: the whole row (column) is the other law
+    np.testing.assert_allclose(assert_matches_highs(np.ones(1), w, C)[0], w, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(assert_matches_highs(w, np.ones(1), C.T)[:, 0], w, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mass", ["dust", "denormal", "zeros"])
+@pytest.mark.parametrize("seed", range(5))
+def test_dust_denormal_and_zero_masses_match_the_highs_oracle(mass, seed):
+    rng = np.random.default_rng(80 + seed)
+    n, m = (int(k) for k in rng.integers(3, 20, size=2))
+    C = rng.uniform(0.0, 5.0, size=(n, m))
+    a, b = random_simplex(rng, n), random_simplex(rng, m)
+    small = {"dust": 1e-8, "denormal": 1e-310, "zeros": 0.0}[mass]
+    a[: n // 3] = small * rng.uniform(0.5, 1.5, size=n // 3)
+    b[m // 2:] = small * rng.uniform(0.5, 1.5, size=m - m // 2)
+    a /= a.sum()
+    b /= b.sum()
+    plan = assert_matches_highs(a, b, C)
+    if mass == "zeros":
+        assert not plan[: n // 3].any() and not plan[:, m // 2:].any()
+
+
+def test_degenerate_greedy_start_is_pivoted_to_the_optimum():
+    # the greedy start takes both diagonal arcs, each exhausting its row and
+    # its column: 2 positive arcs where a spanning tree needs 3, and the
+    # cheap off-diagonal plan is only reached by a pivot
+    C = np.array([[1.0, 2.0], [2.0, 100.0]])
+    w = np.array([0.5, 0.5])
+    plan = assert_matches_highs(w, w, C)
+    np.testing.assert_array_equal(plan, [[0.0, 0.5], [0.5, 0.0]])
+    assert _transport.solve(w, w, C)[0] == 2.0
+
+
+def test_a_sink_left_unserved_by_rounding_keeps_its_mass():
+    # 1.0 + 5e-324 rounds to 1.0: the cheap arc takes all of the supply, and
+    # the denormal demand is still served rather than left off the tree
+    plan = assert_matches_highs(np.ones(1), np.array([1.0, 5e-324]), np.array([[0.0, 1.0]]))
+    np.testing.assert_array_equal(plan, [[1.0, 5e-324]])
+
+
+def test_unbalanced_masses_raise():
+    C = np.ones((2, 2))
+    with pytest.raises(_transport.TransportError, match="status -1"):
+        _transport.solve(np.array([0.5, 0.5]), np.array([0.5, 0.7]), C)
+
+
+def test_pivot_cap_raises_and_stores_nothing(monkeypatch):
+    monkeypatch.setattr(_transport, "_PIVOT_CAP", 0)
+    w = np.array([0.5, 0.5])
+    with pytest.raises(_transport.TransportError, match="status -2"):
+        _transport.solve(w, w, np.array([[1.0, 2.0], [2.0, 100.0]]))
+    mu, nu = _random_laws(24, n=12)
+    with pytest.raises(_transport.TransportError, match="status -2"):
+        wasserstein1_exact(mu, nu)
+    assert len(_transport._memo) == 0
+    monkeypatch.undo()
+    wasserstein1_exact(mu, nu)
+    assert len(_transport._memo) == 1
+
+
 # ------------------------------------------------------------------- W1 memo
 
 
@@ -603,10 +696,10 @@ def test_memo_results_are_private_to_each_caller():
 
 def test_memo_holds_only_certified_results(monkeypatch):
     mu, nu = _random_laws(23)
-    ssp, solve = _transport._ssp, _transport.solve
+    simplex, solve = _transport._simplex, _transport.solve
 
     def zero_potentials(a, b, C):
-        plan, u, v, status = ssp(a, b, C)
+        plan, u, v, status = simplex(a, b, C)
         return plan, [0.0] * len(u), [0.0] * len(v), status  # gap != 0
 
     def product_plan(a, b, C):
@@ -614,7 +707,7 @@ def test_memo_holds_only_certified_results(monkeypatch):
         return value, np.outer(a, b), u, v  # feasible, not optimal
 
     # the solve's own certificate, then the certificate of the lifted plan
-    for name, broken in (("_ssp", zero_potentials), ("solve", product_plan)):
+    for name, broken in (("_simplex", zero_potentials), ("solve", product_plan)):
         with monkeypatch.context() as m:
             m.setattr(_transport, name, broken)
             with pytest.raises(_transport.TransportError, match="certificate"):
