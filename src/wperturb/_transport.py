@@ -14,10 +14,6 @@ The tree is kept in Python lists, which beat element-wise numpy indexing
 at the support sizes used here; only the pricing runs in numpy.  ``_memo``
 is the one memo of certified W1 results; it is keyed and filled by
 ``otcore._w1``, on whole problems, not here.
-
-Every ``solve`` takes this one path.  ``_solve_linprog`` (scipy's HiGHS, good
-to about 1e-7 rather than exact) is kept only as the independent oracle
-the test suite compares against; no production path calls it.
 """
 from __future__ import annotations
 
@@ -271,35 +267,6 @@ def _simplex(a, b, C):
     V[b <= 0.0] = np.min(C[rows][:, b <= 0.0] - u[:, None], axis=0)
     U[a <= 0.0] = np.min(C[a <= 0.0] - V, axis=1)
     return plan, U, V, 0
-
-
-def _solve_linprog(a, b, C):
-    """Plan and potentials via scipy's HiGHS LP solver (test oracle only)."""
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
-    n, m = C.shape
-    rows, cols, data = [], [], []
-    for i in range(n):
-        for j in range(m):
-            k = i * m + j
-            rows.append(i)
-            cols.append(k)
-            data.append(1.0)
-            if j < m - 1:  # last column-sum constraint is redundant
-                rows.append(n + j)
-                cols.append(k)
-                data.append(1.0)
-    A = csr_matrix((data, (rows, cols)), shape=(n + m - 1, n * m))
-    rhs = np.concatenate([a, b[:-1]])
-    res = linprog(C.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
-    if not res.success:
-        raise TransportError(f"linprog failed: {res.message}")
-    plan = res.x.reshape(n, m)
-    y = res.eqlin.marginals
-    u = y[:n]
-    v = np.append(y[n:], 0.0)
-    return plan, u, v
 
 
 class _Memo:

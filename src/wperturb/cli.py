@@ -55,6 +55,7 @@ from .kernels import (
     verify_drift,
 )
 from .langevin import (
+    MAX_M,
     GibbsModel,
     LangevinParams,
     empirical_tv_binned,
@@ -191,7 +192,7 @@ _SCHEMAS = {
     },
     "langevin": {
         "statistic": (_choice("sum", "path-agreement"), "path-agreement"),
-        "M": (_int_in(1), 5),
+        "M": (_int_in(1, MAX_M), 5),
         "observed": (_spins, _REQUIRED),
         "sigma_p": (_float_in(0.0), 1.0),
         "sigma": (_float_in(0.0), 0.8),

@@ -5,12 +5,13 @@ The setting: a scalar parameter ``theta`` with Gaussian prior N(0, sigma_p^2)
 and a Gibbs likelihood l(y|theta) = exp(theta*s(y)) / z(theta) over a finite
 configuration space Y^M.  The posterior gradient needs the likelihood mean of
 the statistic s, which involves z(theta); the noisy variant replaces that mean
-by an average over N exact draws from l(.|theta).  The configuration space is
-enumerated once, at construction, to find the distinct levels of s and how many
-configurations sit on each.  The likelihood depends on y only through s(y), so
-the law of s(Y) lives on those levels with weights proportional to
-count * exp(theta*level): z(theta), the likelihood mean of s and the noisy
-chain's auxiliary draws (one exact multinomial over the levels) all work there.
+by an average over N exact draws from l(.|theta).  The likelihood depends on y
+only through s(y), so a model is the distinct levels of s, how many
+configurations sit on each, and the observed value s(y).  The law of s(Y)
+lives on those levels with weights proportional to count * exp(theta*level):
+z(theta), the likelihood mean of s and the noisy chain's auxiliary draws (one
+exact multinomial over the levels) all work there.  The two built-in spin
+statistics have closed-form counts, so no configuration is ever enumerated.
 
 The drift/contraction constants and the two perturbation bounds follow the
 same pattern as the rest of the package: explicit constants, explicit
@@ -19,10 +20,9 @@ applicability thresholds, inapplicable inputs raise instead of extrapolating.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from ._rng import coupled_steps, philox
 from .errors import HypothesisViolation
 
 __all__ = [
+    "MAX_M",
     "GibbsModel",
     "LangevinDriftReport",
     "LangevinParams",
@@ -46,84 +47,55 @@ __all__ = [
     "noisy_grad",
 ]
 
-# hard ceiling on enumerated configurations; |alphabet|**M beyond this is not
-# a desk-scale model and the exact oracle would stop being exact in time/memory
-_MAX_ENUM = 1 << 20
+# largest number of sites the built-in statistics accept: the largest count,
+# C(1000, 500) ~ 2.7e299, still fits a float
+MAX_M = 1000
 
 # replica block size for the vectorized simulators, keeps the (block, K)
-# likelihood matrices small even when a custom statistic has thousands of
-# levels K
+# likelihood matrices small even when a model has thousands of levels K
 _BLOCK = 4096
 
 
 class GibbsModel:
-    """Exponential-family model l(y|theta) = exp(theta*s(y))/z(theta) on Y^M.
+    """Exponential-family model l(y|theta) = exp(theta*s(y))/z(theta) on Y^M,
+    given by the law of its statistic.
 
-    The full configuration space is enumerated at construction and reduced to
-    the sorted distinct values of s (``levels``) and the log of how many
-    configurations take each (``log_counts``).  Every likelihood quantity
-    (z, means, exact sampling weights) is computed exactly on the levels;
-    ``s_values`` and the per-configuration ``likelihood`` stay available.
+    levels  : the distinct values of s, finite and strictly increasing
+    counts  : how many configurations take each level (finite, > 0)
+    s_obs   : s(y) at the data configuration y whose posterior is targeted
+    sigma_p : prior standard deviation (> 0)
 
-    alphabet : the label set Y, e.g. (-1, 1)
-    M        : number of nodes
-    statistic: s, a callable on length-M label tuples
-    observed : the data configuration y whose posterior is targeted
-    sigma_p  : prior standard deviation (> 0)
+    Every likelihood quantity (z, means, exact sampling weights) is computed
+    exactly on the levels.  ``ising_sum`` and ``path_agreement`` build the two
+    spin statistics from closed-form counts.
     """
 
-    def __init__(
-        self,
-        alphabet: Sequence,
-        M: int,
-        statistic: Callable[[tuple], float],
-        observed: Sequence,
-        sigma_p: float,
-    ):
-        alphabet = tuple(alphabet)
-        if len(alphabet) == 0 or len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet must be nonempty with distinct labels")
-        if not (isinstance(M, (int, np.integer)) and M >= 1):
-            raise ValueError("M must be a positive integer")
-        n_conf = len(alphabet) ** M
-        if n_conf > _MAX_ENUM:
-            raise ValueError(
-                f"enumeration of {len(alphabet)}^{M} = {n_conf} configurations "
-                f"exceeds the cap of {_MAX_ENUM}"
-            )
+    def __init__(self, levels, counts, s_obs: float, sigma_p: float):
+        levels = np.asarray(levels, dtype=float)
+        counts = np.asarray(counts, dtype=float)
+        if levels.ndim != 1 or levels.size == 0 or not np.all(np.isfinite(levels)):
+            raise ValueError("levels must be a nonempty 1-d array of finite values")
+        if np.any(np.diff(levels) <= 0.0):
+            raise ValueError("levels must be strictly increasing")
+        if counts.shape != levels.shape:
+            raise ValueError("counts must have the shape of levels")
+        if not (np.all(np.isfinite(counts)) and np.all(counts > 0.0)):
+            raise ValueError("counts must be finite and positive")
+        s_obs = float(s_obs)
+        if not math.isfinite(s_obs):
+            raise ValueError("s_obs must be finite")
+        s_inf = float(np.max(np.abs(levels)))
+        if s_inf == 0.0:
+            raise ValueError("statistic is identically zero; ||s||_inf must be > 0")
         sigma_p = float(sigma_p)
         if not (sigma_p > 0 and math.isfinite(sigma_p)):
             raise ValueError("sigma_p must be positive and finite")
-        observed = tuple(observed)
-        if len(observed) != M or any(lab not in alphabet for lab in observed):
-            raise ValueError("observed must be a length-M tuple over the alphabet")
 
-        s_values = np.array(
-            [float(statistic(conf)) for conf in itertools.product(alphabet, repeat=M)],
-            dtype=float,
-        )
-        if not np.all(np.isfinite(s_values)):
-            raise ValueError("statistic must be finite on every configuration")
-        s_inf = float(np.max(np.abs(s_values)))
-        if s_inf == 0.0:
-            raise ValueError("statistic is identically zero; ||s||_inf must be > 0")
-
-        self.alphabet = alphabet
-        self.M = int(M)
-        self.observed = observed
-        self.sigma_p = sigma_p
-        self.s_values = s_values
-        levels, counts = np.unique(s_values, return_counts=True)
         self.levels = levels
         self.log_counts = np.log(counts)
+        self.s_obs = s_obs
         self.s_inf = s_inf
-        self.s_obs = float(statistic(observed))
-
-    def likelihood(self, theta: float) -> np.ndarray:
-        """Exact pmf of l(.|theta) over the enumerated configurations."""
-        lw = float(theta) * self.s_values
-        w = np.exp(lw - lw.max())
-        return w / w.sum()
+        self.sigma_p = sigma_p
 
     def level_likelihood(self, theta: float) -> np.ndarray:
         """Exact pmf of s(Y) over ``levels`` for Y ~ l(.|theta)."""
@@ -137,17 +109,34 @@ class GibbsModel:
 
     @classmethod
     def ising_sum(cls, M: int, observed: Sequence, sigma_p: float = 1.0) -> "GibbsModel":
-        """Spin labels {-1,+1} with s(y) = sum of labels."""
-        return cls((-1, 1), M, lambda c: float(sum(c)), observed, sigma_p)
+        """Spin labels {-1,+1} with s(y) = sum of labels.  Level 2k - M holds
+        the C(M, k) configurations with k labels +1."""
+        observed = _observed_spins(M, observed)
+        return cls(np.arange(-M, M + 1, 2, dtype=float),
+                   [float(math.comb(M, k)) for k in range(M + 1)],
+                   float(sum(observed)), sigma_p)
 
     @classmethod
     def path_agreement(cls, M: int, observed: Sequence, sigma_p: float = 1.0) -> "GibbsModel":
         """Spin labels {-1,+1} with s(y) = number of agreeing neighbor pairs
-        along the path 1-2-...-M.  Needs M >= 2 so the statistic is not zero."""
-        def stat(c: tuple) -> float:
-            return float(sum(c[i] == c[i + 1] for i in range(len(c) - 1)))
+        along the path 1-2-...-M.  Level k holds 2 C(M-1, k) configurations:
+        the first label, then which k of the M-1 pairs agree.  Needs M >= 2
+        so the statistic is not zero."""
+        observed = _observed_spins(M, observed)
+        return cls(np.arange(M, dtype=float),
+                   [2.0 * math.comb(M - 1, k) for k in range(M)],
+                   float(sum(observed[i] == observed[i + 1] for i in range(M - 1))),
+                   sigma_p)
 
-        return cls((-1, 1), M, stat, observed, sigma_p)
+
+def _observed_spins(M: int, observed: Sequence) -> tuple:
+    """Check M and the observed spin configuration of a built-in model."""
+    if not (isinstance(M, (int, np.integer)) and 1 <= M <= MAX_M):
+        raise ValueError(f"M must be an integer in [1, {MAX_M}]")
+    observed = tuple(observed)
+    if len(observed) != M or any(lab not in (-1, 1) for lab in observed):
+        raise ValueError("observed must be a length-M tuple of -1/+1 labels")
+    return observed
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,19 @@ def test_langevin_run_files_and_threshold(tmp_path):
     assert main(["run", bad]) == EXIT_HYPOTHESIS
 
 
+def test_langevin_M_range(tmp_path, capsys):
+    # 2^21 configurations are never enumerated; past the largest M is a
+    # schema error, not a traceback
+    for M, code in ((21, EXIT_OK), (1001, EXIT_SCHEMA)):
+        out = tmp_path / f"res{M}"
+        text = LANGEVIN_CFG.format(out=out, N=1000, extra=f"statistic = sum\nM = {M}\n")
+        path = write_cfg(tmp_path, text.replace(
+            "1,1,1,-1,-1", ",".join(["1", "-1"] * (M // 2) + ["1"])), f"m{M}.ini")
+        assert main(["run", path]) == code
+        assert out.exists() == (code == EXIT_OK)
+    assert "[langevin] M: must be an integer in [1, 1000]" in capsys.readouterr().err
+
+
 def test_langevin_final_report_when_contraction_given(tmp_path):
     out = tmp_path / "res"
     path = write_cfg(tmp_path, LANGEVIN_CFG.format(

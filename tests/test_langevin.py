@@ -1,12 +1,16 @@
 """Noisy Langevin for Gibbs fields: exact-enumeration oracles, Monte Carlo
 drift checks, and the two perturbation bounds.
 
+The oracle enumerates every configuration (``oracle_model``); the package
+itself only ever sees levels and counts.
+
 Frozen constants below were computed independently at 30-digit precision:
   drift triple at (sigma=0.5, sigma_p=1, s_inf=1) = (0.9375, 0.875, 13.0)
   tv bound at (sigma=1, s_inf=1, N=100)           = 0.27631021115928548
   final bound (s=1, sigma=1, sigma_p=1, C=1,
                rho=0.5, E|X0|=0, N=10^4)          = 5.035018861342399
 """
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +22,7 @@ from wperturb._rng import philox
 from wperturb.ar1 import gaussian_abs_mean
 from wperturb.errors import HypothesisViolation
 from wperturb.langevin import (
+    MAX_M,
     GibbsModel,
     LangevinParams,
     empirical_tv_binned,
@@ -43,9 +48,34 @@ def two_point(sigma_p: float = 1.0) -> GibbsModel:
     return GibbsModel.ising_sum(1, observed=(1,), sigma_p=sigma_p)
 
 
+def oracle_model(alphabet, M, statistic, observed, sigma_p=1.0):
+    """Run the statistic over every configuration of alphabet^M and build the
+    model from its distinct values and their multiplicities.  Returns the
+    model and the per-configuration values of the statistic."""
+    s_values = np.array([float(statistic(c))
+                         for c in itertools.product(alphabet, repeat=M)])
+    levels, counts = np.unique(s_values, return_counts=True)
+    return GibbsModel(levels, counts, statistic(tuple(observed)), sigma_p), s_values
+
+
+def config_likelihood(s_values: np.ndarray, theta: float) -> np.ndarray:
+    """Exact pmf of l(.|theta) over the enumerated configurations."""
+    lw = theta * s_values
+    w = np.exp(lw - lw.max())
+    return w / w.sum()
+
+
+def spin_sum(c: tuple) -> float:
+    return float(sum(c))
+
+
+def path_agreements(c: tuple) -> float:
+    return float(sum(c[i] == c[i + 1] for i in range(len(c) - 1)))
+
+
 def constant_model(value: float = 2.0) -> GibbsModel:
     # zero-variance statistic: the noisy gradient has nothing to estimate
-    return GibbsModel((-1, 1), 3, lambda c: value, (1, -1, 1), 1.0)
+    return oracle_model((-1, 1), 3, lambda c: value, (1, -1, 1))[0]
 
 
 def log_posterior(model: GibbsModel, theta: float) -> float:
@@ -66,9 +96,13 @@ def test_two_point_mean_is_tanh():
 
 
 def test_theta_zero_is_plain_average():
-    for m in (GibbsModel.ising_sum(4, (1, 1, -1, 1)),
-              GibbsModel.path_agreement(5, (1, -1, -1, 1, 1))):
-        assert likelihood_mean_s(m, 0.0) == pytest.approx(m.s_values.mean(), abs=1e-14)
+    for build, stat, observed in (
+        (GibbsModel.ising_sum, spin_sum, (1, 1, -1, 1)),
+        (GibbsModel.path_agreement, path_agreements, (1, -1, -1, 1, 1)),
+    ):
+        m = build(len(observed), observed)
+        _, s_values = oracle_model((-1, 1), len(observed), stat, observed)
+        assert likelihood_mean_s(m, 0.0) == pytest.approx(s_values.mean(), abs=1e-14)
 
 
 def test_mean_s_stays_within_statistic_range():
@@ -82,7 +116,7 @@ def test_mean_s_stays_within_statistic_range():
 def test_likelihood_is_pmf_and_stable_at_large_theta():
     m = GibbsModel.ising_sum(8, (1,) * 8)
     for th in (-300.0, 0.0, 300.0):
-        w = m.likelihood(th)
+        w = m.level_likelihood(th)
         assert np.all(w >= 0.0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
     # at theta -> +inf the all-ones configuration takes all the mass
@@ -90,17 +124,22 @@ def test_likelihood_is_pmf_and_stable_at_large_theta():
 
 
 def level_models():
-    """Built-in, constant and non-integer custom statistics."""
+    """(model, per-configuration statistic) pairs: the two built-ins beside
+    their enumeration, then a constant and a non-integer custom statistic
+    built by the oracle."""
     def custom(c):
         # three-letter alphabet, irrational weights: non-integer levels with
         # uneven multiplicities
         return 0.37 * sum(c) + math.sqrt(2.0) * c[0] * c[1] - 1.0 / 3.0
 
+    ising, path = (1, -1, 1, 1, -1, 1), (1, 1, -1, 1, -1, -1, 1)
     return [
-        GibbsModel.ising_sum(6, (1, -1, 1, 1, -1, 1), sigma_p=0.8),
-        GibbsModel.path_agreement(7, (1, 1, -1, 1, -1, -1, 1)),
-        constant_model(-1.25),
-        GibbsModel((-1, 0, 1), 4, custom, (0, 1, -1, 1), 1.3),
+        (GibbsModel.ising_sum(6, ising, sigma_p=0.8),
+         oracle_model((-1, 1), 6, spin_sum, ising)[1]),
+        (GibbsModel.path_agreement(7, path),
+         oracle_model((-1, 1), 7, path_agreements, path)[1]),
+        oracle_model((-1, 1), 3, lambda c: -1.25, (1, -1, 1)),
+        oracle_model((-1, 0, 1), 4, custom, (0, 1, -1, 1), 1.3),
     ]
 
 
@@ -108,24 +147,24 @@ LEVEL_THETAS = (-300.0, -3.0, 0.0, 3.0, 300.0)
 
 
 def test_level_weights_are_configuration_weights_summed_by_level():
-    for m in level_models():
-        levels, inverse = np.unique(m.s_values, return_inverse=True)
+    for m, s_values in level_models():
+        levels, inverse = np.unique(s_values, return_inverse=True)
         np.testing.assert_array_equal(m.levels, levels)
         for th in LEVEL_THETAS:
             by_level = np.zeros(levels.size)
-            np.add.at(by_level, inverse, m.likelihood(th))
+            np.add.at(by_level, inverse, config_likelihood(s_values, th))
             np.testing.assert_allclose(m.level_likelihood(th), by_level,
                                        rtol=1e-12, atol=1e-15)
 
 
 def test_level_quantities_match_the_enumerated_formula():
-    for m in level_models():
+    for m, s_values in level_models():
         for th in LEVEL_THETAS:
-            enumerated = float(m.likelihood(th) @ m.s_values)
+            enumerated = float(config_likelihood(s_values, th) @ s_values)
             assert likelihood_mean_s(m, th) == pytest.approx(enumerated, abs=1e-12)
             grad = m.s_obs - enumerated - th / m.sigma_p ** 2
             assert grad_log_posterior(m, th) == pytest.approx(grad, abs=1e-12)
-            lw = th * m.s_values
+            lw = th * s_values
             lz = lw.max() + math.log(np.exp(lw - lw.max()).sum())
             assert m.log_partition(th) == pytest.approx(lz, abs=1e-12)
 
@@ -141,6 +180,33 @@ def test_level_counts_of_the_built_in_statistics():
         for m in (path, ising):
             assert np.exp(m.log_counts).sum() == pytest.approx(2.0 ** M, rel=1e-12)
     assert constant_model().levels.size == 1
+
+
+def test_built_in_closed_forms_are_byte_equal_to_the_enumeration():
+    for M in range(1, 17):
+        observed = tuple(1 if k % 3 else -1 for k in range(M))
+        for build, stat in ((GibbsModel.ising_sum, spin_sum),
+                            (GibbsModel.path_agreement, path_agreements)):
+            if stat is path_agreements and M == 1:
+                # one site has no pair: the statistic is identically zero
+                with pytest.raises(ValueError):
+                    build(1, observed)
+                with pytest.raises(ValueError):
+                    oracle_model((-1, 1), 1, stat, observed)
+                continue
+            m = build(M, observed, sigma_p=0.7)
+            ref, _ = oracle_model((-1, 1), M, stat, observed, 0.7)
+            assert m.levels.tobytes() == ref.levels.tobytes()
+            assert m.log_counts.tobytes() == ref.log_counts.tobytes()
+            assert (m.s_obs, m.s_inf, m.sigma_p) == (ref.s_obs, ref.s_inf, ref.sigma_p)
+
+
+def test_built_ins_reach_the_largest_M():
+    assert MAX_M == 1000
+    for build in (GibbsModel.path_agreement, GibbsModel.ising_sum):
+        m = build(MAX_M, (1,) * MAX_M)
+        assert np.all(np.isfinite(m.log_counts))
+        assert np.exp(m.log_counts).sum() == pytest.approx(2.0 ** MAX_M, rel=1e-12)
 
 
 # --------------------------------------------------------- gradient oracles
@@ -178,24 +244,40 @@ def test_two_point_gradient_closed_form():
 # --------------------------------------------------------- model validation
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        GibbsModel((), 2, lambda c: 1.0, (), 1.0)
-    with pytest.raises(ValueError):
-        GibbsModel((1, 1), 2, lambda c: sum(c), (1, 1), 1.0)
+    for levels, counts in (
+        ([], []),                        # no level at all
+        ([1.0, 1.0], [2, 2]),            # repeated level
+        ([1.0, -1.0], [2, 2]),           # unsorted levels
+        ([-1.0, math.nan], [2, 2]),      # non-finite level
+        ([-1.0, math.inf], [2, 2]),
+        ([[-1.0, 1.0]], [[2, 2]]),       # not 1-d
+        ([-1.0, 1.0], [2, 0]),           # nonpositive counts
+        ([-1.0, 1.0], [2, -1]),
+        ([-1.0, 1.0], [2, math.nan]),    # non-finite counts
+        ([-1.0, 1.0], [2, math.inf]),
+        ([-1.0, 1.0], [2, 2, 2]),        # mismatched shapes
+        ([-1.0, 1.0], [[2, 2]]),
+        ([0.0], [4]),                    # ||s||_inf = 0
+    ):
+        with pytest.raises(ValueError):
+            GibbsModel(levels, counts, 0.0, 1.0)
+    for s_obs, sigma_p in ((math.nan, 1.0), (math.inf, 1.0), (0.0, 0.0),
+                           (0.0, -1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            GibbsModel([-1.0, 1.0], [1, 1], s_obs, sigma_p)
     with pytest.raises(ValueError):
         GibbsModel.ising_sum(0, ())
+    for build in (GibbsModel.ising_sum, GibbsModel.path_agreement):
+        with pytest.raises(ValueError):  # past the largest supported M
+            build(MAX_M + 1, (1,) * (MAX_M + 1))
     with pytest.raises(ValueError):
-        GibbsModel.ising_sum(21, (1,) * 21)  # 2^21 exceeds the enumeration cap
+        GibbsModel.path_agreement(1, (1,))  # no pair, so ||s||_inf = 0
     with pytest.raises(ValueError):
         GibbsModel.ising_sum(3, (1, 1))  # wrong length
     with pytest.raises(ValueError):
         GibbsModel.ising_sum(3, (1, 1, 0))  # label outside the alphabet
     with pytest.raises(ValueError):
         GibbsModel.ising_sum(3, (1, 1, 1), sigma_p=0.0)
-    with pytest.raises(ValueError):
-        GibbsModel((-1, 1), 2, lambda c: 0.0, (1, 1), 1.0)  # ||s||_inf = 0
-    with pytest.raises(ValueError):
-        GibbsModel((-1, 1), 2, lambda c: float("nan"), (1, 1), 1.0)
 
 
 def test_params_validation():
@@ -230,10 +312,12 @@ def test_noisy_grad_unbiased():
 def test_noisy_grad_batch_mean_and_variance():
     # the N-sample average of s has mean E_theta s and variance Var_theta(s)/N
     N, th, reps = 40, 0.3, 20000
-    for m in (GibbsModel.path_agreement(5, (1, -1, -1, 1, 1)),
-              level_models()[-1]):
-        w = m.likelihood(th)
-        var = float(w @ m.s_values ** 2) - float(w @ m.s_values) ** 2
+    path = (1, -1, -1, 1, 1)
+    for m, s_values in ((GibbsModel.path_agreement(5, path),
+                         oracle_model((-1, 1), 5, path_agreements, path)[1]),
+                        level_models()[-1]):
+        w = config_likelihood(s_values, th)
+        var = float(w @ s_values ** 2) - float(w @ s_values) ** 2
         g = _noisy_grad_batch(m, np.full(reps, th), N, philox(24, 0))
         c = g - g.mean()
         z_mean = abs(g.mean() - grad_log_posterior(m, th)) / math.sqrt(var / N / reps)
