@@ -334,9 +334,14 @@ def solve(a, b, C):
     return _certify(a, b, C, plan, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
 
-def _certify(a, b, C, plan, u, v):
+def _certify(a, b, C, plan, u, v, cmax=None):
+    """Check the plan's cost against the duals' value and the duals'
+    feasibility, both to ``CERT_TOL`` times max(1, cmax); cmax defaults to
+    max(C), and callers that keep max(C) pass it."""
+    if cmax is None:
+        cmax = float(np.max(C)) if C.size else 1.0
     value = float(np.sum(plan * C))
-    tol = CERT_TOL * max(1.0, float(np.max(C)) if C.size else 1.0)
+    tol = CERT_TOL * max(1.0, cmax)
     gap = abs(value - (float(a @ u) + float(b @ v)))
     feas = float(np.min(C - u[:, None] - v[None, :])) if C.size else 0.0
     if gap > tol or feas < -tol:

@@ -104,9 +104,12 @@ def kappa(p0_V: float, L: float, delta: float) -> float:
 
 def thm31_bound(inputs: BoundInputs) -> float:
     """n-step Wasserstein perturbation bound from (C, rho, gamma, kappa)."""
-    rn = _pow(inputs.rho, inputs.n)
-    return inputs.C * (rn * inputs.w0
-                       + (1.0 - rn) * inputs.gamma * inputs.kappa / (1.0 - inputs.rho))
+    return _thm31(inputs, _pow(inputs.rho, inputs.n))
+
+
+def _thm31(i: BoundInputs, rn):
+    """thm31_bound with rho^n given: a float, or an array of one per row."""
+    return i.C * (rn * i.w0 + (1.0 - rn) * i.gamma * i.kappa / (1.0 - i.rho))
 
 
 def stationary_wasserstein_bound(C: float, rho: float, gamma: float,
@@ -122,14 +125,17 @@ def stationary_wasserstein_bound(C: float, rho: float, gamma: float,
 def geom2_bound(C: float, rho: float, n, w0: float, gamma: float,
                 delta: float, L: float, p0_V: float) -> float:
     """Single-weight V-norm bound; needs the strengthened margin gamma + delta < 1."""
+    return thm31_bound(_geom2_inputs(C, rho, n, w0, gamma, delta, L, p0_V))
+
+
+def _geom2_inputs(C, rho, n, w0, gamma, delta, L, p0_V) -> BoundInputs:
     if gamma + delta >= 1.0:
         raise HypothesisViolation(
             f"gamma + delta = {gamma + delta:.6f} >= 1; the single-weight "
             "corollary needs gamma + delta < 1"
         )
     k = max(p0_V, L / (1.0 - delta - gamma))
-    return thm31_bound(BoundInputs(C=C, rho=rho, delta=delta, L=L,
-                                   gamma=gamma, kappa=k, n=n, w0=w0))
+    return BoundInputs(C=C, rho=rho, delta=delta, L=L, gamma=gamma, kappa=k, n=n, w0=w0)
 
 
 _INV_E = math.exp(-1.0)
@@ -154,12 +160,18 @@ def geom3_bound(C: float, rho: float, n, w0_vnorm: float, gamma_tv: float,
     (perturbed kernel with delta, unperturbed with coefficient 1) which the
     caller certifies.  w0_vnorm is the initial distance in the V-norm.
     """
+    limit = _geom3_limit(C, rho, gamma_tv, delta, L, kappa)
+    return C * _pow(rho, n) * w0_vnorm + limit
+
+
+def _geom3_limit(C, rho, gamma_tv, delta, L, kappa) -> float:
+    """The n-free term of geom3_bound, after checking its hypotheses."""
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
     if not (0.0 <= rho < 1.0):
         raise ValueError("rho must lie in [0, 1)")
     factor = _geom3_gamma_factor(C, L, gamma_tv)
-    return C * _pow(rho, n) * w0_vnorm + kappa * math.e / (1.0 - rho) * factor
+    return kappa * math.e / (1.0 - rho) * factor
 
 
 def geom3_stationary_bound(C: float, rho: float, gamma_tv: float,
@@ -228,21 +240,36 @@ class PerturbationReport:
         return "\n".join(lines) + "\n"
 
 
-def _thm31_at(C, rho, n, w0, gamma, delta, L, p0_V):
-    return thm31_bound(BoundInputs(C=C, rho=rho, delta=delta, L=L, gamma=gamma,
-                                   kappa=kappa(p0_V, L, delta), n=n, w0=w0))
+# Every row of a report at once: (C, rho, ns, w0, gamma, delta, L, p0_V) ->
+# one bound per n in ns.  Each checks its constants once, so a hypothesis
+# that fails raises before any row is made; the rows differ only in rho^n,
+# taken by _pow for each n, and share the public scalar formula, so row n
+# is the scalar bound at n bit for bit.
+def _pows(rho, ns) -> np.ndarray:
+    return np.array([_pow(rho, n) for n in ns])
 
 
-def _stationary_at(C, rho, n, w0, gamma, delta, L, p0_V):
-    return stationary_wasserstein_bound(C, rho, gamma, L, delta)
+def _thm31_rows(C, rho, ns, w0, gamma, delta, L, p0_V):
+    inputs = BoundInputs(C=C, rho=rho, delta=delta, L=L, gamma=gamma,
+                         kappa=kappa(p0_V, L, delta), n=ns[-1], w0=w0)
+    return _thm31(inputs, _pows(rho, ns))
 
 
-def _geom3_at(C, rho, n, w0, gamma, delta, L, p0_V):
-    return geom3_bound(C, rho, n, w0, gamma, delta, L, kappa(p0_V, L, delta))
+def _geom2_rows(C, rho, ns, w0, gamma, delta, L, p0_V):
+    return _thm31(_geom2_inputs(C, rho, ns[-1], w0, gamma, delta, L, p0_V), _pows(rho, ns))
 
 
-def _geom3_stationary_at(C, rho, n, w0, gamma, delta, L, p0_V):
-    return geom3_stationary_bound(C, rho, gamma, delta, L)
+def _geom3_rows(C, rho, ns, w0, gamma, delta, L, p0_V):
+    limit = _geom3_limit(C, rho, gamma, delta, L, kappa(p0_V, L, delta))
+    return C * _pows(rho, ns) * w0 + limit
+
+
+def _stationary_rows(C, rho, ns, w0, gamma, delta, L, p0_V):
+    return np.array([stationary_wasserstein_bound(C, rho, gamma, L, delta)])
+
+
+def _geom3_stationary_rows(C, rho, ns, w0, gamma, delta, L, p0_V):
+    return np.array([geom3_stationary_bound(C, rho, gamma, delta, L)])
 
 
 # per distance: (distance between two weight rows, one-step gamma), both
@@ -265,17 +292,17 @@ class _Variant(NamedTuple):
     unit_weight: bool     # drift weight 1 instead of Vt
     drift: str            # 'Pt', 'P', or 'both': Pt, L raised to P's one-step gap
     w0: Optional[tuple]   # measure of the start laws' gap; None: stationary laws
-    bound: Callable       # (C, rho, n, w0, gamma, delta, L, p0_V) -> float
+    bound: Callable       # (C, rho, ns, w0, gamma, delta, L, p0_V) -> rows
 
 
 _VARIANTS = {
-    "thm31": _Variant(FiniteMetricSpace, _W1, False, "Pt", _W1, _thm31_at),
-    "v1": _Variant(FiniteMetricSpace, _W1, True, "Pt", _W1, _thm31_at),
-    "stationary": _Variant(FiniteMetricSpace, _W1, False, "Pt", None, _stationary_at),
-    "geom1": _Variant(WeightFunction, _VNORM, False, "Pt", _VNORM, _thm31_at),
-    "geom2": _Variant(None, _VNORM, False, "P", _VNORM, geom2_bound),
-    "geom3": _Variant(None, _TV, False, "both", _VNORM, _geom3_at),
-    "geom3_stationary": _Variant(None, _TV, False, "both", None, _geom3_stationary_at),
+    "thm31": _Variant(FiniteMetricSpace, _W1, False, "Pt", _W1, _thm31_rows),
+    "v1": _Variant(FiniteMetricSpace, _W1, True, "Pt", _W1, _thm31_rows),
+    "stationary": _Variant(FiniteMetricSpace, _W1, False, "Pt", None, _stationary_rows),
+    "geom1": _Variant(WeightFunction, _VNORM, False, "Pt", _VNORM, _thm31_rows),
+    "geom2": _Variant(None, _VNORM, False, "P", _VNORM, _geom2_rows),
+    "geom3": _Variant(None, _TV, False, "both", _VNORM, _geom3_rows),
+    "geom3_stationary": _Variant(None, _TV, False, "both", None, _geom3_stationary_rows),
 }
 WHICH_CHOICES = tuple(_VARIANTS)
 
@@ -285,15 +312,38 @@ def _metric_slot(which: str, space: FiniteMetricSpace, V: WeightFunction):
     return {FiniteMetricSpace: space, WeightFunction: V, None: None}[_VARIANTS[which].slot]
 
 
-# Fits, gammas, the unit weight and the stationary laws of the instances
-# verified last, keyed on the function and every argument, so that the
-# seven variants of one instance share them across calls.  Kernels, spaces,
-# weight functions and laws copy their input, are read-only and hash by
-# identity; the cache holds its keys, so no cached id is reused.  One
-# instance needs at most 11 entries.
+# Fits, gammas, the unit weight, the stationary laws, the walks and the
+# distance tables of the instances verified last, keyed on the function
+# and every argument, so that the seven variants of one instance share
+# them across calls.  Kernels, spaces, weight functions and laws copy
+# their input, are read-only and hash by identity; the cache holds its
+# keys, so no cached id is reused.  One instance needs at most 13 entries,
+# plus 5 for each pair of start laws and n_max it is walked from.
 @functools.lru_cache(maxsize=64)
 def _once(fn, *args):
     return fn(*args)
+
+
+def _walks(P: FiniteKernel, Pt: FiniteKernel, p0: DiscreteDistribution,
+           pt0: DiscreteDistribution, n_max: int):
+    """Both chains as weight rows, as ``trajectory`` evolves them, n = 0..n_max."""
+    return _walk(p0.weights, P.matrix, n_max), _walk(pt0.weights, Pt.matrix, n_max)
+
+
+def _table(distance: Callable, metric, P: FiniteKernel, Pt: FiniteKernel,
+           start: Optional[tuple]) -> np.ndarray:
+    """``distance`` between the laws of the two chains under ``metric``.
+
+    One row per step n = 0..n_max of the shared walks from ``start =
+    (p0, pt0, n_max)``, or one row between the stationary laws when
+    ``start`` is None.
+    """
+    if start is None:
+        laws = [(_once(stationary_distribution, P).weights,
+                 _once(stationary_distribution, Pt).weights)]
+    else:
+        laws = zip(*_once(_walks, P, Pt, *start))
+    return np.array([distance(p, q, metric) for p, q in laws])
 
 
 def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
@@ -323,15 +373,20 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
     geom3_bound (w0 in the Vt-norm; L is raised to P's one-step gap).
     Stationary variants compare the stationary laws in one n = -1 row.
 
-    The fits, the gammas and the stationary laws of the instances
-    verified last are kept, keyed on the kernel, metric and weight
-    objects themselves, so the calls for the seven variants of one
-    instance compute each of them once.
+    The fits, the gammas, the stationary laws, the walks of both chains
+    and the distance tables of the instances verified last are kept,
+    keyed on the kernel, metric, weight and law objects themselves and
+    on ``n_max``, so the calls for the seven variants of one instance
+    compute each of them once: thm31 and v1 share one W1 table, and geom1
+    and geom2 one V-norm table when the slot's V is ``Vt``.
 
-    Raises HypothesisViolation (or a subclass) when the selected
-    theorem's standing hypotheses fail on this instance, before either
-    chain is evolved.
+    Raises ValueError unless ``n_max`` is a nonnegative integer, and
+    HypothesisViolation (or a subclass) when the selected theorem's
+    standing hypotheses fail on this instance, before either chain is
+    evolved.
     """
+    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
+        raise ValueError("n_max must be a nonnegative integer")
     if which not in _VARIANTS:
         raise ValueError(f"unknown theorem selector {which!r}; pick from {WHICH_CHOICES}")
     if not P.space.same_points(Pt.space):
@@ -364,19 +419,16 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
     constants = {"C": est.C, "rho": est.rho, "delta": delta, "L": L,
                  "gamma": gamma, "p0_V": p0_V, "m": m,
                  "metric_tag": est.metric_tag}
-    # both chains evolve as weight rows, as ``trajectory`` evolves them
     if row.w0 is None:
-        ns, w0 = np.array([-1]), None
-        laws = [(_once(stationary_distribution, P).weights,
-                 _once(stationary_distribution, Pt).weights)]
+        ns, w0, start = np.array([-1]), None, None
     else:
         if not (p0.space.same_points(P.space) and pt0.space.same_points(P.space)):
             raise SpaceMismatchError("start laws and kernels disagree on points")
         ns = np.arange(n_max + 1)
         w0 = constants["w0"] = row.w0[0](p0.weights, pt0.weights, metric)
-        laws = zip(_walk(p0.weights, P.matrix, n_max), _walk(pt0.weights, Pt.matrix, n_max))
+        start = (p0, pt0, n_max)
     # every bound first, so that one whose hypotheses fail raises before evolving
-    bounds = np.array([row.bound(est.C, est.rho, n, w0, gamma, delta, L, p0_V)
-                       for n in ns])
-    distances = np.array([distance(p, q, metric) for p, q in laws])
+    bounds = row.bound(est.C, est.rho, ns.tolist(), w0, gamma, delta, L, p0_V)
+    # a copy: the table stays in the memo for the other variants
+    distances = _once(_table, distance, metric, P, Pt, start).copy()
     return PerturbationReport(which, ns, distances, bounds, constants)

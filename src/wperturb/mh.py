@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from ._rng import coupled_steps, philox
 from .bounds import PerturbationReport, _pow
@@ -312,6 +311,10 @@ def _approx_accept(problem: MhProblem, perturbation: AcceptancePerturbation,
 
 
 def _quad(f, lo: float, hi: float, kinks=()) -> float:
+    # imported here, its one use: no ``wperturb run`` kind integrates, and
+    # scipy.integrate is most of the package's import time
+    from scipy import integrate
+
     pts = sorted(p for p in kinks if lo < p < hi)
     val, err = integrate.quad(f, lo, hi, epsabs=_QUAD_TOL, limit=200,
                               points=pts or None)

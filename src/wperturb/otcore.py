@@ -85,6 +85,8 @@ class FiniteMetricSpace:
         self._star = None
         # dist.tobytes(), taken by _w1 on first use as part of its memo key
         self._dist_bytes = None
+        # max(dist), which sets the tolerance of every certificate _w1 checks
+        self._dist_max = float(np.max(dist)) if n else 1.0
 
     @property
     def size(self) -> int:
@@ -235,7 +237,7 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
     closed forms are not memoised.
     """
     n = space.size
-    if np.array_equal(wa, wb):
+    if (wa == wb).all():
         return 0.0, np.diag(wa)
     if space._line is not None:
         order, xs = space._line
@@ -288,8 +290,8 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
             # rows equal up to rounding leave one side empty: move all of
             # wa onto wb over their positive supports instead
             src, dst, a, b, keep = wa > 0.0, wb > 0.0, wa, wb, np.zeros(n)
-        ia = np.flatnonzero(src)
-        ib = np.flatnonzero(dst)
+        ia = src.nonzero()[0]
+        ib = dst.nonzero()[0]
         a = a[ia]
         b = b[ib]
         mass = a.sum()
@@ -302,11 +304,12 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
         # the c-transform of the column potentials is 1-Lipschitz on the
         # whole space, so (f, -f) certifies the lifted plan on the full problem
         f = np.min(space.dist[:, ib] - v, axis=1)
-        value, plan = _transport._certify(wa, wb, space.dist, plan, f, -f)[:2]
+        value, plan = _transport._certify(wa, wb, space.dist, plan, f, -f,
+                                          space._dist_max)[:2]
         # only a certified result reaches the memo, and callers get copies
         _transport._memo.put(key, (value, plan), plan.nbytes + sum(map(len, key[1:])))
         return value, plan.copy()
-    _transport._certify(wa, wb, space.dist, plan, f, -f)
+    _transport._certify(wa, wb, space.dist, plan, f, -f, space._dist_max)
     return value, plan
 
 

@@ -23,7 +23,7 @@ from wperturb.bounds import (
     thm31_bound,
     verify_on_finite,
 )
-from wperturb import _transport, bounds
+from wperturb import _transport, bounds, kernels
 from wperturb.cli import generate_random_instance
 from wperturb.errors import HypothesisViolation
 from wperturb.kernels import FiniteKernel, stationary_distribution, trajectory
@@ -245,6 +245,48 @@ def test_verify_on_finite_geom3_big_gamma_rejected():
         verify_on_finite(P, Pt, None, Vt, p, p, 5, "geom3")
 
 
+def _refuse(*args):
+    raise AssertionError("a chain was evolved or measured before the hypotheses held")
+
+
+@pytest.mark.parametrize("which, Pt_rows", [
+    ("geom2", [[0.0, 1.0], [1.0, 0.0]]),  # Vt-norm gamma 2: gamma + delta >= 1
+    ("geom3", [[0.1, 0.9], [0.9, 0.1]]),  # gamma_tv 1.2 > 1/e
+    ("geom3", [[0.7, 0.3], [0.6, 0.4]]),  # gamma_tv 0, below the open interval
+])
+def test_bound_hypotheses_raise_before_any_walk_or_w1(monkeypatch, which, Pt_rows):
+    sp = trivial_metric(range(2))
+    P = FiniteKernel(sp, [[0.7, 0.3], [0.6, 0.4]])
+    Pt = FiniteKernel(sp, Pt_rows)
+    Vt = WeightFunction.ones(sp)
+    p = DiscreteDistribution(sp, [0.5, 0.5])
+    q = DiscreteDistribution(sp, [0.2, 0.8])
+    for module in (bounds, kernels):
+        monkeypatch.setattr(module, "_w1", _refuse)
+    monkeypatch.setattr(bounds, "_walk", _refuse)
+    with pytest.raises(HypothesisViolation, match="gamma"):
+        verify_on_finite(P, Pt, None, Vt, p, q, 5, which, delta=0.3)
+
+
+@pytest.mark.parametrize("n_max", [-1, 2.5, 3.0, "3", None])
+@pytest.mark.parametrize("which", ["thm31", "stationary"])
+def test_verify_rejects_n_max_that_is_not_a_nonnegative_integer(monkeypatch, n_max, which):
+    P, Pt, sp, V, Vt, p0, pt0 = make_instance(1)
+    # up front: before any fit, and so before any walk or distance
+    monkeypatch.setattr(bounds, "_once", _refuse)
+    with pytest.raises(ValueError, match="n_max"):
+        verify_on_finite(P, Pt, sp, Vt, p0, pt0, n_max, which)
+
+
+def test_verify_accepts_numpy_integer_n_max():
+    P, Pt, sp, V, Vt, p0, pt0 = make_instance(1)
+    rep = verify_on_finite(P, Pt, sp, Vt, p0, pt0, np.int64(4), "thm31")
+    ref = verify_on_finite(P, Pt, sp, Vt, p0, pt0, 4, "thm31")
+    assert list(rep.ns) == [0, 1, 2, 3, 4]
+    assert rep.distances.tobytes() == ref.distances.tobytes()
+    assert rep.bounds.tobytes() == ref.bounds.tobytes()
+
+
 def test_verify_selector_validation():
     P, Pt, sp, V, Vt, p0, pt0 = make_instance(1)
     with pytest.raises(ValueError, match="selector"):
@@ -255,31 +297,36 @@ def test_verify_selector_validation():
         verify_on_finite(P, Pt, sp, Vt, p0, pt0, 5, "geom3")
 
 
-def _all_variants(P, Pt, sp, V, Vt, p0, pt0, m=2):
+def _all_variants(P, Pt, sp, V, Vt, p0, pt0, m=2, n_max=12):
     return {which: verify_on_finite(P, Pt, _metric_slot(which, sp, V), Vt, p0, pt0,
-                                    12, which, delta=0.3, m=m)
+                                    n_max, which, delta=0.3, m=m)
             for which in WHICH_CHOICES}
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_shared_instance_reports_match_separate_calls(seed):
     # V != Vt, and v1 drifts on weight 1: a cache keyed on too little
-    # hands one variant another's fit or gamma.  Other kernels on the same
-    # space and weights, and the same objects at another horizon m, must
-    # not be handed the first instance's fits either
+    # hands one variant another's fit, gamma or distance table.  Other
+    # kernels on the same space and weights, the same objects at another
+    # horizon m or n_max, and the same kernels walked from another pair of
+    # start laws (one law in common) must not be handed the first
+    # instance's fits, walks or tables either; with V = Vt, geom1 and
+    # geom2 share one table
     P, Pt, sp, V, Vt, p0, pt0 = make_instance(seed)
     Q, Qt = make_instance(seed + 10)[:2]
     Q, Qt = FiniteKernel(sp, Q.matrix), FiniteKernel(sp, Qt.matrix)
-    inputs = [(P, Pt, sp, V, Vt, p0, pt0, 2), (Q, Qt, sp, V, Vt, p0, pt0, 2),
-              (P, Pt, sp, V, Vt, p0, pt0, 3)]
+    q0 = DiscreteDistribution(sp, make_instance(seed + 20)[6].weights)
+    inputs = [(P, Pt, sp, V, Vt, p0, pt0, 2, 12), (Q, Qt, sp, V, Vt, p0, pt0, 2, 12),
+              (P, Pt, sp, V, Vt, p0, pt0, 3, 12), (P, Pt, sp, V, Vt, p0, q0, 2, 12),
+              (P, Pt, sp, V, Vt, p0, pt0, 2, 7), (P, Pt, sp, Vt, Vt, p0, pt0, 2, 12)]
     shared = [_all_variants(*args) for args in inputs]  # back to back
     alone = []  # each report made on an empty memo, so nothing is shared
-    for P_, Pt_, sp_, V_, Vt_, p0_, pt0_, m in inputs:
+    for P_, Pt_, sp_, V_, Vt_, p0_, pt0_, m, n_max in inputs:
         reports = {}
         for which in WHICH_CHOICES:
             bounds._once.cache_clear()
             reports[which] = verify_on_finite(P_, Pt_, _metric_slot(which, sp_, V_), Vt_,
-                                              p0_, pt0_, 12, which, delta=0.3, m=m)
+                                              p0_, pt0_, n_max, which, delta=0.3, m=m)
         alone.append(reports)
     for got, want in zip(shared, alone):
         for which in WHICH_CHOICES:
@@ -288,9 +335,49 @@ def test_shared_instance_reports_match_separate_calls(seed):
             for field in ("ns", "distances", "bounds"):
                 assert getattr(rep, field).tobytes() == getattr(ref, field).tobytes(), which
             assert rep.constants == ref.constants, which
-    # the three inputs fit differently, so a wrongly shared fit would show
-    first, other, horizon = (r["thm31"].constants for r in shared)
-    assert first["rho"] != other["rho"] and first["rho"] != horizon["rho"]
+    # the inputs fit and walk differently, so a wrongly shared fit, walk or
+    # table would show
+    first, other, horizon, starts, short, _ = (r["thm31"] for r in shared)
+    assert first.constants["rho"] != other.constants["rho"]
+    assert first.constants["rho"] != horizon.constants["rho"]
+    assert first.distances[-1] != starts.distances[-1]
+    assert len(short.distances) == 8 and len(first.distances) == 13
+    assert shared[0]["geom1"].distances[-1] != shared[0]["geom2"].distances[-1]
+    assert shared[5]["geom1"].distances.tobytes() == shared[5]["geom2"].distances.tobytes()
+
+
+def _public_bound(which, c, n):
+    """The public scalar bound that row n of a ``which`` report must equal."""
+    C, rho, gamma, delta, L, p0_V = (c[k] for k in ("C", "rho", "gamma", "delta", "L", "p0_V"))
+    if which in ("thm31", "v1", "geom1"):
+        return thm31_bound(BoundInputs(C=C, rho=rho, delta=delta, L=L, gamma=gamma,
+                                       kappa=kappa(p0_V, L, delta), n=n, w0=c["w0"]))
+    if which == "geom2":
+        return geom2_bound(C, rho, n, c["w0"], gamma, delta, L, p0_V)
+    if which == "geom3":
+        return geom3_bound(C, rho, n, c["w0"], gamma, delta, L, kappa(p0_V, L, delta))
+    if which == "stationary":
+        return stationary_wasserstein_bound(C, rho, gamma, L, delta)
+    return geom3_stationary_bound(C, rho, gamma, delta, L)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_report_bounds_are_the_public_scalar_bounds_bit_for_bit(seed):
+    # every row of a report is made at once; each must still be the
+    # public scalar bound at its n, to the last bit
+    if seed < 6:
+        P, Pt, sp, V, p0, pt0 = generate_random_instance(seed, 4 + seed, 0.5)
+        Vt, delta = V, 0.5
+    else:
+        P, Pt, sp, V, Vt, p0, pt0 = make_instance(seed)
+        delta = 0.3
+    for which in WHICH_CHOICES:
+        rep = verify_on_finite(P, Pt, _metric_slot(which, sp, V), Vt, p0, pt0, 30, which,
+                               delta=delta)
+        ns = [-1] if "stationary" in which else range(31)
+        assert list(rep.ns) == list(ns)
+        expected = np.array([_public_bound(which, rep.constants, n) for n in ns])
+        assert rep.bounds.tobytes() == expected.tobytes(), which
 
 
 @pytest.mark.parametrize("seed, size, mix", [

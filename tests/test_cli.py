@@ -412,6 +412,26 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_import_and_ar1_run_leave_scipy_integrate_unloaded(tmp_path):
+    # only the MH line constants integrate, so the package and a run that
+    # computes none of them must not pay for importing scipy.integrate
+    import subprocess
+    import sys
+
+    import wperturb
+
+    src = os.path.dirname(os.path.dirname(wperturb.__file__))
+    path = write_cfg(tmp_path, AR1_CFG.format(out=tmp_path / "a"))
+    code = ("import sys, wperturb\n"
+            "from wperturb.cli import main\n"
+            f"assert main(['run', {path!r}]) == 0\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"  # after the run's own messages
+
+
 def test_seed_override_changes_monte_carlo_output(tmp_path):
     p1 = write_cfg(tmp_path, AR1_CFG.format(out=tmp_path / "a"))
     assert main(["run", p1]) == EXIT_OK
