@@ -8,7 +8,10 @@ Cunningham's strongly feasible trees so that degenerate pivots cannot
 cycle.  A pivot cap turns a runaway solve into a ``TransportError``.  Every
 solve returns dual potentials and is certified optimal through
 complementary slackness before the caller sees it, so a solver bug can
-produce an exception but never a silently wrong distance.
+produce an exception but never a silently wrong distance.  The certificate
+demands a duality gap and a dual slack within tolerance, not merely the
+absence of a violation, so a plan or potential that is NaN or infinite is
+rejected too.
 
 The tree is kept in Python lists, which beat element-wise numpy indexing
 at the support sizes used here; only the pricing runs in numpy.  ``_memo``
@@ -60,22 +63,22 @@ def _simplex(a, b, C):
         # a point of zero mass carries no flow: it stays out of the tree
         # and gets the c-transform potential at the end
         cut = True
-        rows = np.flatnonzero(a > 0.0)
-        cols = np.flatnonzero(b > 0.0)
+        rows = (a > 0.0).nonzero()[0]
+        cols = (b > 0.0).nonzero()[0]
         if not (rows.size and cols.size):
             v = C.min(axis=0) if n else np.zeros(m)
             status = 0 if max(a.sum(), b.sum()) <= _MASS_EPS else -1
             return np.zeros((n, m)), np.zeros(n), v, status
         ra = a[rows].tolist()
         rb = b[cols].tolist()
-        Cs = C[np.ix_(rows, cols)]
+        Cs = C[rows[:, None], cols]
     p, q = Cs.shape
     N = p + q  # sources are nodes 0..p-1, sinks p..N-1
     Cl = Cs.tolist()
     # least-cost greedy start: walk the arcs in rising cost order and put
     # as much flow on each as both ends still allow; every such arc
     # exhausts one of its ends, so these arcs form a forest
-    order = np.argsort(Cs, axis=None, kind="stable").tolist()
+    order = Cs.argsort(axis=None, kind="stable").tolist()
     adj = [[] for _ in range(N)]
     open_rows, open_cols = p, q
     for k in order:
@@ -130,7 +133,7 @@ def _simplex(a, b, C):
     tree_cols = [x - p for x in hang(root, -1) if x >= p]
     for s in range(p):
         if not seen[s]:
-            j = tree_cols[int(np.argmin(Cs[s, tree_cols]))]
+            j = min(tree_cols, key=Cl[s].__getitem__)
             tree_cols += [x - p for x in hang(s, p + j) if x >= p]
     children = [set() for _ in range(N)]
     for x in range(N):
@@ -138,12 +141,16 @@ def _simplex(a, b, C):
             children[parent[x]].add(x)
     depth = [0] * N
     # signed potentials: -u for the sources, v for the sinks, so that
-    # re-hanging a subtree shifts all of its nodes by the same amount
+    # re-hanging a subtree shifts all of its nodes by the same amount; kept
+    # in a list, and copied into phi for each pricing
+    w = [0.0] * N
     phi = np.empty(N)
+    phi_s = phi[:p, None]
+    phi_t = phi[p:]
 
     def potentials():
-        # one traversal from the root; every tree arc has reduced cost 0
-        w = [0.0] * N
+        # one traversal from the root (whose potential stays 0); every
+        # tree arc has reduced cost 0
         stack = [root]
         while stack:
             x = stack.pop()
@@ -152,21 +159,21 @@ def _simplex(a, b, C):
                 depth[y] = d
                 w[y] = w[x] - Cl[y][x - p] if y < p else Cl[x][y - p] + w[x]
                 stack.append(y)
-        phi[:] = w
 
     potentials()
     # the sort already holds the cheapest and the dearest arc
-    tol = _PRICE_TOL * max(abs(float(Cs.flat[order[0]])), abs(float(Cs.flat[order[-1]])))
+    tol = _PRICE_TOL * max(abs(Cs.item(order[0])), abs(Cs.item(order[-1])))
     cap = _PIVOT_CAP * N
     R = np.empty((p, q))
     fresh = True
     pivots = 0
     while True:
         # Dantzig pricing: the most negative reduced cost enters
-        np.add(Cs, phi[:p, None], out=R)
-        R -= phi[p:]
+        phi[:] = w
+        np.add(Cs, phi_s, out=R)
+        R -= phi_t
         k = int(R.argmin())
-        rc = float(R.flat[k])
+        rc = R.item(k)
         if not rc < -tol:
             if fresh:
                 break
@@ -241,11 +248,11 @@ def _simplex(a, b, C):
         depth[first] = depth[parent[first]] + 1
         nodes = [first]
         for x in nodes:
+            w[x] += shift
             d = depth[x] + 1
             for y in children[x]:
                 depth[y] = d
                 nodes.append(y)
-        phi[nodes] += shift
     X = np.zeros((p, q))
     for x in range(N):
         if x != root:
@@ -258,14 +265,14 @@ def _simplex(a, b, C):
     if not cut:
         return X, u, v, 0
     plan = np.zeros((n, m))
-    plan[np.ix_(rows, cols)] = X
+    plan[rows[:, None], cols] = X
     U = np.zeros(n)
     V = np.zeros(m)
     U[rows] = u
     V[cols] = v
     # c-transforms keep every arc at a zero-mass point dual feasible
-    V[b <= 0.0] = np.min(C[rows][:, b <= 0.0] - u[:, None], axis=0)
-    U[a <= 0.0] = np.min(C[a <= 0.0] - V, axis=1)
+    V[b <= 0.0] = (C[rows][:, b <= 0.0] - u[:, None]).min(axis=0)
+    U[a <= 0.0] = (C[a <= 0.0] - V).min(axis=1)
     return plan, U, V, 0
 
 
@@ -339,12 +346,13 @@ def _certify(a, b, C, plan, u, v, cmax=None):
     feasibility, both to ``CERT_TOL`` times max(1, cmax); cmax defaults to
     max(C), and callers that keep max(C) pass it."""
     if cmax is None:
-        cmax = float(np.max(C)) if C.size else 1.0
-    value = float(np.sum(plan * C))
+        cmax = float(C.max()) if C.size else 1.0
+    value = float((plan * C).sum())
     tol = CERT_TOL * max(1.0, cmax)
     gap = abs(value - (float(a @ u) + float(b @ v)))
-    feas = float(np.min(C - u[:, None] - v[None, :])) if C.size else 0.0
-    if gap > tol or feas < -tol:
+    feas = float((C - u[:, None] - v).min()) if C.size else 0.0
+    # NaN fails both comparisons, so a non-finite plan or dual is rejected
+    if not (gap <= tol and feas >= -tol):
         raise TransportError(
             f"optimality certificate failed (gap={gap:.3e}, dual slack={feas:.3e})"
         )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -240,36 +240,46 @@ class PerturbationReport:
         return "\n".join(lines) + "\n"
 
 
-# Every row of a report at once: (C, rho, ns, w0, gamma, delta, L, p0_V) ->
-# one bound per n in ns.  Each checks its constants once, so a hypothesis
-# that fails raises before any row is made; the rows differ only in rho^n,
-# taken by _pow for each n, and share the public scalar formula, so row n
-# is the scalar bound at n bit for bit.
+# Every row of a report at once, in two steps: (C, rho, ns, gamma, delta,
+# L, p0_V) checks the constants and the theorem's hypotheses and returns
+# rows(w0), one bound per n in ns.  So a hypothesis that fails raises
+# before any chain is evolved or w0 is measured, and w0 can be read off
+# the distance table afterwards.  The rows differ only in rho^n, taken by
+# _pow for each n, and share the public scalar formula, so row n is the
+# scalar bound at n bit for bit.
 def _pows(rho, ns) -> np.ndarray:
     return np.array([_pow(rho, n) for n in ns])
 
 
-def _thm31_rows(C, rho, ns, w0, gamma, delta, L, p0_V):
-    inputs = BoundInputs(C=C, rho=rho, delta=delta, L=L, gamma=gamma,
-                         kappa=kappa(p0_V, L, delta), n=ns[-1], w0=w0)
-    return _thm31(inputs, _pows(rho, ns))
+def _thm31_at(inputs: BoundInputs, ns) -> Callable:
+    """rows(w0) for thm31_bound, from inputs checked with a placeholder w0."""
+    pows = _pows(inputs.rho, ns)
+    return lambda w0: _thm31(replace(inputs, w0=w0), pows)
 
 
-def _geom2_rows(C, rho, ns, w0, gamma, delta, L, p0_V):
-    return _thm31(_geom2_inputs(C, rho, ns[-1], w0, gamma, delta, L, p0_V), _pows(rho, ns))
+def _thm31_rows(C, rho, ns, gamma, delta, L, p0_V):
+    return _thm31_at(BoundInputs(C=C, rho=rho, delta=delta, L=L, gamma=gamma,
+                                 kappa=kappa(p0_V, L, delta), n=ns[-1], w0=0.0), ns)
 
 
-def _geom3_rows(C, rho, ns, w0, gamma, delta, L, p0_V):
+def _geom2_rows(C, rho, ns, gamma, delta, L, p0_V):
+    return _thm31_at(_geom2_inputs(C, rho, ns[-1], 0.0, gamma, delta, L, p0_V), ns)
+
+
+def _geom3_rows(C, rho, ns, gamma, delta, L, p0_V):
     limit = _geom3_limit(C, rho, gamma, delta, L, kappa(p0_V, L, delta))
-    return C * _pows(rho, ns) * w0 + limit
+    pows = _pows(rho, ns)
+    return lambda w0: C * pows * w0 + limit
 
 
-def _stationary_rows(C, rho, ns, w0, gamma, delta, L, p0_V):
-    return np.array([stationary_wasserstein_bound(C, rho, gamma, L, delta)])
+def _stationary_rows(C, rho, ns, gamma, delta, L, p0_V):
+    rows = np.array([stationary_wasserstein_bound(C, rho, gamma, L, delta)])
+    return lambda w0: rows
 
 
-def _geom3_stationary_rows(C, rho, ns, w0, gamma, delta, L, p0_V):
-    return np.array([geom3_stationary_bound(C, rho, gamma, delta, L)])
+def _geom3_stationary_rows(C, rho, ns, gamma, delta, L, p0_V):
+    rows = np.array([geom3_stationary_bound(C, rho, gamma, delta, L)])
+    return lambda w0: rows
 
 
 # per distance: (distance between two weight rows, one-step gamma), both
@@ -292,7 +302,7 @@ class _Variant(NamedTuple):
     unit_weight: bool     # drift weight 1 instead of Vt
     drift: str            # 'Pt', 'P', or 'both': Pt, L raised to P's one-step gap
     w0: Optional[tuple]   # measure of the start laws' gap; None: stationary laws
-    bound: Callable       # (C, rho, ns, w0, gamma, delta, L, p0_V) -> rows
+    bound: Callable       # (C, rho, ns, gamma, delta, L, p0_V) -> rows(w0)
 
 
 _VARIANTS = {
@@ -420,15 +430,21 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
                  "gamma": gamma, "p0_V": p0_V, "m": m,
                  "metric_tag": est.metric_tag}
     if row.w0 is None:
-        ns, w0, start = np.array([-1]), None, None
+        ns, start = np.array([-1]), None
     else:
         if not (p0.space.same_points(P.space) and pt0.space.same_points(P.space)):
             raise SpaceMismatchError("start laws and kernels disagree on points")
         ns = np.arange(n_max + 1)
-        w0 = constants["w0"] = row.w0[0](p0.weights, pt0.weights, metric)
         start = (p0, pt0, n_max)
-    # every bound first, so that one whose hypotheses fail raises before evolving
-    bounds = row.bound(est.C, est.rho, ns.tolist(), w0, gamma, delta, L, p0_V)
+    # every bound's checks first, so that one whose hypotheses fail raises
+    # before evolving
+    rows = row.bound(est.C, est.rho, ns.tolist(), gamma, delta, L, p0_V)
     # a copy: the table stays in the memo for the other variants
     distances = _once(_table, distance, metric, P, Pt, start).copy()
-    return PerturbationReport(which, ns, distances, bounds, constants)
+    w0 = None
+    if row.w0 is row.measure:
+        # the table's row 0 is this distance between the start laws
+        w0 = constants["w0"] = float(distances[0])
+    elif row.w0 is not None:
+        w0 = constants["w0"] = row.w0[0](p0.weights, pt0.weights, metric)
+    return PerturbationReport(which, ns, distances, rows(w0), constants)

@@ -282,28 +282,33 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
         # W1 depends only on wa - wb, so the common mass min(wa, wb) stays
         # in place and only the excess is moved onto the deficit
         d = wa - wb
-        src = d > 0.0
-        dst = d < 0.0
-        if src.any() and dst.any():
-            a, b, keep = d, -d, np.minimum(wa, wb)
+        ia = (d > 0.0).nonzero()[0]
+        ib = (d < 0.0).nonzero()[0]
+        plan = np.zeros((n, n))
+        if ia.size and ib.size:
+            a = d[ia]
+            b = -d[ib]
+            plan.ravel()[::n + 1] = np.minimum(wa, wb)
         else:
             # rows equal up to rounding leave one side empty: move all of
             # wa onto wb over their positive supports instead
-            src, dst, a, b, keep = wa > 0.0, wb > 0.0, wa, wb, np.zeros(n)
-        ia = src.nonzero()[0]
-        ib = dst.nonzero()[0]
-        a = a[ia]
-        b = b[ib]
+            ia = (wa > 0.0).nonzero()[0]
+            ib = (wb > 0.0).nonzero()[0]
+            a = wa[ia]
+            b = wb[ib]
         mass = a.sum()
-        rows = ia[:, None]  # cheaper than np.ix_ on this hot path
+        # the columns of the deficit, taken once for the solve and the
+        # c-transform (take is cheaper than fancy indexing at these sizes)
+        cols = space.dist.take(ib, axis=1)
         # each side at unit mass, so a tiny distance is solved to relative
         # accuracy; the plan is scaled back by the excess mass
-        _, sub, _, v = _transport.solve(a / mass, b / b.sum(), space.dist[rows, ib])
-        plan = np.diag(keep)
-        plan[rows, ib] += mass * sub
+        _, sub, _, v = _transport.solve(a / mass, b / b.sum(), cols.take(ia, axis=0))
+        # the sub-plan's cells are off the diagonal (the excess and deficit
+        # supports are disjoint), or the plan is still all zero
+        plan[ia[:, None], ib] = mass * sub
         # the c-transform of the column potentials is 1-Lipschitz on the
         # whole space, so (f, -f) certifies the lifted plan on the full problem
-        f = np.min(space.dist[:, ib] - v, axis=1)
+        f = (cols - v).min(axis=1)
         value, plan = _transport._certify(wa, wb, space.dist, plan, f, -f,
                                           space._dist_max)[:2]
         # only a certified result reaches the memo, and callers get copies

@@ -268,6 +268,35 @@ def test_bound_hypotheses_raise_before_any_walk_or_w1(monkeypatch, which, Pt_row
         verify_on_finite(P, Pt, None, Vt, p, q, 5, which, delta=0.3)
 
 
+@pytest.mark.parametrize("which", ["thm31", "v1", "geom1", "geom2", "geom3"])
+def test_w0_is_measured_once(monkeypatch, which):
+    # thm31, v1, geom1 and geom2 measure w0 as their table does, so w0 is
+    # the table's row 0; geom3 measures its w0 in the V-norm, not in TV
+    P, Pt, sp, V, Vt, p0, pt0 = make_instance(3)
+    measured = []
+
+    def counted(fn):
+        def call(*args):
+            measured.append(fn)
+            return fn(*args)
+        return call
+
+    for name in ("_w1", "_vnorm", "_tv"):
+        monkeypatch.setattr(bounds, name, counted(getattr(bounds, name)))
+    rep = verify_on_finite(P, Pt, _metric_slot(which, sp, V), Vt, p0, pt0, 6, which, delta=0.3)
+    assert len(measured) == 7 + (which == "geom3")
+    w0 = rep.constants["w0"]
+    assert type(w0) is float
+    expected = {"thm31": lambda: wasserstein1_exact(p0, pt0, sp)[0],
+                "v1": lambda: wasserstein1_exact(p0, pt0, sp)[0],
+                "geom1": lambda: vnorm_distance(p0, pt0, V),
+                "geom2": lambda: vnorm_distance(p0, pt0, Vt),
+                "geom3": lambda: vnorm_distance(p0, pt0, Vt)}[which]()
+    assert w0 == expected
+    if which != "geom3":
+        assert w0 == rep.distances[0]
+
+
 @pytest.mark.parametrize("n_max", [-1, 2.5, 3.0, "3", None])
 @pytest.mark.parametrize("which", ["thm31", "stationary"])
 def test_verify_rejects_n_max_that_is_not_a_nonnegative_integer(monkeypatch, n_max, which):

@@ -649,6 +649,21 @@ def test_pivot_cap_raises_and_stores_nothing(monkeypatch):
     assert len(_transport._memo) == 1
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", ["u", "v", "plan"])
+def test_certificate_rejects_non_finite_values(bad, value):
+    # NaN fails every comparison, so a check written as "raise if gap > tol"
+    # would let it through; the certificate must demand gap <= tol instead
+    w = np.array([0.5, 0.5])
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    parts = {"plan": np.diag(w), "u": np.zeros(2), "v": np.zeros(2)}
+    _transport._certify(w, w, C, parts["plan"], parts["u"], parts["v"])  # the sound one passes
+    parts[bad] = parts[bad].copy()
+    parts[bad].flat[1] = value
+    with pytest.raises(_transport.TransportError, match="certificate"):
+        _transport._certify(w, w, C, parts["plan"], parts["u"], parts["v"])
+
+
 # ------------------------------------------------------------------- W1 memo
 
 
@@ -723,6 +738,20 @@ def test_memo_holds_only_certified_results(monkeypatch):
         assert len(_transport._memo) == 0
     wasserstein1_exact(mu, nu)
     assert len(_transport._memo) == 1
+
+
+def test_memo_stays_empty_when_the_simplex_returns_nan_potentials(monkeypatch):
+    mu, nu = _random_laws(25)
+    simplex = _transport._simplex
+
+    def nan_potentials(a, b, C):
+        plan, u, v, status = simplex(a, b, C)
+        return plan, np.full_like(u, np.nan), np.full_like(v, np.nan), status
+
+    monkeypatch.setattr(_transport, "_simplex", nan_potentials)
+    with pytest.raises(_transport.TransportError, match="certificate"):
+        wasserstein1_exact(mu, nu)
+    assert len(_transport._memo) == 0
 
 
 def test_memo_evicts_least_recently_used_within_its_bounds():
