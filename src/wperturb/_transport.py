@@ -5,13 +5,14 @@ sinks: a least-cost greedy start completed to a spanning tree, potentials
 from one traversal of the tree, Dantzig pricing (the most negative reduced
 cost ``C - u - v``, in numpy), the ratio test on the tree cycle, and
 Cunningham's strongly feasible trees so that degenerate pivots cannot
-cycle.  A pivot cap turns a runaway solve into a ``TransportError``.  Every
-solve returns dual potentials and is certified optimal through
-complementary slackness before the caller sees it, so a solver bug can
-produce an exception but never a silently wrong distance.  The certificate
-demands a duality gap and a dual slack within tolerance, not merely the
-absence of a violation, so a plan or potential that is NaN or infinite is
-rejected too.
+cycle.  The histograms must be non-empty and strictly positive, since zero
+mass is cut in one place, ``otcore._w1``; other input, like a runaway solve
+past the pivot cap, raises ``TransportError``.  Every solve returns dual
+potentials and is certified optimal through complementary slackness before
+the caller sees it, so a solver bug can produce an exception but never a
+silently wrong distance.  The certificate demands a duality gap and a dual
+slack within tolerance, not merely the absence of a violation, so a plan or
+potential that is NaN or infinite is rejected too.
 
 The tree is kept in Python lists, which beat element-wise numpy indexing
 at the support sizes used here; only the pricing runs in numpy.  ``_memo``
@@ -51,34 +52,21 @@ def _simplex(a, b, C):
     """Transportation simplex; returns ``(plan, u, v, status)`` as arrays.
 
     status is 0 on success, -1 when the supplies and the demands differ by
-    more than ``_MASS_EPS`` and -2 when the pivot cap is hit.
+    more than ``_MASS_EPS``, -2 when the pivot cap is hit and -3 when ``a``
+    or ``b`` is empty or not strictly positive.
     """
-    n, m = C.shape
     ra = a.tolist()
     rb = b.tolist()
-    if min(ra, default=0.0) > 0.0 and min(rb, default=0.0) > 0.0:
-        cut = False
-        Cs = C
-    else:
-        # a point of zero mass carries no flow: it stays out of the tree
-        # and gets the c-transform potential at the end
-        cut = True
-        rows = (a > 0.0).nonzero()[0]
-        cols = (b > 0.0).nonzero()[0]
-        if not (rows.size and cols.size):
-            v = C.min(axis=0) if n else np.zeros(m)
-            status = 0 if max(a.sum(), b.sum()) <= _MASS_EPS else -1
-            return np.zeros((n, m)), np.zeros(n), v, status
-        ra = a[rows].tolist()
-        rb = b[cols].tolist()
-        Cs = C[rows[:, None], cols]
-    p, q = Cs.shape
+    # otcore._w1 cuts zero mass; a NaN that min lets by fails the certificate
+    if not (ra and rb and min(ra) > 0.0 and min(rb) > 0.0):
+        return None, None, None, -3
+    p, q = C.shape
     N = p + q  # sources are nodes 0..p-1, sinks p..N-1
-    Cl = Cs.tolist()
+    Cl = C.tolist()
     # least-cost greedy start: walk the arcs in rising cost order and put
     # as much flow on each as both ends still allow; every such arc
     # exhausts one of its ends, so these arcs form a forest
-    order = Cs.argsort(axis=None, kind="stable").tolist()
+    order = C.argsort(axis=None, kind="stable").tolist()
     adj = [[] for _ in range(N)]
     open_rows, open_cols = p, q
     for k in order:
@@ -162,7 +150,7 @@ def _simplex(a, b, C):
 
     potentials()
     # the sort already holds the cheapest and the dearest arc
-    tol = _PRICE_TOL * max(abs(Cs.item(order[0])), abs(Cs.item(order[-1])))
+    tol = _PRICE_TOL * max(abs(C.item(order[0])), abs(C.item(order[-1])))
     cap = _PIVOT_CAP * N
     R = np.empty((p, q))
     fresh = True
@@ -170,7 +158,7 @@ def _simplex(a, b, C):
     while True:
         # Dantzig pricing: the most negative reduced cost enters
         phi[:] = w
-        np.add(Cs, phi_s, out=R)
+        np.add(C, phi_s, out=R)
         R -= phi_t
         k = int(R.argmin())
         rc = R.item(k)
@@ -255,25 +243,11 @@ def _simplex(a, b, C):
                 nodes.append(y)
     X = np.zeros((p, q))
     for x in range(N):
-        if x != root:
-            if x < p:
-                X[x, parent[x] - p] = flow[x]
-            else:
-                X[parent[x], x - p] = flow[x]
-    u = -phi[:p]
-    v = phi[p:].copy()
-    if not cut:
-        return X, u, v, 0
-    plan = np.zeros((n, m))
-    plan[rows[:, None], cols] = X
-    U = np.zeros(n)
-    V = np.zeros(m)
-    U[rows] = u
-    V[cols] = v
-    # c-transforms keep every arc at a zero-mass point dual feasible
-    V[b <= 0.0] = (C[rows][:, b <= 0.0] - u[:, None]).min(axis=0)
-    U[a <= 0.0] = (C[a <= 0.0] - V).min(axis=1)
-    return plan, U, V, 0
+        if x < p:
+            X[x, parent[x] - p] = flow[x]
+        elif x != root:  # the root is a sink
+            X[parent[x], x - p] = flow[x]
+    return X, -phi[:p], phi[p:].copy(), 0
 
 
 class _Memo:
@@ -325,7 +299,8 @@ _memo = _Memo(max_entries=4096, max_bytes=64 << 20)
 
 
 def solve(a, b, C):
-    """Optimal transport plan between histograms ``a`` and ``b``.
+    """Optimal transport plan between non-empty, strictly positive
+    histograms ``a`` and ``b``; other input raises ``TransportError``.
 
     Returns ``(value, plan, u, v)`` where ``(u, v)`` are dual potentials.
     The result is certified: dual feasibility and a vanishing duality gap
@@ -346,11 +321,11 @@ def _certify(a, b, C, plan, u, v, cmax=None):
     feasibility, both to ``CERT_TOL`` times max(1, cmax); cmax defaults to
     max(C), and callers that keep max(C) pass it."""
     if cmax is None:
-        cmax = float(C.max()) if C.size else 1.0
+        cmax = float(C.max())
     value = float((plan * C).sum())
     tol = CERT_TOL * max(1.0, cmax)
     gap = abs(value - (float(a @ u) + float(b @ v)))
-    feas = float((C - u[:, None] - v).min()) if C.size else 0.0
+    feas = float((C - u[:, None] - v).min())
     # NaN fails both comparisons, so a non-finite plan or dual is rejected
     if not (gap <= tol and feas >= -tol):
         raise TransportError(

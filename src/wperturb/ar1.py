@@ -58,8 +58,8 @@ class Innovation:
 
     @classmethod
     def gaussian(cls, mean: float, sd: float) -> "Innovation":
-        if sd <= 0.0:
-            raise ValueError("sd must be positive")
+        if not (math.isfinite(mean) and math.isfinite(sd) and sd > 0.0):
+            raise ValueError(f"need a finite mean and a finite sd > 0, got {mean}, {sd}")
         return cls(
             sampler=lambda rng, size: rng.normal(mean, sd, size=size),
             mean=mean,

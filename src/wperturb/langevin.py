@@ -436,8 +436,14 @@ def empirical_tv_binned(a: np.ndarray, b: np.ndarray, bins: int = 256) -> float:
     b = np.asarray(b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
+    if not (isinstance(bins, (int, np.integer)) and bins > 0):
+        raise ValueError(f"bins must be a positive integer, got {bins!r}")
+    ends = (a.min(), a.max(), b.min(), b.max())
+    # numpy's min and max propagate NaN, so the four ends check every sample
+    if not np.isfinite(ends).all():
+        raise ValueError("samples must be finite")
+    lo = min(ends[0], ends[2])
+    hi = max(ends[1], ends[3])
     if lo == hi:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)

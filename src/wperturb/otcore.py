@@ -13,7 +13,9 @@ one place that picks how a Wasserstein distance is computed:
     metric cost W1 depends only on mu - nu (Kantorovich-Rubinstein) and
     some optimal plan leaves the common mass min(mu, nu) in place, so the
     solve moves only the excess onto the deficit, each scaled to unit
-    mass: a problem about half the size on each side.
+    mass: a problem about half the size on each side.  Points without
+    mass are dropped here, before the solve, which takes only positive
+    histograms; the lift gives them potentials by the c-transform.
 
 Every route returns a full-size plan and dual potentials ``(f, -f)`` that
 pass the same optimality certificate on the whole space, so a wrong

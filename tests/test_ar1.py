@@ -59,6 +59,14 @@ def test_folded_normal_degenerate_sd():
     assert gaussian_abs_mean(-3.0, 0.0) == 3.0
 
 
+@pytest.mark.parametrize("mean,sd", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf), (0.0, 0.0), (0.0, -1.0),
+])
+def test_gaussian_innovation_rejects_non_finite_or_non_positive_parameters(mean, sd):
+    with pytest.raises(ValueError):
+        Innovation.gaussian(mean, sd)
+
+
 def test_constants_hand_values():
     assert ar1_constants(0.0, 1.5) == (0.0, 2.5)
     delta, L = ar1_constants(0.4, E_ABS_Z_N11)

@@ -596,6 +596,23 @@ def test_empirical_tv_binned_basics():
         empirical_tv_binned(np.array([]), a)
 
 
+@pytest.mark.parametrize("bins", [0, -3, 2.5, None])
+def test_empirical_tv_binned_rejects_a_bad_bin_count(bins):
+    a = np.arange(100.0)
+    with pytest.raises(ValueError, match="bins"):
+        empirical_tv_binned(a, a + 1000.0, bins)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_empirical_tv_binned_rejects_non_finite_samples(bad, side):
+    # a NaN or an inf in either sample used to give a value in [0, 2]
+    samples = [np.linspace(0.0, 1.0, 100), np.linspace(0.5, 1.5, 100)]
+    samples[side][7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        empirical_tv_binned(*samples)
+
+
 def test_noisy_chain_tv_proxy_shrinks_with_N():
     m = GibbsModel.path_agreement(5, (1, 1, 1, -1, -1))
     tvs = []
