@@ -18,9 +18,12 @@ def philox(seed: int, *stream: int) -> np.random.Generator:
 def coupled_steps(step, x0: float, n: int, replicas: int):
     """Yield the two coupled replica clouds after each of n steps.
 
-    Both clouds start at x0.  Step k = 0..n-1 is ``x, xt = step(k, x, xt)``
-    and must return new arrays, since callers may keep the yielded ones.
-    Raises ValueError unless n and replicas are positive integers.
+    Both clouds start at x0.  Step k = 0..n-1 is ``x, xt = step(k, x, xt)``.
+    A step may overwrite x and xt and return them when its consumer keeps
+    no yielded cloud past the next step (AR(1) reduces each step as it
+    comes); a consumer that keeps the clouds (MH, Langevin) needs a step
+    that returns new arrays.  Raises ValueError unless n and replicas are
+    positive integers.
     """
     for name, value in (("n", n), ("replicas", replicas)):
         if not (isinstance(value, (int, np.integer)) and value >= 1):

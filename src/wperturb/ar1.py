@@ -194,11 +194,26 @@ def _coupled_clouds(params: Ar1Params, alpha_t: float, x0: float, n: int,
     """Yield the two replica clouds after each of n shared-innovation steps.
 
     Step k draws its innovations from ``philox(seed, k)``; both chains
-    start at x0.
+    start at x0.  The clouds are stepped in place, so each yielded pair
+    is overwritten by the next step: copy a cloud to keep it.  Raises
+    ValueError unless the sampler returns a float array of shape
+    (replicas,).
     """
+    alpha, sampler = params.alpha, params.innovation.sampler
+
     def step(k, x, xt):
-        z = params.innovation.sampler(philox(seed, k), replicas)
-        return params.alpha * x + z, alpha_t * xt + z
+        z = sampler(philox(seed, k), replicas)
+        if not (isinstance(z, np.ndarray) and z.dtype.kind == "f"
+                and z.shape == (replicas,)):
+            got = (f"{z.dtype} array of shape {z.shape}" if isinstance(z, np.ndarray)
+                   else type(z).__name__)
+            raise ValueError(f"innovation sampler must return a float array of "
+                             f"shape ({replicas},), got {got}")
+        x *= alpha
+        x += z
+        xt *= alpha_t
+        xt += z
+        return x, xt
 
     return coupled_steps(step, x0, n, replicas)
 
@@ -218,12 +233,19 @@ def ar1_simulate_coupled(params: Ar1Params, alpha_t: float, x0: float,
     _check_root("alpha_t", alpha_t)
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
-    # each step is reduced as it comes, so no (n, replicas) cloud is stored
+    # each step is reduced as it comes into one buffer, so no (n, replicas)
+    # cloud is stored; the mean and the SE take the same sums, in the same
+    # order, as dev.mean() and dev.std(ddof=1)
     root = math.sqrt(replicas)
+    dev = np.empty(replicas)
     rows = []
     for x, xt in _coupled_clouds(params, alpha_t, x0, n, replicas, seed):
-        dev = np.abs(x - xt)
-        rows.append((dev.mean(), dev.std(ddof=1) / root))
+        np.subtract(x, xt, out=dev)
+        np.abs(dev, out=dev)
+        mean = dev.sum() / replicas
+        dev -= mean
+        np.square(dev, out=dev)
+        rows.append((mean, math.sqrt(dev.sum() / (replicas - 1)) / root))
     coupled, se = map(np.array, zip(*rows))
     return Ar1CoupledSim(np.arange(1, n + 1), coupled, se)
 

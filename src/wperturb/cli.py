@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -585,7 +586,9 @@ def _verify(suite: str, seed: int = 1234) -> int:
 
 # -------------------------------------------------------------------- main
 
-def main(argv: Optional[list] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call to ``main`` and kept."""
     parser = argparse.ArgumentParser(
         prog="wperturb",
         description="Markov chain perturbation-bound experiments")
@@ -602,8 +605,11 @@ def main(argv: Optional[list] = None) -> int:
     p_ver.add_argument("--suite", required=True, choices=sorted(_SUITES))
     p_ver.add_argument("--seed", type=int, default=1234,
                        help="base seed for the randomized battery")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.seed is not None and not 0 <= args.seed <= _U64_MAX:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")

@@ -10,7 +10,9 @@ Frozen constants below were computed independently at 25-digit precision:
   tv final (0.5 -> 0.45, C=1, kappa=2) = 10.314660127465824
 """
 import dataclasses
+import hashlib
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -37,6 +39,7 @@ from wperturb.ar1 import (
     gaussian_abs_mean,
 )
 from wperturb.bounds import PerturbationReport
+from wperturb.cli import main
 from wperturb.errors import HypothesisViolation
 from wperturb.otcore import empirical_w1_1d
 
@@ -285,7 +288,8 @@ def test_simulation_statistics_match_stacked_clouds():
         z = params.innovation.sampler(philox(seed, k), replicas)
         x, xt = 0.7 * x + z, alpha_t * xt + z
         xs[k], xts[k] = x, xt
-    clouds = list(_coupled_clouds(params, alpha_t, x0, n, replicas, seed))
+    clouds = [(a.copy(), b.copy()) for a, b in
+              _coupled_clouds(params, alpha_t, x0, n, replicas, seed)]
     assert len(clouds) == n
     for k, (a, b) in enumerate(clouds):
         assert a.tobytes() == xs[k].tobytes()
@@ -343,6 +347,104 @@ def test_simulation_input_validation():
         ar1_simulate_coupled(params, 0.4, 0.0, n=0, replicas=100, seed=0)
     with pytest.raises(ValueError):
         ar1_simulate_coupled(params, 0.4, 0.0, n=5, replicas=1, seed=0)
+
+
+@pytest.mark.parametrize("sampler,got", [
+    (lambda rng, size: rng.normal(1.0, 1.0), "got float$"),
+    (lambda rng, size: rng.normal(1.0, 1.0, size=(size, 1)), r"got float64 array of shape \(300, 1\)"),
+    (lambda rng, size: rng.normal(1.0, 1.0, size=size - 1), r"got float64 array of shape \(299,\)"),
+    (lambda rng, size: rng.integers(0, 3, size=size), r"got int64 array of shape \(300,\)"),
+], ids=["scalar", "column", "short", "integer"])
+def test_simulation_rejects_a_malformed_innovation_sampler(sampler, got):
+    # a (replicas, 1) draw used to broadcast into replicas x replicas clouds,
+    # and a scalar one gave every replica the same innovation (SE 0 on every row)
+    innov = dataclasses.replace(Innovation.gaussian(1.0, 1.0), sampler=sampler)
+    with pytest.raises(ValueError, match=got):
+        ar1_simulate_coupled(Ar1Params(0.5, innov), 0.4, 0.0, n=3, replicas=300, seed=1)
+
+
+# (alpha, mean, sd, alpha_t, x0, n, replicas, seed) with coupled_dev and
+# coupled_dev_se as float.hex, recorded from fresh clouds at every step and
+# numpy's dev.mean() and dev.std(ddof=1); any change to the draws, the step
+# arithmetic or the order of the reduction's sums shows here
+_PINNED_SIMS = [
+    ((0.5, 1.0, 1.0, 0.4, 0.0, 12, 3000, 3),
+     ["0x0.0p+0", "0x1.e7cff0e548457p-4", "0x1.a085246ff78f8p-3", "0x1.086680127afdbp-2",
+      "0x1.2b209c82dd6e1p-2", "0x1.3d5cb1f01a0e7p-2", "0x1.4614d5c04c941p-2",
+      "0x1.4c763a4990eedp-2", "0x1.4dd6ae8c30717p-2", "0x1.4ffcc26018f59p-2",
+      "0x1.507e8fb4cc75ap-2", "0x1.52f89c7f7cd51p-2"],
+     ["0x0.0p+0", "0x1.7f646c93a5861p-10", "0x1.222f624d74f12p-9", "0x1.4bc69bb15436fp-9",
+      "0x1.57f88dc8a8d48p-9", "0x1.5f0986a5a4340p-9", "0x1.61073b12ec199p-9",
+      "0x1.661bb08ab6720p-9", "0x1.69fd3961403b1p-9", "0x1.6a5c9819fff80p-9",
+      "0x1.6902784056707p-9", "0x1.651907035f84dp-9"]),
+    ((0.7, -0.5, 1.7, 0.72, 2.5, 10, 2500, 11),
+     ["0x1.9999999999980p-5", "0x1.fa9e520662aebp-5", "0x1.051a070ef0e86p-4",
+      "0x1.1672ec3bdd104p-4", "0x1.320c0d962430ep-4", "0x1.4d36a83ca5458p-4",
+      "0x1.6efd0dc995fc7p-4", "0x1.925f208038211p-4", "0x1.b14cb73fabd81p-4",
+      "0x1.ce117dc55d41fp-4"],
+     ["0x1.86c61c81352dap-59", "0x1.51ba5bfb95526p-11", "0x1.dc15ad32202a1p-11",
+      "0x1.0aee958d077c3p-10", "0x1.2378fe0d3b29ap-10", "0x1.3fee533aae7dfp-10",
+      "0x1.5cd456c300acfp-10", "0x1.78d26f9869ec8p-10", "0x1.94e53aba2a43cp-10",
+      "0x1.ad8f567465573p-10"]),
+]
+
+
+@pytest.mark.parametrize("cfg,dev,se", _PINNED_SIMS, ids=["x0=0", "x0=2.5"])
+def test_simulation_bits_are_pinned(cfg, dev, se):
+    alpha, mean, sd, alpha_t, x0, n, replicas, seed = cfg
+    sim = ar1_simulate_coupled(Ar1Params(alpha, Innovation.gaussian(mean, sd)),
+                               alpha_t, x0, n, replicas, seed)
+    assert [v.hex() for v in sim.coupled_dev.tolist()] == dev
+    assert [v.hex() for v in sim.coupled_dev_se.tolist()] == se
+
+
+def test_ar1_run_files_are_pinned(tmp_path):
+    # sha256 of each file of one `wperturb run`, recorded with the pins above
+    pinned = {
+        "ar1_nstep.csv": "34831bab793ae2bee788898fc63a9b963574ce37ee7e3798cd53e2d6d9a0d095",
+        "ar1_stationary.csv": "381d40038e8318be7b01f8d0b08e66ad2dc91687f12de4e1e8652ef1163dc69e",
+        "summary.txt": "4999afe9455cb63ba9a79d2ad06cd9a2c3297be03eab40fe913afbdba69b3fb5",
+    }
+    cfg = tmp_path / "ar1.ini"
+    cfg.write_text("[experiment]\nkind = ar1\nseed = 20\n"
+                   "[ar1]\nalpha = 0.7\nalpha_t = 0.71\nn_max = 30\nreplicas = 20000\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(pinned)
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def _coupled_abs_dev(alpha, alpha_t, mean, sd, x0, n):
+    """E|X_n - Xt_n| under shared N(mean, sd^2) innovations.
+
+    D_n = (alpha^n - alpha_t^n) x0 + sum_{j<n} (alpha^j - alpha_t^j) Z_{n-j}
+    is Gaussian, so its absolute mean is a folded-normal mean.
+    """
+    gaps = [alpha ** j - alpha_t ** j for j in range(n)]
+    m = (alpha ** n - alpha_t ** n) * x0 + mean * sum(gaps)
+    return gaussian_abs_mean(m, sd * math.sqrt(sum(g * g for g in gaps)))
+
+
+def _closed_form_misses(sim, alpha, alpha_t, mean, sd, x0):
+    # 1e-12 absorbs the rounding of a deterministic row (n = 1 with x0 != 0),
+    # whose SE is a few ulp
+    return [int(n) for n, dev, se in zip(sim.ns, sim.coupled_dev, sim.coupled_dev_se)
+            if abs(dev - _coupled_abs_dev(alpha, alpha_t, mean, sd, x0, int(n)))
+            > 4.0 * se + 1e-12]
+
+
+@pytest.mark.parametrize("alpha,mean,sd,alpha_t,x0", [
+    (0.5, 1.0, 1.0, 0.4, 0.0),
+    (0.7, -0.5, 1.7, 0.72, 2.5),
+])
+def test_simulation_matches_the_closed_form_coupled_deviation(alpha, mean, sd, alpha_t, x0):
+    params = Ar1Params(alpha, Innovation.gaussian(mean, sd))
+    sim = ar1_simulate_coupled(params, alpha_t, x0, n=30, replicas=20_000, seed=9)
+    assert _closed_form_misses(sim, alpha, alpha_t, mean, sd, x0) == []
+    # the check has power: an oracle whose alpha_t is 0.02 off fails it
+    assert _closed_form_misses(sim, alpha, alpha_t + 0.02, mean, sd, x0) != []
 
 
 def test_drift_condition_monte_carlo():

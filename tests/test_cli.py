@@ -432,6 +432,46 @@ def test_import_and_ar1_run_leave_scipy_integrate_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"  # after the run's own messages
 
 
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    # main builds its parser once per process; every call must still parse
+    # its own arguments, whatever the calls before it passed or failed on
+    import subprocess
+    import sys
+
+    import wperturb
+    from wperturb import cli
+
+    names = ("ar1_nstep.csv", "ar1_stationary.csv", "summary.txt")
+    path = write_cfg(tmp_path, AR1_CFG.format(out=tmp_path / "a"))
+    assert main(["run", path]) == EXIT_OK
+    first = {name: (tmp_path / "a" / name).read_bytes() for name in names}
+    parser = cli._parser()
+    assert main(["verify", "--suite", "otcore"]) == EXIT_OK
+    assert main(["run", path, "--seed", "5", "--out", str(tmp_path / "b")]) == EXIT_OK
+    with pytest.raises(SystemExit) as bad_args:
+        main(["run", path, "--seed", "five"])
+    assert bad_args.value.code == 2  # argparse's usage error
+    assert main(["run", path]) == EXIT_OK
+    assert cli._parser() is parser
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == first[name]
+
+    # the --seed 5 run against a fresh process that reads seed 5 from its
+    # config, and whose import leaves the parser unbuilt
+    solo = write_cfg(tmp_path, AR1_CFG.format(out=tmp_path / "c").replace(
+        "seed = 42", "seed = 5"), "solo.ini")
+    code = ("import sys\n"
+            "from wperturb import cli\n"
+            "assert cli._parser.cache_info().currsize == 0\n"
+            f"sys.exit(cli.main(['run', {solo!r}]))\n")
+    src = os.path.dirname(os.path.dirname(wperturb.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for name in names:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+
+
 def test_seed_override_changes_monte_carlo_output(tmp_path):
     p1 = write_cfg(tmp_path, AR1_CFG.format(out=tmp_path / "a"))
     assert main(["run", p1]) == EXIT_OK
