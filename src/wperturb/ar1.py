@@ -3,7 +3,8 @@
 Replacing alpha by a nearby alpha_t perturbs the kernel; with the weight
 V(x) = 1 + |x| all constants are explicit: delta = |alpha_t|,
 L = 1 - |alpha_t| + E|Z|, gamma <= |alpha - alpha_t|, and the n-step
-contraction rate is |alpha|^n.  For Gaussian innovations the stationary
+contraction rate is |alpha|^n, so the n-step bound is ``bounds.thm31_bound``
+with C = 1 and rho = |alpha|.  For Gaussian innovations the stationary
 laws are Gaussian too, so the exact stationary Wasserstein distance has
 a closed form (comonotone coupling on the line) that sandwiches between
 the mean-gap lower bound and the drift-based upper bound.
@@ -20,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import bounds
 from ._rng import coupled_steps, philox
 from .errors import HypothesisViolation
 
@@ -81,46 +83,49 @@ class Ar1Params:
             raise ValueError("|alpha| must be < 1")
 
 
-def _check_root(name: str, value: float) -> None:
-    if not abs(value) < 1.0:
-        raise ValueError(f"|{name}| must be < 1, got {value}")
+def _check_roots(**roots: float) -> None:
+    for name, value in roots.items():
+        if not abs(value) < 1.0:
+            raise ValueError(f"|{name}| must be < 1, got {value}")
 
 
 def ar1_constants(alpha_t: float, E_absZ: float) -> tuple[float, float]:
     """Drift constants for V(x) = 1 + |x|: delta = |alpha_t|, L = 1 - |alpha_t| + E|Z|."""
-    _check_root("alpha_t", alpha_t)
+    _check_roots(alpha_t=alpha_t)
     if E_absZ < 0.0:
         raise ValueError("E|Z| must be nonnegative")
     return abs(alpha_t), 1.0 - abs(alpha_t) + E_absZ
 
 
 def ar1_kappa(alpha_t: float, E_absZ: float, x0: float = 0.0) -> float:
-    """kappa for the chain started at x0: 1 + max{|x0|, E|Z|/(1 - |alpha_t|)}."""
-    _check_root("alpha_t", alpha_t)
-    return 1.0 + max(abs(x0), E_absZ / (1.0 - abs(alpha_t)))
+    """``bounds.kappa`` at p0_V = V(x0): 1 + max{|x0|, E|Z|/(1 - |alpha_t|)}."""
+    delta, L = ar1_constants(alpha_t, E_absZ)
+    return bounds.kappa(1.0 + abs(x0), L, delta)
 
 
 def ar1_nstep_bound(alpha: float, alpha_t: float, w0: float, n, kappa: float) -> float:
-    """|alpha|^n w0 + |alpha - alpha_t| (1 - |alpha|^n) kappa / (1 - |alpha|)."""
-    _check_root("alpha", alpha)
-    _check_root("alpha_t", alpha_t)
-    a = abs(alpha)
-    an = 0.0 if n == math.inf else a ** int(n)
-    return an * w0 + abs(alpha - alpha_t) * (1.0 - an) * kappa / (1.0 - a)
+    """|alpha|^n w0 + |alpha - alpha_t| (1 - |alpha|^n) kappa / (1 - |alpha|).
+
+    thm31_bound with C = 1, rho = |alpha|, gamma = |alpha - alpha_t|; n is
+    a nonnegative integer or math.inf."""
+    _check_roots(alpha=alpha, alpha_t=alpha_t)
+    # thm31 checks delta and L but reads only kappa, which already carries
+    # the drift offset: delta is the drift rate |alpha_t|, L = 0 a stand-in
+    return bounds.thm31_bound(bounds.BoundInputs(
+        C=1.0, rho=abs(alpha), delta=abs(alpha_t), L=0.0,
+        gamma=abs(alpha - alpha_t), kappa=kappa, n=n, w0=w0))
 
 
 def ar1_stationary_bound(alpha: float, alpha_t: float, E_absZ: float) -> float:
     """Stationary Wasserstein bound |a - at| (1 - |at| + E|Z|) / ((1-|a|)(1-|at|))."""
-    _check_root("alpha", alpha)
-    _check_root("alpha_t", alpha_t)
+    _check_roots(alpha=alpha, alpha_t=alpha_t)
     return (abs(alpha - alpha_t) * (1.0 - abs(alpha_t) + E_absZ)
             / ((1.0 - abs(alpha)) * (1.0 - abs(alpha_t))))
 
 
 def ar1_stationary_lower_bound(alpha: float, alpha_t: float, E_Z: float) -> float:
     """|a - at| |EZ| / (|1-a| |1-at|); nontrivial whenever EZ != 0."""
-    _check_root("alpha", alpha)
-    _check_root("alpha_t", alpha_t)
+    _check_roots(alpha=alpha, alpha_t=alpha_t)
     return abs(alpha - alpha_t) * abs(E_Z) / (abs(1.0 - alpha) * abs(1.0 - alpha_t))
 
 
@@ -132,8 +137,7 @@ def ar1_gaussian_stationary_w1(alpha: float, alpha_t: float,
     On the line the comonotone (quantile) coupling is optimal, so
     W1 = E|dm + (s1 - s2) Z| with Z standard normal: a folded-normal mean.
     """
-    _check_root("alpha", alpha)
-    _check_root("alpha_t", alpha_t)
+    _check_roots(alpha=alpha, alpha_t=alpha_t)
     if sdZ <= 0.0:
         raise ValueError("sdZ must be positive")
     m1 = meanZ / (1.0 - alpha)
@@ -149,8 +153,7 @@ def ar1_tv_gamma(alpha: float, alpha_t: float, h_max: float,
 
     Requires a weakly unimodal innovation density bounded by h_max.
     """
-    _check_root("alpha", alpha)
-    _check_root("alpha_t", alpha_t)
+    _check_roots(alpha=alpha, alpha_t=alpha_t)
     if not unimodal:
         raise HypothesisViolation(
             "the 2|alpha - alpha_t| h_max rate needs a weakly unimodal innovation density"
@@ -169,8 +172,7 @@ def ar1_tv_final_bound(alpha: float, alpha_t: float, C: float,
 
     Valid for densities bounded by 1 and g in (0, e^-1 / 2).
     """
-    _check_root("alpha", alpha)
-    _check_root("alpha_t", alpha_t)
+    _check_roots(alpha=alpha, alpha_t=alpha_t)
     g = abs(alpha - alpha_t)
     if not (0.0 < g < _HALF_INV_E):
         raise HypothesisViolation(
@@ -230,7 +232,7 @@ def ar1_simulate_coupled(params: Ar1Params, alpha_t: float, x0: float,
     deterministic given the seed.  Only the coupled deviation and its
     standard error are returned.
     """
-    _check_root("alpha_t", alpha_t)
+    _check_roots(alpha_t=alpha_t)
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
     # each step is reduced as it comes into one buffer, so no (n, replicas)
@@ -276,13 +278,16 @@ class Ar1BoundReport:
 
 def ar1_report(params: Ar1Params, alpha_t: float, x0: float, n_max: int) -> Ar1BoundReport:
     """Evaluate every applicable AR(1) constant and bound, w0 = 0 (shared start)."""
+    if not (isinstance(n_max, (int, np.integer)) and n_max >= 1):
+        raise ValueError("n_max must be a positive integer")
     innov = params.innovation
     delta, L = ar1_constants(alpha_t, innov.abs_mean)
     k = ar1_kappa(alpha_t, innov.abs_mean, x0)
     gamma = abs(params.alpha - alpha_t)
     ns = np.arange(1, n_max + 1)
-    bounds = np.array([ar1_nstep_bound(params.alpha, alpha_t, 0.0, int(m), k)
-                       for m in ns])
+    # row n is ar1_nstep_bound(alpha, alpha_t, 0.0, n, k) bit for bit
+    rows = bounds._thm31_rows(1.0, abs(params.alpha), ns.tolist(), gamma,
+                              delta, L, 1.0 + abs(x0))
     gaussian_w1 = None
     if innov.sd is not None:
         gaussian_w1 = ar1_gaussian_stationary_w1(params.alpha, alpha_t,
@@ -292,7 +297,7 @@ def ar1_report(params: Ar1Params, alpha_t: float, x0: float, n_max: int) -> Ar1B
         tv_g = ar1_tv_gamma(params.alpha, alpha_t, innov.h_max)
     return Ar1BoundReport(
         alpha=params.alpha, alpha_t=alpha_t, delta=delta, L=L, kappa=k,
-        gamma=gamma, tau_rate=abs(params.alpha), ns=ns, nstep_bounds=bounds,
+        gamma=gamma, tau_rate=abs(params.alpha), ns=ns, nstep_bounds=rows(0.0),
         stationary_bound=ar1_stationary_bound(params.alpha, alpha_t, innov.abs_mean),
         lower_bound=ar1_stationary_lower_bound(params.alpha, alpha_t, innov.mean),
         gaussian_w1=gaussian_w1, tv_gamma=tv_g,

@@ -31,6 +31,7 @@ from .errors import HypothesisViolation, SpaceMismatchError
 from .kernels import (
     DriftEstimate,
     FiniteKernel,
+    _check_unit,
     _walk,
     fit_drift_L,
     fit_geometric_constants,
@@ -78,10 +79,7 @@ class BoundInputs:
     w0: float
 
     def __post_init__(self):
-        if not (0.0 <= self.rho < 1.0):
-            raise ValueError("rho must lie in [0, 1)")
-        if not (0.0 <= self.delta < 1.0):
-            raise ValueError("delta must lie in [0, 1)")
+        _check_unit(rho=self.rho, delta=self.delta)
         for name in ("C", "L", "gamma", "kappa", "w0"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -115,10 +113,7 @@ def _thm31(i: BoundInputs, rn):
 def stationary_wasserstein_bound(C: float, rho: float, gamma: float,
                                  L: float, delta: float) -> float:
     """W(pi, pit) <= gamma C/(1-rho) * L/(1-delta)."""
-    if not (0.0 <= rho < 1.0):
-        raise ValueError("rho must lie in [0, 1)")
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
+    _check_unit(rho=rho, delta=delta)
     return gamma * C / (1.0 - rho) * L / (1.0 - delta)
 
 
@@ -166,10 +161,7 @@ def geom3_bound(C: float, rho: float, n, w0_vnorm: float, gamma_tv: float,
 
 def _geom3_limit(C, rho, gamma_tv, delta, L, kappa) -> float:
     """The n-free term of geom3_bound, after checking its hypotheses."""
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
-    if not (0.0 <= rho < 1.0):
-        raise ValueError("rho must lie in [0, 1)")
+    _check_unit(delta=delta, rho=rho)
     factor = _geom3_gamma_factor(C, L, gamma_tv)
     return kappa * math.e / (1.0 - rho) * factor
 
@@ -177,10 +169,7 @@ def _geom3_limit(C, rho, gamma_tv, delta, L, kappa) -> float:
 def geom3_stationary_bound(C: float, rho: float, gamma_tv: float,
                            delta: float, L: float) -> float:
     """||pi - pit||_tv bound; equals geom3_bound with w0 = 0, kappa = L/(1-delta)."""
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
-    if not (0.0 <= rho < 1.0):
-        raise ValueError("rho must lie in [0, 1)")
+    _check_unit(delta=delta, rho=rho)
     factor = _geom3_gamma_factor(C, L, gamma_tv)
     return L / ((1.0 - delta) * (1.0 - rho)) * math.e * factor
 
@@ -191,6 +180,7 @@ def geom4_bound(base: float, rho: float, kappa: float, K: float, N: float) -> fl
     ``base`` is the 2C(L+1) constant of the total-variation bound (callers
     with a different drift pair pass their own).  Requires N > 6 K^(3/2).
     """
+    _check_unit(rho=rho)
     if K < 1.0:
         raise HypothesisViolation(f"K = {K} < 1; the budget constant must be >= 1")
     if N <= 6.0 * K ** 1.5:

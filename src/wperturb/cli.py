@@ -181,7 +181,7 @@ _SCHEMAS = {
         "half_width": (_float_in(0.0), 1.5),
         "sd": (_float_in(0.0), 1.0),
         "s": (_float_in(0.0, ends="[)"), _REQUIRED),
-        "C": (_float_in(0.0), _REQUIRED),
+        "C": (_float_in(1.0, ends="[)"), _REQUIRED),
         "rho": (_float_in(0.0, 1.0, "[)"), _REQUIRED),
         "delta": (_float_in(0.0, 1.0, "[)"), _REQUIRED),
         "L": (_float_in(0.0, ends="[)"), _REQUIRED),
@@ -204,7 +204,7 @@ _SCHEMAS = {
         "theta_grid": (_float_list, (-30.0, -5.0, -1.0, 0.0, 1.0, 5.0, 30.0)),
         "draws": (_int_in(2), 20_000),
         # optional long-run report; both must be given together
-        "C": (_float_in(0.0), None),
+        "C": (_float_in(1.0, ends="[)"), None),
         "rho": (_float_in(0.0, 1.0, "[)"), None),
         "E_absX0": (_float_in(0.0, ends="[)"), 0.0),
     },

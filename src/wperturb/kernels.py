@@ -261,6 +261,13 @@ def tau_v(P: FiniteKernel, V: WeightFunction) -> float:
     return _tau_star(P.matrix, V.values)
 
 
+def _check_unit(**values: float) -> None:
+    """Raise ValueError unless each named value lies in [0, 1)."""
+    for name, value in values.items():
+        if not (0.0 <= value < 1.0):
+            raise ValueError(f"{name} must lie in [0, 1)")
+
+
 @dataclass(frozen=True)
 class ErgodicityEstimate:
     """Certificate tau(P^n) <= C rho^n, valid for all n by submultiplicativity."""
@@ -272,8 +279,7 @@ class ErgodicityEstimate:
     n_checked: int
 
     def __post_init__(self):
-        if not (0.0 <= self.rho < 1.0):
-            raise ValueError("rho must lie in [0, 1)")
+        _check_unit(rho=self.rho)
         if self.C < 1.0 - 1e-12:
             raise ValueError("C must be >= 1 (tau of the identity is 1)")
 
@@ -287,8 +293,7 @@ class DriftEstimate:
     L: float
 
     def __post_init__(self):
-        if not (0.0 <= self.delta < 1.0):
-            raise ValueError("delta must lie in [0, 1)")
+        _check_unit(delta=self.delta)
         if self.L <= 0.0:
             raise ValueError("L must be positive")
 
@@ -312,8 +317,7 @@ def verify_drift(P: FiniteKernel, est: DriftEstimate) -> DriftCheck:
 
 def fit_drift_L(P: FiniteKernel, V: WeightFunction, delta: float) -> float:
     """Smallest positive L making the drift condition hold at every point."""
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
+    _check_unit(delta=delta)
     if not P.space.same_points(V.space):
         raise SpaceMismatchError("weight function does not match the kernel's points")
     gap = P.apply_to_function(V.values) - delta * V.values

@@ -16,6 +16,7 @@ statistics have closed-form counts, so no configuration is ever enumerated.
 The drift/contraction constants and the two perturbation bounds follow the
 same pattern as the rest of the package: explicit constants, explicit
 applicability thresholds, inapplicable inputs raise instead of extrapolating.
+The long-run bound is ``bounds.geom4_bound`` with the one-step TV bound's K.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import coupled_steps, philox
+from .bounds import geom4_bound
 from .errors import HypothesisViolation
 
 __all__ = [
@@ -240,7 +242,12 @@ def langevin_tv_perturbation_bound(sigma: float, s_inf: float, N: int) -> float:
         raise HypothesisViolation(
             f"need N > {threshold:.6g} for the TV perturbation bound, got N={N}"
         )
-    return 6.0 * max(s_inf * sigma ** 2, s_inf ** -2 * sigma ** -4) * math.log(N) / N
+    return _budget_K(sigma, s_inf) * math.log(N) / N
+
+
+def _budget_K(sigma: float, s: float) -> float:
+    """K = 6 max(s sigma^2, s^-2 sigma^-4) of the one-step TV bound K ln(N)/N."""
+    return 6.0 * max(s * sigma ** 2, s ** -2 * sigma ** -4)
 
 
 def langevin_final_bound(
@@ -252,34 +259,27 @@ def langevin_final_bound(
 ) -> float:
     """Wasserstein distance between the exact and noisy chains at any time n.
 
-    The bound is uniform in n.  Requires sigma^2 < 4*sigma_p^2 and
+    Uniform in n: geom4_bound with the one-step TV bound's K.  Requires
+    C >= 1 (tau(P^0) = 1), sigma^2 < 4*sigma_p^2 and
     N > 90*max(s^2 sigma^4, s^-3 sigma^-6); it decays like (log N)^2 / N.
     """
     sigma, N = params.sigma, params.N
     s, sigma_p = model.s_inf, model.sigma_p
-    if not (C > 0 and math.isfinite(C)):
-        raise ValueError("C must be positive and finite")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
+    if not (C >= 1.0 and math.isfinite(C)):
+        raise ValueError("C must be finite and at least 1, since tau(P^0) = 1")
     if not (E_absX0 >= 0 and math.isfinite(E_absX0)):
         raise ValueError("E_absX0 must be nonnegative and finite")
-    if not sigma ** 2 < 4 * sigma_p ** 2:
-        raise HypothesisViolation(
-            f"need sigma^2 < 4*sigma_p^2, got {sigma**2:.6g} >= {4*sigma_p**2:.6g}"
-        )
+    langevin_drift_constants(sigma, sigma_p, s)  # raises unless sigma^2 < 4 sigma_p^2
     threshold = 90.0 * max(s ** 2 * sigma ** 4, s ** -3 * sigma ** -6)
     if not N > threshold:
         raise HypothesisViolation(
             f"need N > {threshold:.6g} for the long-run bound, got N={N}"
         )
-    # this is the generic (log N)^2/N coupling bound with
-    # kappa = 2 + max(E|X0|, 4 sigma_p^2 (s + 1/sigma)) and
-    # K = 6 max(s sigma^2, s^-2 sigma^-4); spelled out to keep the constants visible
-    m = max(s * sigma ** 2, s ** -2 * sigma ** -4)
-    R = 18.0 * m / (1.0 - rho) * (2.0 + max(E_absX0, 4.0 * sigma_p ** 2 * (s + 1.0 / sigma)))
+    # with x = s sigma^2 the gate implies geom4's N > 6 K^(3/2) = 88.2
+    # max(x^1.5, x^-3), and K >= 6, base >= 6C >= 1: geom4 adds no raise
+    kappa = 2.0 + max(E_absX0, 4.0 * sigma_p ** 2 * (s + 1.0 / sigma))
     base = 2.0 * C * (sigma + sigma ** 2 * s + 3.0)
-    log_n = math.log(N)
-    return R * base ** (2.0 / log_n) * log_n ** 2 / N
+    return geom4_bound(base, rho, kappa, _budget_K(sigma, s), N)
 
 
 @dataclass

@@ -10,7 +10,9 @@ acceptance probabilities alpha and alpha~ satisfies
         <= integral of d(x,y) |alpha - alpha~|(x,y) Q(x,dy),
 
 so every bound below is driven by the acceptance gap E(x,y), never by the
-kernels themselves.
+kernels themselves.  With |alpha - alpha~| <= s and the one-step V growth
+bound lam, the n-step bound is ``bounds.geom2_bound`` with gamma = lam s and
+w0 = 0.
 """
 import math
 from dataclasses import dataclass
@@ -19,9 +21,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._rng import coupled_steps, philox
-from .bounds import PerturbationReport, _pow
+from .bounds import PerturbationReport, _geom2_rows, geom2_bound
 from .errors import ConfigError, HypothesisViolation
-from .kernels import ROW_TOL, FiniteKernel
+from .kernels import ROW_TOL, FiniteKernel, _check_unit
 from .otcore import FiniteMetricSpace, WeightFunction, empirical_w1_clouds
 
 # absolute tolerance of every line-constant quadrature
@@ -457,29 +459,23 @@ def metro_geom_bound(C: float, rho: float, n, s: float, lam: float,
                      delta: float, L: float, p0_V: float) -> float:
     """V-norm gap of exact vs perturbed MH after n steps, |alpha-alpha~| <= s.
 
-    Requires s < (1 - delta)/lam; kappa = max{p0_V, L/(1-delta-lam s)}.
+    ``geom2_bound`` with gamma = lam s and w0 = 0, so kappa = max{p0_V,
+    L/(1-delta-lam s)}.  Requires s < (1 - delta)/lam, and C >= 1 since
+    tau(P^0) = 1.
     """
-    if not C > 0:
-        raise ValueError("C must be positive")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
-    if not L > 0:
-        raise ValueError("L must be positive")
+    if not C >= 1.0:
+        raise ValueError("C must be at least 1, since tau(P^0) = 1")
     if not lam >= 1.0:
         raise ValueError("lam must be at least 1")
+    if not L > 0:
+        raise ValueError("L must be positive")
     if not p0_V >= 1.0 - 1e-12:
         raise ValueError("p0_V must be at least 1")
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    if s == 0.0:
-        return 0.0
+    # before geom2's gamma + delta < 1, whose boundary rounds differently
     if s >= (1.0 - delta) / lam:
         raise HypothesisViolation(
             f"need s < (1 - delta)/lam = {(1.0 - delta) / lam:.6g}, got {s:.6g}")
-    kap = max(p0_V, L / (1.0 - delta - lam * s))
-    return lam * s * kap * C * (1.0 - _pow(rho, n)) / (1.0 - rho)
+    return geom2_bound(C, rho, n, 0.0, lam * s, delta, L, p0_V)
 
 
 def independent_mh_perturbation_bound(C: float, rho: float, mu_Gt: float,
@@ -492,8 +488,7 @@ def independent_mh_perturbation_bound(C: float, rho: float, mu_Gt: float,
     """
     if not C > 0:
         raise ValueError("C must be positive")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
+    _check_unit(rho=rho)
     if not 0.0 <= mu_Gt <= 1.0:
         raise ValueError("mu_Gt must lie in [0, 1]")
     if not (D_Gt >= 0 and math.isfinite(D_Gt)):
@@ -578,13 +573,14 @@ def mh_metro_geom_report(problem: MhProblem,
     ns = np.arange(1, n + 1)
     dists, ses = np.array([empirical_w1_clouds(x, xt)
                            for x, xt in zip(xs, xts)]).T
-    bounds_arr = np.array([
-        metro_geom_bound(constants.C, constants.rho, int(step), constants.s,
-                         constants.lam, constants.delta, constants.L,
-                         constants.p0_V) for step in ns])
+    # the constants passed metro_geom_bound's checks when they were built;
+    # row n is metro_geom_bound at n bit for bit
+    rows = _geom2_rows(constants.C, constants.rho, ns.tolist(),
+                       constants.lam * constants.s, constants.delta,
+                       constants.L, constants.p0_V)
     meta = {"C": constants.C, "rho": constants.rho, "delta": constants.delta,
             "L": constants.L, "lam": constants.lam, "s": constants.s,
             "p0_V": constants.p0_V, "x0": constants.x0,
             "replicas": float(samples), "seed": float(seed)}
-    return PerturbationReport("metro_geom", ns, dists, bounds_arr, meta,
+    return PerturbationReport("metro_geom", ns, dists, rows(0.0), meta,
                               distance_se=ses)

@@ -38,12 +38,13 @@ from wperturb.ar1 import (
     ar1_tv_gamma,
     gaussian_abs_mean,
 )
-from wperturb.bounds import PerturbationReport
+from wperturb.bounds import PerturbationReport, _pow
 from wperturb.cli import main
 from wperturb.errors import HypothesisViolation
 from wperturb.otcore import empirical_w1_1d
 
 E_ABS_Z_N11 = 1.1666309411753726
+EPS = 2.0 ** -52
 
 
 # ------------------------------------------------------------- closed forms
@@ -91,6 +92,69 @@ def test_nstep_bound_limits():
     assert lim == pytest.approx(0.1 * 2.0 / 0.5)
     with pytest.raises(ValueError):
         ar1_nstep_bound(1.0, 0.4, 0.0, 3, 1.0)
+
+
+@pytest.mark.parametrize("n", [-1, 2.7, -math.inf, math.nan])
+def test_nstep_bound_rejects_a_bad_step_count(n):
+    # before the route through BoundInputs, n = -1 gave 1.6 and n = 2.7 acted as 2
+    with pytest.raises(ValueError):
+        ar1_nstep_bound(0.5, 0.4, 1.0, n, 2.0)
+
+
+def _parent_kappa(alpha_t, E_absZ, x0):
+    """ar1_kappa as it was written out before it called bounds.kappa."""
+    return 1.0 + max(abs(x0), E_absZ / (1.0 - abs(alpha_t)))
+
+
+def _parent_nstep_bound(alpha, alpha_t, w0, n, kappa):
+    """ar1_nstep_bound as it was written out before it called thm31_bound."""
+    a = abs(alpha)
+    an = 0.0 if n == math.inf else a ** int(n)
+    return an * w0 + abs(alpha - alpha_t) * (1.0 - an) * kappa / (1.0 - a)
+
+
+def test_nstep_bound_and_kappa_match_the_parent_formulas():
+    # thm31 takes |alpha|^n by repeated squaring (bounds._pow), the parent
+    # took it with **; the two differ by a few ulp of |alpha|^n, and
+    # 1 - |alpha|^n magnifies that near |alpha| = 1.  So each value is held
+    # to 4 ulp of 1.0, relative, plus the parent formula's change under that
+    # difference of |alpha|^n
+    rng = np.random.default_rng(2021)
+    for _ in range(3000):
+        alpha, alpha_t = rng.uniform(-1.0, 1.0, 2)
+        E_absZ = gaussian_abs_mean(3.0 * rng.normal(), 0.1 + 3.0 * rng.random())
+        x0, w0 = 4.0 * rng.normal(), abs(rng.normal())
+        k = ar1_kappa(alpha_t, E_absZ, x0)
+        old_k = _parent_kappa(alpha_t, E_absZ, x0)
+        assert abs(k - old_k) <= 4.0 * EPS * old_k
+        a, gamma = abs(alpha), abs(alpha - alpha_t)
+        for n in (0, 1, 2, 3, 5, 13, 30, 64, math.inf):
+            new = ar1_nstep_bound(alpha, alpha_t, w0, n, k)
+            old = _parent_nstep_bound(alpha, alpha_t, w0, n, k)
+            power_gap = 0.0 if n == math.inf else abs(_pow(a, n) - a ** n)
+            tol = 4.0 * EPS * old + abs(w0 - gamma * k / (1.0 - a)) * power_gap
+            assert abs(new - old) <= tol, (alpha, alpha_t, w0, n, k)
+
+
+@pytest.mark.parametrize("alpha,alpha_t", [(0.9, 0.91), (0.5, 0.51), (0.7, 0.71),
+                                           (0.5, 0.4), (-0.5, -0.4), (0.9, 0.85)])
+def test_report_rows_stay_within_4_ulp_of_the_parent(alpha, alpha_t):
+    params = Ar1Params(alpha, Innovation.gaussian(1.0, 1.0))
+    rep = ar1_report(params, alpha_t, 0.0, 30)
+    old_k = _parent_kappa(alpha_t, params.innovation.abs_mean, 0.0)
+    assert abs(rep.kappa - old_k) <= math.ulp(old_k)
+    for n, bound in zip(rep.ns, rep.nstep_bounds):
+        old = _parent_nstep_bound(alpha, alpha_t, 0.0, int(n), old_k)
+        assert abs(bound - old) <= 4.0 * math.ulp(old), n
+        # and row n is the scalar bound at n bit for bit
+        assert bound == ar1_nstep_bound(alpha, alpha_t, 0.0, int(n), rep.kappa)
+
+
+def test_report_needs_a_positive_step_count():
+    params = Ar1Params(0.5, Innovation.gaussian(1.0, 1.0))
+    for n_max in (0, -3, 2.0):
+        with pytest.raises(ValueError, match="n_max must be a positive integer"):
+            ar1_report(params, 0.4, 0.0, n_max)
 
 
 def test_stationary_bounds_hand_values():

@@ -171,6 +171,9 @@ def test_geom4_hand_value_and_threshold():
         geom4_bound(4.0, 0.5, 2.0, 1.0, 6.0)  # N = 6 <= 6 K^(3/2)
     with pytest.raises(HypothesisViolation):
         geom4_bound(4.0, 0.5, 2.0, 0.5, 100.0)
+    for rho in (1.0, -0.1, math.nan):  # a rate, like every other bound's
+        with pytest.raises(ValueError, match="rho must lie in"):
+            geom4_bound(4.0, rho, 2.0, 1.0, 1000.0)
     # vanishes as N grows
     assert geom4_bound(4.0, 0.5, 2.0, 1.0, 1e12) < 1e-7
 

@@ -164,6 +164,22 @@ def test_size_and_replicas_out_of_range_are_config_errors(tmp_path, capsys, text
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["mh", "langevin"])
+@pytest.mark.parametrize("C", ["0.1", "0.9999999999999999", "0"])
+def test_contraction_constant_below_one_is_a_config_error(tmp_path, capsys, kind, C):
+    # tau(P^0) = 1, so the ergodicity constant C of tau(P^n) <= C rho^n is >= 1
+    out = tmp_path / "res"
+    if kind == "mh":
+        text = MH_CFG.format(out=out, s="0.02").replace("C = 2.0", f"C = {C}")
+    else:
+        text = LANGEVIN_CFG.format(out=out, N=600, extra=f"C = {C}\n    rho = 0.5")
+    assert main(["run", write_cfg(tmp_path, text)]) == EXIT_SCHEMA
+    assert f"[{kind}] C: must be a finite number in [1.0, inf)" in capsys.readouterr().err
+    assert not out.exists()
+    assert load_config(write_cfg(tmp_path, text.replace(f"C = {C}", "C = 1"),
+                                 "ok.ini")).params["C"] == 1.0
+
+
 def test_schema_rejects_stray_section(tmp_path):
     path = write_cfg(tmp_path, AR1_CFG.format(out="r") + "\n[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):

@@ -10,8 +10,10 @@ Frozen constants below were computed independently at 30-digit precision:
   final bound (s=1, sigma=1, sigma_p=1, C=1,
                rho=0.5, E|X0|=0, N=10^4)          = 5.035018861342399
 """
+import hashlib
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from wperturb.langevin import (
     likelihood_mean_s,
     noisy_grad,
 )
-from wperturb.bounds import geom4_bound
+from wperturb.cli import main
 from wperturb.langevin import _noisy_grad_batch
 
 TV_FROZEN = 0.27631021115928548
@@ -451,26 +453,108 @@ def test_final_bound_frozen():
     )
 
 
-def _as_geom4(model, params, C, rho, E_absX0):
-    """The final bound's quantity routed through the generic geom4 bound."""
-    s, sigma = model.s_inf, params.sigma
-    kappa = 2.0 + max(E_absX0, 4.0 * model.sigma_p ** 2 * (s + 1.0 / sigma))
-    K = 6.0 * max(s * sigma ** 2, s ** -2 * sigma ** -4)
+def _parent_final_bound(model, params, C, rho, E_absX0):
+    """langevin_final_bound as it was written out before it called geom4_bound."""
+    sigma, N = params.sigma, params.N
+    s, sigma_p = model.s_inf, model.sigma_p
+    if not (C > 0 and math.isfinite(C)):
+        raise ValueError("C must be positive and finite")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError("rho must lie in [0, 1)")
+    if not (E_absX0 >= 0 and math.isfinite(E_absX0)):
+        raise ValueError("E_absX0 must be nonnegative and finite")
+    if not sigma ** 2 < 4 * sigma_p ** 2:
+        raise HypothesisViolation("need sigma^2 < 4*sigma_p^2")
+    if not N > 90.0 * max(s ** 2 * sigma ** 4, s ** -3 * sigma ** -6):
+        raise HypothesisViolation("need N > the long-run threshold")
+    m = max(s * sigma ** 2, s ** -2 * sigma ** -4)
+    R = 18.0 * m / (1.0 - rho) * (2.0 + max(E_absX0, 4.0 * sigma_p ** 2 * (s + 1.0 / sigma)))
     base = 2.0 * C * (sigma + sigma ** 2 * s + 3.0)
-    return geom4_bound(base, rho, kappa, K, params.N)
+    log_n = math.log(N)
+    return R * base ** (2.0 / log_n) * log_n ** 2 / N
 
 
-def test_final_bound_agrees_with_generic_route():
-    # same corollary assembled from the generic (log N)^2/N machinery
-    cases = [
-        (GibbsModel.ising_sum(3, (1, 1, -1), sigma_p=2.0), 0.7, 500, 1.3, 0.4, 0.9),
-        (GibbsModel.path_agreement(4, (1, -1, -1, 1)), 0.5, 10 ** 5, 2.0, 0.8, 3.0),
-        (two_point(), 1.0, 10 ** 4, 1.0, 0.5, 0.0),
-    ]
-    for m, sigma, N, C, rho, E0 in cases:
-        p = LangevinParams(sigma=sigma, N=N)
-        direct = langevin_final_bound(m, p, C, rho, E0)
-        assert direct == pytest.approx(_as_geom4(m, p, C, rho, E0), rel=1e-12)
+def _outcome(fn, *args):
+    """The value of fn(*args), or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # any class: the class is the outcome
+        return type(exc)
+
+
+def _same_outcome(new, old):
+    # geom4's order of the same product differs by a few roundings: at most
+    # 4 ulp of 1.0, relative
+    if isinstance(old, type):
+        return new is old
+    return not isinstance(new, type) and abs(new - old) <= 4.0 * 2.0 ** -52 * old
+
+
+def test_final_bound_matches_the_parent_formula():
+    rng = np.random.default_rng(2021)
+    for _ in range(1500):
+        M = int(rng.integers(2, 40))
+        observed = tuple(int(v) for v in rng.choice([-1, 1], size=M))
+        build = GibbsModel.ising_sum if rng.random() < 0.5 else GibbsModel.path_agreement
+        m = build(M, observed, sigma_p=0.2 + 3.0 * rng.random())
+        sigma = 2.0 * m.sigma_p * rng.random()
+        s = m.s_inf
+        threshold = 90.0 * max(s ** 2 * sigma ** 4, s ** -3 * sigma ** -6)
+        if threshold > 1e15:  # N - 1 and N would round to one float
+            continue
+        C, E0 = 1.0 + 9.0 * rng.random(), 10.0 * rng.random()
+        rho = rng.random()
+        # the threshold's edge, then a larger N
+        for N in (math.floor(threshold), math.floor(threshold) + 1,
+                  int(threshold * (1.0 + 3.0 * rng.random())) + 1):
+            p = LangevinParams(sigma=sigma, N=max(N, 1))
+            args = (m, p, C, rho, E0)
+            new = _outcome(langevin_final_bound, *args)
+            assert _same_outcome(new, _outcome(_parent_final_bound, *args)), args
+            # the TV bound shares K and keeps every bit
+            tv = 6.0 * max(s * sigma ** 2, s ** -2 * sigma ** -4) * math.log(p.N) / p.N
+            if p.N > 4.0 * max(s ** 2 * sigma ** 4, s ** -3 * sigma ** -6):
+                assert langevin_tv_perturbation_bound(sigma, s, p.N) == tv
+
+
+@pytest.mark.parametrize("N", [89, 90, 91, 92, 10 ** 4])
+def test_final_bound_raises_as_the_parent_at_the_sample_size_edge(N):
+    # the threshold 90 max(s^2 sigma^4, s^-3 sigma^-6) is exactly 90 at
+    # sigma = s = 1, and geom4's own N > 6 K^(3/2) = 88.2 lies below it
+    for model in (two_point(), two_point(sigma_p=0.7)):
+        args = (model, LangevinParams(1.0, N), 1.0, 0.5, 0.0)
+        new, old = _outcome(langevin_final_bound, *args), _outcome(_parent_final_bound, *args)
+        assert _same_outcome(new, old)
+        assert (old is HypothesisViolation) == (N <= 90)
+
+
+@pytest.mark.parametrize("C", [0.1, 0.5, 0.9999999999999999, -1.0, math.nan, math.inf])
+def test_final_bound_needs_C_at_least_one(C):
+    # tau(P^0) = 1, so no certificate tau(P^n) <= C rho^n has C < 1
+    with pytest.raises(ValueError, match="C must be finite and at least 1"):
+        langevin_final_bound(two_point(), LangevinParams(1.0, 10 ** 4), C, 0.5, 0.0)
+    assert langevin_final_bound(two_point(), LangevinParams(1.0, 10 ** 4),
+                                1.0, 0.5, 0.0) > 0.0
+
+
+def test_langevin_run_files_are_pinned(tmp_path):
+    # sha256 of each file of one `wperturb run`; no byte moved when
+    # langevin_final_bound became a geom4_bound call
+    pinned = {
+        "langevin_drift.csv": "202d17de2241935e8be6cc447445c7356c90e4e344178c2e4ae7dfc0aaf4fc8e",
+        "langevin_final.csv": "57bd3184ffaacf8bd5eebaa6db9dcbe2b2c345f5cb24a36713b454b150f5d4ca",
+        "langevin_tv.csv": "709a17465eed8965107563394b4c6cfe4f0e73488cb96a9a5492ea3fcc60791a",
+        "summary.txt": "c6f3a8d6e0553e1e2f8fcecb771a69988411083b75d18c10f26312d8c27efcd7",
+    }
+    cfg = tmp_path / "langevin.ini"
+    cfg.write_text("[experiment]\nkind = langevin\nseed = 20\n"
+                   "[langevin]\nobserved = 1,-1,1,1,-1\nN = 600\nreplicas = 2000\n"
+                   "draws = 2000\nC = 1.5\nrho = 0.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(pinned)
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_final_bound_thresholds():

@@ -7,7 +7,9 @@ arithmetic:
   metro_geom at (C=1, rho=.5, n=inf, s=.05, lam=2.1752, delta=.7, L=1)
                                                   = 1.1374189500104581
 """
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from scipy import integrate
 
 from wperturb import mh
 from wperturb._rng import philox
+from wperturb.bounds import _pow
 from wperturb.bounds import kappa as kappa_const
+from wperturb.cli import main
 from wperturb.errors import ConfigError, HypothesisViolation
 from wperturb.kernels import (DriftEstimate, evolve, fit_drift_L,
                               fit_geometric_constants, stationary_distribution,
@@ -26,6 +30,7 @@ from wperturb.otcore import (DiscreteDistribution, FiniteMetricSpace,
 
 LAMBDA_TOY = 2.1752011936438015
 METRO_GEOM_FROZEN = 1.1374189500104581
+EPS = 2.0 ** -52
 
 
 def random_finite_mh(seed, n=6, metric="line"):
@@ -397,6 +402,116 @@ def test_metro_geom_bound_monotone_in_s_and_n():
     by_n = [mh.metro_geom_bound(1.0, 0.5, n, 0.05, 2.0, 0.7, 1.0, 1.0)
             for n in (1, 3, 9, math.inf)]
     assert by_n == sorted(by_n)
+
+
+def _parent_metro_geom_bound(C, rho, n, s, lam, delta, L, p0_V):
+    """metro_geom_bound as it was written out before it called geom2_bound."""
+    if not C > 0:
+        raise ValueError("C must be positive")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError("rho must lie in [0, 1)")
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("delta must lie in [0, 1)")
+    if not L > 0:
+        raise ValueError("L must be positive")
+    if not lam >= 1.0:
+        raise ValueError("lam must be at least 1")
+    if not p0_V >= 1.0 - 1e-12:
+        raise ValueError("p0_V must be at least 1")
+    if s < 0:
+        raise ValueError("s must be non-negative")
+    if s == 0.0:
+        return 0.0
+    if s >= (1.0 - delta) / lam:
+        raise HypothesisViolation("need s < (1 - delta)/lam")
+    kap = max(p0_V, L / (1.0 - delta - lam * s))
+    return lam * s * kap * C * (1.0 - _pow(rho, n)) / (1.0 - rho)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # any class: the class is the outcome
+        return type(exc)
+
+
+def test_metro_geom_bound_matches_the_parent_formula():
+    # the two orders of the same product differ by a few roundings:
+    # at most 4 ulp of 1.0, relative
+    rng = np.random.default_rng(2021)
+    for _ in range(2000):
+        C, lam, p0_V = 1.0 + 9.0 * rng.random(3)
+        rho, delta = rng.random(2)
+        L = 10.0 * rng.random() + 1e-6
+        s = rng.random() * (1.0 - delta) / lam
+        for n in (0, 1, 2, 7, int(rng.integers(8, 200)), math.inf):
+            args = (C, rho, n, s, lam, delta, L, p0_V)
+            new, old = mh.metro_geom_bound(*args), _parent_metro_geom_bound(*args)
+            assert abs(new - old) <= 4.0 * EPS * old, args
+
+
+@pytest.mark.parametrize("lam,delta", [(2.0, 0.5), (3.4, 0.9), (1.0, 0.0),
+                                       (2.1752, 0.7), (7.3, 0.31), (1.5, 0.999)])
+def test_metro_geom_bound_raises_as_the_parent_at_s_equal_to_the_edge(lam, delta):
+    edge = (1.0 - delta) / lam
+    s = float(np.nextafter(edge, 1.0))
+    for _ in range(60):
+        args = (1.5, 0.9, 12, s, lam, delta, 0.85, 1.0)
+        new, old = (_outcome(f, *args)
+                    for f in (mh.metro_geom_bound, _parent_metro_geom_bound))
+        if s >= edge:
+            assert new is HypothesisViolation and old is HypothesisViolation, s
+        elif lam * s + delta >= 1.0:
+            # just below the edge geom2's gamma + delta < 1 fails in floating
+            # point; the parent divided by the rounding residue of 1 - delta -
+            # lam s there, and returned a bound near 1e15 or more, or raised
+            assert new is HypothesisViolation, s
+            assert abs(1.0 - delta - lam * s) <= EPS, s
+            assert old is ZeroDivisionError or old > 1e12, s
+        else:
+            assert abs(new - old) <= 4.0 * EPS * old, s
+        s = float(np.nextafter(s, 0.0))
+
+
+@pytest.mark.parametrize("C", [0.1, 0.5, 0.9999999999999999, -1.0, math.nan])
+def test_metro_geom_bound_needs_C_at_least_one(C):
+    # tau(P^0) = 1, so no certificate tau(P^n) <= C rho^n has C < 1
+    with pytest.raises(ValueError, match="C must be at least 1"):
+        mh.metro_geom_bound(C, 0.5, 10, 0.05, 2.0, 0.7, 1.0, 1.0)
+    with pytest.raises(ValueError, match="C must be at least 1"):
+        mh.MetroGeomConstants(C=C, rho=0.5, delta=0.7, L=1.0, lam=2.0, s=0.05)
+    assert mh.metro_geom_bound(1.0, 0.5, 10, 0.05, 2.0, 0.7, 1.0, 1.0) > 0.0
+
+
+def test_metro_geom_report_rows_are_the_scalar_bound():
+    prob = mh.MhProblem.gaussian_target(half_width=1.5)
+    for s in (0.0, 0.01, 0.02):
+        cons = mh.MetroGeomConstants(C=2.0, rho=0.95, delta=0.9, L=0.85,
+                                     lam=3.4, s=s, p0_V=1.3)
+        rep = mh.mh_metro_geom_report(prob, mh.AcceptancePerturbation.uniform_noise(s),
+                                      cons, n=30, samples=2, seed=1)
+        scalar = [mh.metro_geom_bound(2.0, 0.95, int(n), s, 3.4, 0.9, 0.85, 1.3)
+                  for n in rep.ns]
+        assert rep.bounds.tolist() == scalar
+
+
+def test_mh_run_files_are_pinned(tmp_path):
+    # sha256 of each file of one `wperturb run`; the bound and slack columns
+    # moved by at most 2 ulp when metro_geom_bound became a geom2_bound call
+    pinned = {
+        "mh_metro_geom.csv": "43fdd69a1c6d0be5fc74ee809956b4c73979b5ab44817bb6f69f535863cb4b81",
+        "summary.txt": "86a4e277b124cea2629f497305e5300a88923bc6c7169990eb1615b15b9f69ba",
+    }
+    cfg = tmp_path / "mh.ini"
+    cfg.write_text("[experiment]\nkind = mh\nseed = 20\n"
+                   "[mh]\ns = 0.02\nC = 2.0\nrho = 0.95\ndelta = 0.9\n"
+                   "L = 0.85\nlam = 3.4\nreplicas = 500\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(pinned)
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_independent_bound_values_and_monotonicity():
