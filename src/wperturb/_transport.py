@@ -14,15 +14,25 @@ silently wrong distance.  The certificate demands a duality gap and a dual
 slack within tolerance, not merely the absence of a violation, so a plan or
 potential that is NaN or infinite is rejected too.
 
+Every plan is the basic solution of the final tree (``_basic``), so a
+result depends on the problem and its optimal basis, not on the pivots
+that reached it.  ``warm`` answers a problem from the optimal tree of an
+earlier solve of the same cost matrix, kept in a ``Basis``: when that
+tree's basic solution for the new marginals is feasible and certified, it
+is the answer a cold solve ending on the same tree would give, bit for
+bit; otherwise ``warm`` declines and the caller solves cold.
+
 The tree is kept in Python lists, which beat element-wise numpy indexing
 at the support sizes used here; only the pricing runs in numpy.  ``_memo``
 is the one memo of certified W1 results; it is keyed and filled by
-``otcore._w1``, on whole problems, not here.
+``otcore._w1``, on whole problems, not here.  It also counts the cold
+solves and the problems answered warm.
 """
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +58,45 @@ class TransportError(RuntimeError):
     """The solver failed to produce a certified optimal plan."""
 
 
+class _Tree(NamedTuple):
+    """A spanning tree of the transport graph, rooted at sink 0 (node p)."""
+
+    below: list   # every node but the root, deepest first, by node within a depth
+    parent: list  # the node above each node
+    flow: list    # the flow on the arc above each node, as the pivots left it
+
+
+def _basic(a, b, tree):
+    """The basic solution of ``tree`` for supplies ``a`` and demands ``b``
+    as a dense plan; None if a flow is negative or more than ``_MASS_EPS``
+    is left at the root.
+
+    Leaf elimination: each arc carries what its lower end still needs, the
+    deepest nodes first, so every rounding is fixed by the tree and the
+    marginals alone.
+    """
+    below, parent, _ = tree
+    p = len(a)
+    r = a.tolist() + b.tolist()
+    X = np.zeros((p, len(b)))
+    for x in below:
+        f = r[x]
+        if f < 0.0:
+            return None
+        y = parent[x]
+        r[y] -= f
+        if x < p:
+            X[x, y - p] = f
+        else:
+            X[y, x - p] = f
+    if abs(r[p]) > _MASS_EPS:
+        return None
+    return X
+
+
 def _simplex(a, b, C):
-    """Transportation simplex; returns ``(plan, u, v, status)`` as arrays.
+    """Transportation simplex; returns ``(tree, u, v, status)``: the
+    optimal spanning tree (a ``_Tree``) and its potentials.
 
     status is 0 on success, -1 when the supplies and the demands differ by
     more than ``_MASS_EPS``, -2 when the pivot cap is hit and -3 when ``a``
@@ -241,17 +288,18 @@ def _simplex(a, b, C):
             for y in children[x]:
                 depth[y] = d
                 nodes.append(y)
-    X = np.zeros((p, q))
-    for x in range(N):
-        if x < p:
-            X[x, parent[x] - p] = flow[x]
-        elif x != root:  # the root is a sink
-            X[parent[x], x - p] = flow[x]
-    return X, -phi[:p], phi[p:].copy(), 0
+    # the sort is stable, and the root is the only node at depth 0
+    below = sorted(range(N), key=depth.__getitem__, reverse=True)[:-1]
+    return _Tree(below, parent, flow), -phi[:p], phi[p:].copy(), 0
 
 
 class _Memo:
-    """Thread-safe LRU of certified results, bounded in entries and bytes."""
+    """Thread-safe LRU of certified results, bounded in entries and bytes.
+
+    Besides its hits and misses it counts the cold simplex solves
+    (``cold``) and the problems ``warm`` answered (``warm``); ``clear``
+    zeroes all four.
+    """
 
     def __init__(self, max_entries: int, max_bytes: int) -> None:
         self.max_entries = max_entries
@@ -261,6 +309,8 @@ class _Memo:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.cold = 0
+        self.warm = 0
 
     def get(self, key):
         with self._lock:
@@ -290,6 +340,16 @@ class _Memo:
             self._bytes = 0
             self.hits = 0
             self.misses = 0
+            self.cold = 0
+            self.warm = 0
+
+    def count(self, warm: bool) -> None:
+        """Count one problem answered warm, or one cold simplex solve."""
+        with self._lock:
+            if warm:
+                self.warm += 1
+            else:
+                self.cold += 1
 
     def __len__(self) -> int:
         return len(self._data)
@@ -298,22 +358,73 @@ class _Memo:
 _memo = _Memo(max_entries=4096, max_bytes=64 << 20)
 
 
-def solve(a, b, C):
+class Basis:
+    """The optimal tree of the last cold solve that was handed this object,
+    with its potentials and the shape and bytes of its cost matrix;
+    ``solve`` fills it and ``warm`` reads it.  Opaque to everything else."""
+
+    __slots__ = ("key", "tree", "u", "v")
+
+    def __init__(self) -> None:
+        self.key = None
+
+
+def solve(a, b, C, basis=None):
     """Optimal transport plan between non-empty, strictly positive
     histograms ``a`` and ``b``; other input raises ``TransportError``.
 
     Returns ``(value, plan, u, v)`` where ``(u, v)`` are dual potentials.
     The result is certified: dual feasibility and a vanishing duality gap
     are checked to ``CERT_TOL`` (scaled by the largest cost) on every
-    solve.  Every call solves afresh and returns new arrays.
+    solve.  Every call solves afresh and returns new arrays; a ``Basis``,
+    if given, keeps the optimal tree for ``warm``.
     """
+    _memo.count(warm=False)
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
-    plan, u, v, status = _simplex(a, b, C)
+    tree, u, v, status = _simplex(a, b, C)
     if status != 0:
         raise TransportError(f"transportation simplex failed (status {status})")
-    return _certify(a, b, C, plan, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    plan = _basic(a, b, tree)
+    if plan is None:
+        # rounding at a degenerate arc made a flow negative: keep the
+        # flows the pivots left (each arc joins a source to a sink)
+        p = len(a)
+        plan = np.zeros((p, len(b)))
+        for x in tree.below:
+            y = tree.parent[x]
+            plan[min(x, y), max(x, y) - p] = tree.flow[x]
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    result = _certify(a, b, C, plan, u, v)
+    if basis is not None:
+        basis.key, basis.tree, basis.u, basis.v = (C.shape, C.tobytes()), tree, u, v
+    return result
+
+
+def warm(a, b, C, basis):
+    """``solve`` from the optimal tree in ``basis``, or None.
+
+    Forms the basic solution of that tree for the marginals ``a`` and
+    ``b`` and returns it with the tree's potentials, as ``solve`` would on
+    ending at the same tree, only if ``C`` is the cost matrix the tree was
+    solved on, every flow is nonnegative, no more than ``_MASS_EPS`` is
+    left unrouted and the certificate passes; otherwise it returns None
+    and the caller solves cold.  The returned potentials are the ones kept
+    in ``basis``: read them, do not write them.
+    """
+    if basis.key != (C.shape, C.tobytes()):
+        return None
+    plan = _basic(a, b, basis.tree)
+    if plan is None:
+        return None
+    try:
+        result = _certify(a, b, C, plan, basis.u, basis.v)
+    except TransportError:
+        return None
+    _memo.count(warm=True)
+    return result
 
 
 def _certify(a, b, C, plan, u, v, cmax=None):

@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
+from ._transport import Basis
 from .errors import HypothesisViolation, SpaceMismatchError
 from .kernels import (
     DriftEstimate,
@@ -80,7 +81,9 @@ class BoundInputs:
 
     def __post_init__(self):
         _check_unit(rho=self.rho, delta=self.delta)
-        for name in ("C", "L", "gamma", "kappa", "w0"):
+        if not self.C >= 1.0 - 1e-12:
+            raise ValueError("C must be >= 1 (tau of the identity is 1)")
+        for name in ("L", "gamma", "kappa", "w0"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.kappa < 1.0 - 1e-12:
@@ -273,15 +276,17 @@ def _geom3_stationary_rows(C, rho, ns, gamma, delta, L, p0_V):
 
 
 # per distance: (distance between two weight rows, one-step gamma), both
-# taking the metric object.  The distances are the weight-level functions
+# taking the metric object; the distance also takes a table's warm-start
+# handle, which only W1 reads.  The distances are the weight-level functions
 # behind wasserstein1_exact, vnorm_distance and total_variation, so a report
 # holds the public values bit for bit without building a law per step; gamma
 # goes through the module name, so a tracer or test that rebinds it sees
 # every call
-_W1 = (lambda p, q, metric: _w1(p, q, metric)[0],
+_W1 = (lambda p, q, metric, basis=None: _w1(p, q, metric, basis)[0],
        lambda P, Pt, metric, Vt: kernel_gamma_wasserstein(P, Pt, metric, Vt))
-_VNORM = (lambda p, q, V: _vnorm(p, q, V.values), kernel_gamma_vnorm)
-_TV = (lambda p, q, _: _tv(p, q), lambda P, Pt, _, Vt: kernel_gamma_tv(P, Pt, Vt))
+_VNORM = (lambda p, q, V, basis=None: _vnorm(p, q, V.values), kernel_gamma_vnorm)
+_TV = (lambda p, q, _, basis=None: _tv(p, q),
+       lambda P, Pt, _, Vt: kernel_gamma_tv(P, Pt, Vt))
 
 
 class _Variant(NamedTuple):
@@ -336,14 +341,18 @@ def _table(distance: Callable, metric, P: FiniteKernel, Pt: FiniteKernel,
 
     One row per step n = 0..n_max of the shared walks from ``start =
     (p0, pt0, n_max)``, or one row between the stationary laws when
-    ``start`` is None.
+    ``start`` is None.  Both chains converge, so neighbouring W1 rows are
+    nearly the same transport problem: each is answered warm from the
+    optimal tree of the last row solved cold, through one handle that
+    lives as long as the table is being made.
     """
     if start is None:
         laws = [(_once(stationary_distribution, P).weights,
                  _once(stationary_distribution, Pt).weights)]
     else:
         laws = zip(*_once(_walks, P, Pt, *start))
-    return np.array([distance(p, q, metric) for p, q in laws])
+    basis = Basis()
+    return np.array([distance(p, q, metric, basis) for p, q in laws])
 
 
 def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,

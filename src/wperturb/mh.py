@@ -486,8 +486,8 @@ def independent_mh_perturbation_bound(C: float, rho: float, mu_Gt: float,
     proposal launched from the set; mu_Gt is the set's mu-mass and D_Gt the
     sup over the set of the mean distance to a mu-draw.
     """
-    if not C > 0:
-        raise ValueError("C must be positive")
+    if not C >= 1.0 - 1e-12:
+        raise ValueError("C must be >= 1 (tau of the identity is 1)")
     _check_unit(rho=rho)
     if not 0.0 <= mu_Gt <= 1.0:
         raise ValueError("mu_Gt must lie in [0, 1]")

@@ -189,6 +189,14 @@ def test_bound_inputs_validation():
         BoundInputs(C=1, rho=0.5, delta=0.5, L=1, gamma=0, kappa=1, n=1.5, w0=0)
 
 
+def test_bound_inputs_require_C_at_least_one():
+    # tau(P^0) = 1, so no ergodicity constant below 1 can hold at n = 0
+    with pytest.raises(ValueError, match="C must be >= 1"):
+        BoundInputs(C=0.5, rho=0.5, delta=0.5, L=1, gamma=0.1, kappa=1, n=1, w0=0)
+    ok = BoundInputs(C=1.0, rho=0.5, delta=0.5, L=1, gamma=0.1, kappa=1, n=1, w0=0)
+    assert thm31_bound(ok) == pytest.approx(0.1)
+
+
 # ------------------------------------------------------------ finite verifier
 
 
@@ -414,7 +422,9 @@ def test_report_bounds_are_the_public_scalar_bounds_bit_for_bit(seed):
 
 @pytest.mark.parametrize("seed, size, mix", [
     (1, 4, 0.3), (2, 5, 0.5), (3, 6, 0.8), (4, 7, 0.3), (5, 8, 0.5),
-    (6, 9, 0.8), (7, 10, 0.3), (8, 11, 0.5), (9, 12, 0.8), (10, 12, 0.3)])
+    (6, 9, 0.8), (7, 10, 0.3), (8, 11, 0.5), (9, 12, 0.8), (10, 12, 0.3),
+    (11, 3, 0.3), (12, 3, 0.5), (13, 3, 0.8), (14, 15, 0.3), (15, 15, 0.5),
+    (16, 15, 0.8), (17, 20, 0.3), (18, 20, 0.5), (19, 20, 0.8)])
 def test_verifier_distances_match_the_public_route_bit_for_bit(seed, size, mix):
     # the verifier evolves and measures raw weight rows; the public route
     # builds a validated law per step and measures it, each distance alone

@@ -338,13 +338,15 @@ def test_pruned_tau_and_gamma_equal_the_all_pairs_loop(n, shape, power, seed):
 
 
 def test_pruned_tau_keeps_tied_maximal_pairs():
-    # the 8-cycle's path metric and a circulant kernel with dyadic entries:
-    # all arithmetic is exact, so every rotation of the worst pair ties
+    # the 8-cycle's path metric and a circulant kernel with two entries of
+    # 1/2: every row difference moves an excess mass of 1/2 or 1, so all
+    # arithmetic, the scaling to unit mass included, is exact and every
+    # rotation of the worst pair ties
     n = 8
     k = np.arange(n)
     gap = np.abs(k[:, None] - k[None, :])
     sp = FiniteMetricSpace(range(n), np.minimum(gap, n - gap).astype(float))
-    c = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.0078125])
+    c = np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     P = FiniteKernel(sp, np.array([np.roll(c, i) for i in range(n)]))
     ref = all_pairs_tau(P, sp)
     ratios = [otcore._w1(P.matrix[i], P.matrix[j], sp)[0] / sp.dist[i, j]

@@ -526,6 +526,13 @@ def test_independent_bound_values_and_monotonicity():
         mh.independent_mh_perturbation_bound(1.0, 0.5, 0.5, math.inf)
 
 
+def test_independent_bound_requires_C_at_least_one():
+    # tau(P^0) = 1, so no ergodicity constant below 1 can hold at n = 0
+    with pytest.raises(ValueError, match="C must be >= 1"):
+        mh.independent_mh_perturbation_bound(0.5, 0.5, 0.25, 1.5)
+    assert mh.independent_mh_perturbation_bound(1.0, 0.5, 0.25, 1.5) == 0.75
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_independent_sampler_bound_on_finite_chain(seed):
     # proposal rows all equal mu; perturbed chain accepts blindly on Gt.

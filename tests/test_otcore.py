@@ -823,3 +823,105 @@ def test_memo_counts_survive_concurrent_solves():
     memo = _transport._memo
     assert memo.hits + memo.misses == 6 * calls_per_thread
     assert len(memo) == len(problems)
+
+
+# ------------------------------------------------------------ warm-started rows
+
+
+def _table_row(monkeypatch, basis, wa, wb, space):
+    """``_w1`` of one row of a table made with ``basis``: its result, the
+    counts of cold solves and warm answers it added, and the memo size
+    that each cold solve saw when it started."""
+    memo = _transport._memo
+    cold, warm = memo.cold, memo.warm
+    seen = []
+    solve = _transport.solve
+
+    def recording(*args):
+        seen.append(len(memo))
+        return solve(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(_transport, "solve", recording)
+        value, plan = _w1(wa, wb, space, basis)
+    return value, plan, memo.cold - cold, memo.warm - warm, seen
+
+
+def _fresh(wa, wb, space):
+    """The same row solved cold, from an empty memo."""
+    _transport._memo.clear()
+    return _w1(wa, wb, space)
+
+
+def _assert_declined_row_is_cold(monkeypatch, basis, wa, wb, space):
+    size = len(_transport._memo)
+    value, plan, cold, warm, seen = _table_row(monkeypatch, basis, wa, wb, space)
+    # declined: one cold solve, started before anything reached the memo
+    assert (cold, warm, seen) == (1, 0, [size])
+    fresh_value, fresh_plan = _fresh(wa, wb, space)
+    assert value == fresh_value
+    assert plan.tobytes() == fresh_plan.tobytes()
+
+
+def test_warm_row_declines_when_the_supports_change(monkeypatch):
+    # on the untagged line 0, 1, 2 the excess {1} over the deficit {0, 2}
+    # has cost matrix [[1, 1]], and the swapped rows have [[1], [1]]: the
+    # same bytes in another shape, so the tree of one cannot serve the other
+    sp = FiniteMetricSpace(range(3), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    p, q = np.array([0.2, 0.6, 0.2]), np.array([0.4, 0.2, 0.4])
+    basis = _transport.Basis()
+    _table_row(monkeypatch, basis, p, q, sp)
+    _assert_declined_row_is_cold(monkeypatch, basis, q, p, sp)
+    # and on a random space, a row whose excess sits elsewhere
+    rng = np.random.default_rng(40)
+    sp = euclidean_space(rng, 6)
+    p, q = random_simplex(rng, 6), random_simplex(rng, 6)
+    basis = _transport.Basis()
+    _table_row(monkeypatch, basis, p, q, sp)
+    _assert_declined_row_is_cold(monkeypatch, basis, q, p, sp)
+
+
+def test_warm_row_declines_when_the_tree_is_infeasible(monkeypatch):
+    # excess at 0 and 10, deficit at 1 and 11 on the untagged line: the
+    # first row's optimal tree is 0 -> 1, 10 -> 11 and a zero-flow arc
+    # 10 -> 1, which can carry mass from 10 to 1 but not from 0 to 11
+    xs = np.array([0.0, 1.0, 10.0, 11.0])
+    sp = FiniteMetricSpace(range(4), np.abs(xs[:, None] - xs[None, :]))
+    basis = _transport.Basis()
+    first = np.array([0.3, 0.2, 0.3, 0.2]), np.array([0.2, 0.3, 0.2, 0.3])
+    _, _, cold, warm, _ = _table_row(monkeypatch, basis, *first, sp)
+    assert (cold, warm) == (1, 0)
+    # the same supports with mass moving from 10 to 1: answered warm, and
+    # exactly the cold answer, since a cold solve ends on the same tree
+    wa, wb = np.array([0.3, 0.2, 0.3, 0.2]), np.array([0.25, 0.35, 0.15, 0.25])
+    value, plan, cold, warm, _ = _table_row(monkeypatch, basis, wa, wb, sp)
+    assert (cold, warm) == (0, 1)
+    fresh_value, fresh_plan = _fresh(wa, wb, sp)
+    assert value == fresh_value
+    assert plan.tobytes() == fresh_plan.tobytes()
+    # the same supports with mass moving from 0 to 11: declined
+    _assert_declined_row_is_cold(monkeypatch, basis, np.array([0.3, 0.2, 0.3, 0.2]),
+                                 np.array([0.15, 0.25, 0.25, 0.35]), sp)
+
+
+def test_warm_entry_declines_marginals_whose_masses_differ():
+    # _w1 hands the solver both sides at unit mass, so only a direct call
+    # can unbalance them; the cold solve refuses the same problem
+    rng = np.random.default_rng(41)
+    a, b = random_simplex(rng, 3), random_simplex(rng, 4)
+    C = rng.uniform(0.5, 2.0, size=(3, 4))
+    basis = _transport.Basis()
+    _transport.solve(a, b, C, basis)
+    memo = _transport._memo
+    for gap in (1e-12, -1e-12):
+        shifted = a + np.array([gap, 0.0, 0.0])
+        assert _transport.warm(shifted, b, C, basis) is None
+        with pytest.raises(_transport.TransportError, match="status -1"):
+            _transport.solve(shifted, b, C)
+    assert (memo.cold, memo.warm, len(memo)) == (3, 0, 0)
+    # within _MASS_EPS the tree still answers, as the cold solve does
+    shifted = a + np.array([1e-14, 0.0, 0.0])
+    value, plan, u, v = _transport.warm(shifted, b, C, basis)
+    fresh = _transport.solve(shifted, b, C)
+    assert (value, plan.tobytes()) == (fresh[0], fresh[1].tobytes())
+    assert (memo.cold, memo.warm, len(memo)) == (4, 1, 0)
