@@ -16,17 +16,14 @@ potential that is NaN or infinite is rejected too.
 
 Every plan is the basic solution of the final tree (``_basic``), so a
 result depends on the problem and its optimal basis, not on the pivots
-that reached it.  ``warm`` answers a problem from the optimal tree of an
-earlier solve of the same cost matrix, kept in a ``Basis``: when that
-tree's basic solution for the new marginals is feasible and certified, it
-is the answer a cold solve ending on the same tree would give, bit for
-bit; otherwise ``warm`` declines and the caller solves cold.
+that reached it.  ``solve`` may answer a problem from the tree of an
+earlier one; its docstring gives the rule.
 
 The tree is kept in Python lists, which beat element-wise numpy indexing
 at the support sizes used here; only the pricing runs in numpy.  ``_memo``
 is the one memo of certified W1 results; it is keyed and filled by
-``otcore._w1``, on whole problems, not here.  It also counts the cold
-solves and the problems answered warm.
+``otcore._w1``, on whole problems, not here.  It also holds the kept tree
+and counts the cold solves and the problems answered warm.
 """
 from __future__ import annotations
 
@@ -64,6 +61,7 @@ class _Tree(NamedTuple):
     below: list   # every node but the root, deepest first, by node within a depth
     parent: list  # the node above each node
     flow: list    # the flow on the arc above each node, as the pivots left it
+    unique: bool  # no other plan is optimal for the costs it was solved on
 
 
 def _basic(a, b, tree):
@@ -75,7 +73,7 @@ def _basic(a, b, tree):
     deepest nodes first, so every rounding is fixed by the tree and the
     marginals alone.
     """
-    below, parent, _ = tree
+    below, parent = tree.below, tree.parent
     p = len(a)
     r = a.tolist() + b.tolist()
     X = np.zeros((p, len(b)))
@@ -211,6 +209,11 @@ def _simplex(a, b, C):
         rc = R.item(k)
         if not rc < -tol:
             if fresh:
+                # the N - 1 tree arcs price at 0; the plan is the only
+                # optimal one if every other arc prices above the
+                # certificate's tolerance
+                cert_tol = CERT_TOL * max(1.0, C.item(order[-1]))
+                unique = np.count_nonzero(R <= cert_tol) == N - 1
                 break
             # potentials shifted pivot by pivot carry rounding; price once
             # more against potentials recomputed from the tree
@@ -290,15 +293,17 @@ def _simplex(a, b, C):
                 nodes.append(y)
     # the sort is stable, and the root is the only node at depth 0
     below = sorted(range(N), key=depth.__getitem__, reverse=True)[:-1]
-    return _Tree(below, parent, flow), -phi[:p], phi[p:].copy(), 0
+    return _Tree(below, parent, flow, unique), -phi[:p], phi[p:].copy(), 0
 
 
 class _Memo:
     """Thread-safe LRU of certified results, bounded in entries and bytes.
 
     Besides its hits and misses it counts the cold simplex solves
-    (``cold``) and the problems ``warm`` answered (``warm``); ``clear``
-    zeroes all four.
+    (``cold``) and the problems answered from the kept tree (``warm``), and
+    it holds that tree: ``kept`` is ``(key, tree, u, v)``, keyed on the
+    shape and bytes of its cost matrix, or None (see ``solve``).  ``clear``
+    zeroes all four counts and forgets the tree.
     """
 
     def __init__(self, max_entries: int, max_bytes: int) -> None:
@@ -311,6 +316,7 @@ class _Memo:
         self.misses = 0
         self.cold = 0
         self.warm = 0
+        self.kept = None
 
     def get(self, key):
         with self._lock:
@@ -342,9 +348,10 @@ class _Memo:
             self.misses = 0
             self.cold = 0
             self.warm = 0
+            self.kept = None
 
     def count(self, warm: bool) -> None:
-        """Count one problem answered warm, or one cold simplex solve."""
+        """Count one problem answered from the kept tree, or one cold simplex solve."""
         with self._lock:
             if warm:
                 self.warm += 1
@@ -358,31 +365,48 @@ class _Memo:
 _memo = _Memo(max_entries=4096, max_bytes=64 << 20)
 
 
-class Basis:
-    """The optimal tree of the last cold solve that was handed this object,
-    with its potentials and the shape and bytes of its cost matrix;
-    ``solve`` fills it and ``warm`` reads it.  Opaque to everything else."""
-
-    __slots__ = ("key", "tree", "u", "v")
-
-    def __init__(self) -> None:
-        self.key = None
-
-
-def solve(a, b, C, basis=None):
+def solve(a, b, C):
     """Optimal transport plan between non-empty, strictly positive
     histograms ``a`` and ``b``; other input raises ``TransportError``.
 
     Returns ``(value, plan, u, v)`` where ``(u, v)`` are dual potentials.
     The result is certified: dual feasibility and a vanishing duality gap
     are checked to ``CERT_TOL`` (scaled by the largest cost) on every
-    solve.  Every call solves afresh and returns new arrays; a ``Basis``,
-    if given, keeps the optimal tree for ``warm``.
+    solve.
+
+    A cold solve keeps its optimal tree on ``_memo`` in place of the last
+    one, but only when every arc off the tree has a reduced cost above the
+    certificate's tolerance, so that no other plan is optimal for its
+    costs.  The next problem is first answered from that tree: only if
+    ``C`` is the cost matrix the tree was solved on, its basic solution for
+    ``a`` and ``b`` is feasible (no negative flow, no more than
+    ``_MASS_EPS`` unrouted) and carries flow on every arc of the tree, and
+    the certificate passes.  The tree is then the problem's only optimal
+    basis, where a cold solve ends too, so the answer is the cold one bit
+    for bit and does not depend on which problems were solved before.
+    Rows of a distance table solved in order mostly share their cost
+    matrix, so most of them are answered this way.  The plan is always a
+    new array; the potentials are shared with the kept tree and are
+    read-only.
     """
-    _memo.count(warm=False)
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
+    key = (C.shape, C.tobytes())
+    kept = _memo.kept
+    if kept is not None and kept[0] == key:
+        plan = _basic(a, b, kept[1])
+        # every arc of the tree must carry flow, so that no other tree
+        # has the same basic solution
+        if plan is not None and np.count_nonzero(plan) == len(kept[1].below):
+            try:
+                result = _certify(a, b, C, plan, kept[2], kept[3])
+            except TransportError:
+                pass
+            else:
+                _memo.count(warm=True)
+                return result
+    _memo.count(warm=False)
     tree, u, v, status = _simplex(a, b, C)
     if status != 0:
         raise TransportError(f"transportation simplex failed (status {status})")
@@ -397,33 +421,9 @@ def solve(a, b, C, basis=None):
             plan[min(x, y), max(x, y) - p] = tree.flow[x]
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    u.flags.writeable = v.flags.writeable = False
     result = _certify(a, b, C, plan, u, v)
-    if basis is not None:
-        basis.key, basis.tree, basis.u, basis.v = (C.shape, C.tobytes()), tree, u, v
-    return result
-
-
-def warm(a, b, C, basis):
-    """``solve`` from the optimal tree in ``basis``, or None.
-
-    Forms the basic solution of that tree for the marginals ``a`` and
-    ``b`` and returns it with the tree's potentials, as ``solve`` would on
-    ending at the same tree, only if ``C`` is the cost matrix the tree was
-    solved on, every flow is nonnegative, no more than ``_MASS_EPS`` is
-    left unrouted and the certificate passes; otherwise it returns None
-    and the caller solves cold.  The returned potentials are the ones kept
-    in ``basis``: read them, do not write them.
-    """
-    if basis.key != (C.shape, C.tobytes()):
-        return None
-    plan = _basic(a, b, basis.tree)
-    if plan is None:
-        return None
-    try:
-        result = _certify(a, b, C, plan, basis.u, basis.v)
-    except TransportError:
-        return None
-    _memo.count(warm=True)
+    _memo.kept = (key, tree, u, v) if tree.unique else None
     return result
 
 

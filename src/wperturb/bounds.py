@@ -27,11 +27,11 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._transport import Basis
 from .errors import HypothesisViolation, SpaceMismatchError
 from .kernels import (
     DriftEstimate,
     FiniteKernel,
+    _check_C,
     _check_unit,
     _walk,
     fit_drift_L,
@@ -81,15 +81,19 @@ class BoundInputs:
 
     def __post_init__(self):
         _check_unit(rho=self.rho, delta=self.delta)
-        if not self.C >= 1.0 - 1e-12:
-            raise ValueError("C must be >= 1 (tau of the identity is 1)")
-        for name in ("L", "gamma", "kappa", "w0"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        _check_C(self.C)
+        _check_nonnegative(L=self.L, gamma=self.gamma, kappa=self.kappa, w0=self.w0)
         if self.kappa < 1.0 - 1e-12:
             raise ValueError("kappa must be >= 1 (weight functions satisfy V >= 1)")
         if self.n != math.inf and (self.n < 0 or int(self.n) != self.n):
             raise ValueError("n must be a nonnegative integer or math.inf")
+
+
+def _check_nonnegative(**values: float) -> None:
+    """Raise ValueError if a named value is negative."""
+    for name, value in values.items():
+        if value < 0.0:
+            raise ValueError(f"{name} must be nonnegative")
 
 
 def kappa(p0_V: float, L: float, delta: float) -> float:
@@ -117,6 +121,8 @@ def stationary_wasserstein_bound(C: float, rho: float, gamma: float,
                                  L: float, delta: float) -> float:
     """W(pi, pit) <= gamma C/(1-rho) * L/(1-delta)."""
     _check_unit(rho=rho, delta=delta)
+    _check_C(C)
+    _check_nonnegative(gamma=gamma, L=L)
     return gamma * C / (1.0 - rho) * L / (1.0 - delta)
 
 
@@ -140,6 +146,8 @@ _INV_E = math.exp(-1.0)
 
 
 def _geom3_gamma_factor(C: float, L: float, gamma_tv: float) -> float:
+    _check_C(C)
+    _check_nonnegative(L=L)
     if not (0.0 < gamma_tv < _INV_E):
         raise HypothesisViolation(
             f"gamma_tv = {gamma_tv!r} outside (0, exp(-1)); the total-variation "
@@ -158,6 +166,7 @@ def geom3_bound(C: float, rho: float, n, w0_vnorm: float, gamma_tv: float,
     (perturbed kernel with delta, unperturbed with coefficient 1) which the
     caller certifies.  w0_vnorm is the initial distance in the V-norm.
     """
+    _check_nonnegative(w0_vnorm=w0_vnorm)
     limit = _geom3_limit(C, rho, gamma_tv, delta, L, kappa)
     return C * _pow(rho, n) * w0_vnorm + limit
 
@@ -276,16 +285,15 @@ def _geom3_stationary_rows(C, rho, ns, gamma, delta, L, p0_V):
 
 
 # per distance: (distance between two weight rows, one-step gamma), both
-# taking the metric object; the distance also takes a table's warm-start
-# handle, which only W1 reads.  The distances are the weight-level functions
+# taking the metric object.  The distances are the weight-level functions
 # behind wasserstein1_exact, vnorm_distance and total_variation, so a report
 # holds the public values bit for bit without building a law per step; gamma
 # goes through the module name, so a tracer or test that rebinds it sees
 # every call
-_W1 = (lambda p, q, metric, basis=None: _w1(p, q, metric, basis)[0],
+_W1 = (lambda p, q, metric: _w1(p, q, metric)[0],
        lambda P, Pt, metric, Vt: kernel_gamma_wasserstein(P, Pt, metric, Vt))
-_VNORM = (lambda p, q, V, basis=None: _vnorm(p, q, V.values), kernel_gamma_vnorm)
-_TV = (lambda p, q, _, basis=None: _tv(p, q),
+_VNORM = (lambda p, q, V: _vnorm(p, q, V.values), kernel_gamma_vnorm)
+_TV = (lambda p, q, _: _tv(p, q),
        lambda P, Pt, _, Vt: kernel_gamma_tv(P, Pt, Vt))
 
 
@@ -341,18 +349,15 @@ def _table(distance: Callable, metric, P: FiniteKernel, Pt: FiniteKernel,
 
     One row per step n = 0..n_max of the shared walks from ``start =
     (p0, pt0, n_max)``, or one row between the stationary laws when
-    ``start`` is None.  Both chains converge, so neighbouring W1 rows are
-    nearly the same transport problem: each is answered warm from the
-    optimal tree of the last row solved cold, through one handle that
-    lives as long as the table is being made.
+    ``start`` is None.  The rows are measured in order, so a W1 row can
+    reuse the optimal tree of the row before (see ``_transport.solve``).
     """
     if start is None:
         laws = [(_once(stationary_distribution, P).weights,
                  _once(stationary_distribution, Pt).weights)]
     else:
         laws = zip(*_once(_walks, P, Pt, *start))
-    basis = Basis()
-    return np.array([distance(p, q, metric, basis) for p, q in laws])
+    return np.array([distance(p, q, metric) for p, q in laws])
 
 
 def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,

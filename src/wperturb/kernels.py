@@ -268,6 +268,12 @@ def _check_unit(**values: float) -> None:
             raise ValueError(f"{name} must lie in [0, 1)")
 
 
+def _check_C(C: float) -> None:
+    """Raise ValueError unless C >= 1 up to rounding; NaN fails too."""
+    if not C >= 1.0 - 1e-12:
+        raise ValueError("C must be >= 1 (tau of the identity is 1)")
+
+
 @dataclass(frozen=True)
 class ErgodicityEstimate:
     """Certificate tau(P^n) <= C rho^n, valid for all n by submultiplicativity."""
@@ -280,8 +286,7 @@ class ErgodicityEstimate:
 
     def __post_init__(self):
         _check_unit(rho=self.rho)
-        if self.C < 1.0 - 1e-12:
-            raise ValueError("C must be >= 1 (tau of the identity is 1)")
+        _check_C(self.C)
 
 
 @dataclass(frozen=True)

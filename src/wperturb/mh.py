@@ -23,7 +23,7 @@ import numpy as np
 from ._rng import coupled_steps, philox
 from .bounds import PerturbationReport, _geom2_rows, geom2_bound
 from .errors import ConfigError, HypothesisViolation
-from .kernels import ROW_TOL, FiniteKernel, _check_unit
+from .kernels import ROW_TOL, FiniteKernel, _check_C, _check_unit
 from .otcore import FiniteMetricSpace, WeightFunction, empirical_w1_clouds
 
 # absolute tolerance of every line-constant quadrature
@@ -486,8 +486,7 @@ def independent_mh_perturbation_bound(C: float, rho: float, mu_Gt: float,
     proposal launched from the set; mu_Gt is the set's mu-mass and D_Gt the
     sup over the set of the mean distance to a mu-draw.
     """
-    if not C >= 1.0 - 1e-12:
-        raise ValueError("C must be >= 1 (tau of the identity is 1)")
+    _check_C(C)
     _check_unit(rho=rho)
     if not 0.0 <= mu_Gt <= 1.0:
         raise ValueError("mu_Gt must lie in [0, 1]")

@@ -219,8 +219,7 @@ def _require_same_points(mu: DiscreteDistribution, nu: DiscreteDistribution,
         raise SpaceMismatchError("metric space does not match the distributions")
 
 
-def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
-        basis: Optional[_transport.Basis] = None) -> tuple[float, np.ndarray]:
+def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace) -> tuple[float, np.ndarray]:
     """Exact W1 between two weight vectors on ``space`` and an optimal plan.
 
     Picks the closed form the space's constructor recorded, else a
@@ -236,12 +235,7 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
     for the closed forms, the c-transform of the solve's column potentials
     for the transport route.  The transport route answers a problem it has
     certified before from ``_transport._memo`` without solving again; the
-    closed forms are not memoised.  Given a ``basis`` handle, a problem
-    the memo misses is first answered from the optimal tree of the last
-    cold solve made with that handle, which ``_transport.warm`` accepts
-    only for the same cost matrix (the excess and the deficit on the same
-    supports), and solved cold when that declines; without a handle every
-    miss is solved cold.
+    closed forms are not memoised.  A miss goes to ``_transport.solve``.
     """
     n = space.size
     if (wa == wb).all():
@@ -312,11 +306,7 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace,
         a = a / mass
         b = b / b.sum()
         C = cols.take(ia, axis=0)
-        if basis is None:
-            res = _transport.solve(a, b, C)
-        else:
-            res = _transport.warm(a, b, C, basis) or _transport.solve(a, b, C, basis)
-        _, sub, _, v = res
+        _, sub, _, v = _transport.solve(a, b, C)
         # the sub-plan's cells are off the diagonal (the excess and deficit
         # supports are disjoint), or the plan is still all zero
         plan[ia[:, None], ib] = mass * sub

@@ -197,6 +197,26 @@ def test_bound_inputs_require_C_at_least_one():
     assert thm31_bound(ok) == pytest.approx(0.1)
 
 
+def _closed_form(bound, C=1.0, gamma=0.1, L=1.0, w0=0.1):
+    if bound == "stationary":
+        return stationary_wasserstein_bound(C, 0.5, gamma, L, 0.5)
+    if bound == "geom3":
+        return geom3_bound(C, 0.5, 4, w0, gamma, 0.5, L, 2.0)
+    return geom3_stationary_bound(C, 0.5, gamma, 0.5, L)
+
+
+@pytest.mark.parametrize("bound, name, value", [
+    *((bound, name, value) for bound in ("stationary", "geom3", "geom3_stationary")
+      for name, value in (("C", 0.5), ("C", math.nan), ("gamma", -0.1), ("L", -1.0))),
+    ("geom3", "w0", -0.1),
+])
+def test_closed_form_bounds_refuse_C_below_one_and_negative_inputs(bound, name, value):
+    # the rules of BoundInputs; a negative gamma_tv is outside geom3's range
+    with pytest.raises(ValueError, match=name):
+        _closed_form(bound, **{name: value})
+    assert _closed_form(bound) > 0.0
+
+
 # ------------------------------------------------------------ finite verifier
 
 
@@ -433,11 +453,17 @@ def test_verifier_distances_match_the_public_route_bit_for_bit(seed, size, mix):
     reports = {which: verify_on_finite(P, Pt, _metric_slot(which, sp, V), V, p0, pt0,
                                        n_max, which)
                for which in WHICH_CHOICES}
-    _transport._memo.clear()  # every W1 below is solved afresh
+
+    def cold_w1(p, q):
+        # clearing the memo also forgets the solver's kept tree, so every
+        # W1 below is a cold solve of its own problem alone
+        _transport._memo.clear()
+        return wasserstein1_exact(p, q, sp)[0]
+
     measures = {
-        "thm31": lambda p, q: wasserstein1_exact(p, q, sp)[0],
-        "v1": lambda p, q: wasserstein1_exact(p, q, sp)[0],
-        "stationary": lambda p, q: wasserstein1_exact(p, q, sp)[0],
+        "thm31": cold_w1,
+        "v1": cold_w1,
+        "stationary": cold_w1,
         "geom1": lambda p, q: vnorm_distance(p, q, V),
         "geom2": lambda p, q: vnorm_distance(p, q, V),
         "geom3": total_variation,

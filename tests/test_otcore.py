@@ -828,10 +828,10 @@ def test_memo_counts_survive_concurrent_solves():
 # ------------------------------------------------------------ warm-started rows
 
 
-def _table_row(monkeypatch, basis, wa, wb, space):
-    """``_w1`` of one row of a table made with ``basis``: its result, the
-    counts of cold solves and warm answers it added, and the memo size
-    that each cold solve saw when it started."""
+def _table_row(monkeypatch, wa, wb, space):
+    """``_w1`` of one row of a table: its result, the counts of cold solves
+    and warm answers it added, and the memo size that each call of
+    ``_transport.solve`` saw when it started."""
     memo = _transport._memo
     cold, warm = memo.cold, memo.warm
     seen = []
@@ -843,19 +843,19 @@ def _table_row(monkeypatch, basis, wa, wb, space):
 
     with monkeypatch.context() as m:
         m.setattr(_transport, "solve", recording)
-        value, plan = _w1(wa, wb, space, basis)
+        value, plan = _w1(wa, wb, space)
     return value, plan, memo.cold - cold, memo.warm - warm, seen
 
 
 def _fresh(wa, wb, space):
-    """The same row solved cold, from an empty memo."""
+    """The same row solved cold, from an empty memo and no kept tree."""
     _transport._memo.clear()
     return _w1(wa, wb, space)
 
 
-def _assert_declined_row_is_cold(monkeypatch, basis, wa, wb, space):
+def _assert_declined_row_is_cold(monkeypatch, wa, wb, space):
     size = len(_transport._memo)
-    value, plan, cold, warm, seen = _table_row(monkeypatch, basis, wa, wb, space)
+    value, plan, cold, warm, seen = _table_row(monkeypatch, wa, wb, space)
     # declined: one cold solve, started before anything reached the memo
     assert (cold, warm, seen) == (1, 0, [size])
     fresh_value, fresh_plan = _fresh(wa, wb, space)
@@ -869,16 +869,14 @@ def test_warm_row_declines_when_the_supports_change(monkeypatch):
     # same bytes in another shape, so the tree of one cannot serve the other
     sp = FiniteMetricSpace(range(3), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     p, q = np.array([0.2, 0.6, 0.2]), np.array([0.4, 0.2, 0.4])
-    basis = _transport.Basis()
-    _table_row(monkeypatch, basis, p, q, sp)
-    _assert_declined_row_is_cold(monkeypatch, basis, q, p, sp)
+    _table_row(monkeypatch, p, q, sp)
+    _assert_declined_row_is_cold(monkeypatch, q, p, sp)
     # and on a random space, a row whose excess sits elsewhere
     rng = np.random.default_rng(40)
     sp = euclidean_space(rng, 6)
     p, q = random_simplex(rng, 6), random_simplex(rng, 6)
-    basis = _transport.Basis()
-    _table_row(monkeypatch, basis, p, q, sp)
-    _assert_declined_row_is_cold(monkeypatch, basis, q, p, sp)
+    _table_row(monkeypatch, p, q, sp)
+    _assert_declined_row_is_cold(monkeypatch, q, p, sp)
 
 
 def test_warm_row_declines_when_the_tree_is_infeasible(monkeypatch):
@@ -887,41 +885,130 @@ def test_warm_row_declines_when_the_tree_is_infeasible(monkeypatch):
     # 10 -> 1, which can carry mass from 10 to 1 but not from 0 to 11
     xs = np.array([0.0, 1.0, 10.0, 11.0])
     sp = FiniteMetricSpace(range(4), np.abs(xs[:, None] - xs[None, :]))
-    basis = _transport.Basis()
     first = np.array([0.3, 0.2, 0.3, 0.2]), np.array([0.2, 0.3, 0.2, 0.3])
-    _, _, cold, warm, _ = _table_row(monkeypatch, basis, *first, sp)
+    _, _, cold, warm, _ = _table_row(monkeypatch, *first, sp)
     assert (cold, warm) == (1, 0)
     # the same supports with mass moving from 10 to 1: answered warm, and
     # exactly the cold answer, since a cold solve ends on the same tree
     wa, wb = np.array([0.3, 0.2, 0.3, 0.2]), np.array([0.25, 0.35, 0.15, 0.25])
-    value, plan, cold, warm, _ = _table_row(monkeypatch, basis, wa, wb, sp)
+    value, plan, cold, warm, _ = _table_row(monkeypatch, wa, wb, sp)
     assert (cold, warm) == (0, 1)
     fresh_value, fresh_plan = _fresh(wa, wb, sp)
     assert value == fresh_value
     assert plan.tobytes() == fresh_plan.tobytes()
-    # the same supports with mass moving from 0 to 11: declined
-    _assert_declined_row_is_cold(monkeypatch, basis, np.array([0.3, 0.2, 0.3, 0.2]),
+    # the fresh solve kept the same tree; mass moving from 0 to 11: declined
+    _assert_declined_row_is_cold(monkeypatch, np.array([0.3, 0.2, 0.3, 0.2]),
                                  np.array([0.15, 0.25, 0.25, 0.35]), sp)
+
+
+def _small_problem(seed):
+    rng = np.random.default_rng(seed)
+    return random_simplex(rng, 3), random_simplex(rng, 4), rng.uniform(0.5, 2.0, size=(3, 4))
 
 
 def test_warm_entry_declines_marginals_whose_masses_differ():
     # _w1 hands the solver both sides at unit mass, so only a direct call
     # can unbalance them; the cold solve refuses the same problem
-    rng = np.random.default_rng(41)
-    a, b = random_simplex(rng, 3), random_simplex(rng, 4)
-    C = rng.uniform(0.5, 2.0, size=(3, 4))
-    basis = _transport.Basis()
-    _transport.solve(a, b, C, basis)
+    a, b, C = _small_problem(41)
+    _transport.solve(a, b, C)
     memo = _transport._memo
     for gap in (1e-12, -1e-12):
         shifted = a + np.array([gap, 0.0, 0.0])
-        assert _transport.warm(shifted, b, C, basis) is None
         with pytest.raises(_transport.TransportError, match="status -1"):
             _transport.solve(shifted, b, C)
     assert (memo.cold, memo.warm, len(memo)) == (3, 0, 0)
-    # within _MASS_EPS the tree still answers, as the cold solve does
+    # within _MASS_EPS the kept tree still answers, as the cold solve does
     shifted = a + np.array([1e-14, 0.0, 0.0])
-    value, plan, u, v = _transport.warm(shifted, b, C, basis)
+    value, plan, u, v = _transport.solve(shifted, b, C)
+    assert (memo.cold, memo.warm, len(memo)) == (3, 1, 0)
+    memo.clear()
     fresh = _transport.solve(shifted, b, C)
     assert (value, plan.tobytes()) == (fresh[0], fresh[1].tobytes())
-    assert (memo.cold, memo.warm, len(memo)) == (4, 1, 0)
+    assert (memo.cold, memo.warm, len(memo)) == (1, 0, 0)
+
+
+def test_clearing_the_memo_forgets_the_kept_tree():
+    a, b, C = _small_problem(42)
+    _transport.solve(a, b, C)
+    again = _transport.solve(a, b, C)
+    memo = _transport._memo
+    assert (memo.cold, memo.warm) == (1, 1)
+    memo.clear()
+    assert memo.kept is None
+    fresh = _transport.solve(a, b, C)
+    assert (memo.cold, memo.warm) == (1, 0)
+    assert (again[0], again[1].tobytes()) == (fresh[0], fresh[1].tobytes())
+
+
+def test_a_kept_tree_that_fails_its_certificate_is_solved_cold():
+    a, b, C = _small_problem(43)
+    first = _transport.solve(a, b, C)
+    memo = _transport._memo
+    key, tree, _, _ = memo.kept
+    # zero potentials are feasible but leave the whole value as the gap,
+    # while the tree's basic solution is still feasible and balanced
+    memo.kept = (key, tree, np.zeros(3), np.zeros(4))
+    value, plan, u, v = _transport.solve(a, b, C)
+    assert (memo.cold, memo.warm) == (2, 0)
+    assert (value, plan.tobytes()) == (first[0], first[1].tobytes())
+    assert memo.kept[2] is u and memo.kept[3] is v
+
+
+def test_a_tree_with_another_optimal_plan_is_not_kept():
+    # under equal costs every plan is optimal, so the tree a cold solve
+    # ends on says nothing about where another cold solve would end
+    a, b, _ = _small_problem(44)
+    C = np.full((3, 4), 2.0)
+    first = _transport.solve(a, b, C)
+    memo = _transport._memo
+    assert memo.kept is None
+    again = _transport.solve(a, b, C)
+    assert (memo.cold, memo.warm) == (2, 0)
+    assert (again[0], again[1].tobytes()) == (first[0], first[1].tobytes())
+
+
+def test_a_degenerate_basic_solution_is_solved_cold():
+    # the diagonal is cheaper; the first tree carries 0.1 on arc (0, 1)
+    C = np.array([[1.0, 2.0], [2.0, 1.0]])
+    _transport.solve(np.array([0.6, 0.4]), np.array([0.5, 0.5]), C)
+    memo = _transport._memo
+    assert memo.kept is not None
+    # for equal marginals that arc would carry nothing, and another tree
+    # has the same basic solution, so the kept tree does not answer
+    a = b = np.array([0.5, 0.5])
+    value, plan, _, _ = _transport.solve(a, b, C)
+    assert (memo.cold, memo.warm) == (2, 0)
+    memo.clear()
+    fresh = _transport.solve(a, b, C)
+    assert (value, plan.tobytes()) == (fresh[0], fresh[1].tobytes())
+    # a nondegenerate basic solution of the first tree is answered warm
+    _transport.solve(np.array([0.6, 0.4]), np.array([0.5, 0.5]), C)
+    warm = memo.warm
+    _transport.solve(np.array([0.7, 0.3]), np.array([0.5, 0.5]), C)
+    assert memo.warm == warm + 1
+
+
+def test_warm_answers_on_tied_costs_are_the_cold_answers():
+    # small integer costs tie often, so many problems have several optimal
+    # plans or trees; an answer from a kept tree must still be the one a
+    # cold solve gives, to the bit
+    rng = np.random.default_rng(45)
+    memo = _transport._memo
+    answered = 0
+    for _ in range(200):
+        k, m = rng.integers(2, 7, size=2)
+        C = rng.integers(1, 4, size=(k, m)).astype(float)
+        memo.clear()
+        _transport.solve(random_simplex(rng, k), random_simplex(rng, m), C)
+        for _ in range(5):
+            a, b = random_simplex(rng, k), random_simplex(rng, m)
+            kept, warm = memo.kept, memo.warm
+            value, plan, _, _ = _transport.solve(a, b, C)
+            if memo.warm == warm:
+                continue
+            answered += 1
+            memo.clear()
+            fresh = _transport.solve(a, b, C)
+            assert (value, plan.tobytes()) == (fresh[0], fresh[1].tobytes())
+            memo.kept = kept
+    assert answered > 20
