@@ -16,14 +16,16 @@ potential that is NaN or infinite is rejected too.
 
 Every plan is the basic solution of the final tree (``_basic``), so a
 result depends on the problem and its optimal basis, not on the pivots
-that reached it.  ``solve`` may answer a problem from the tree of an
-earlier one; its docstring gives the rule.
+that reached it.  ``solve`` takes one problem or a stack of problems on
+one cost matrix, the rows of a run of a distance table, and may answer a
+problem from the tree of an earlier one; its docstring gives the rule.
 
 The tree is kept in Python lists, which beat element-wise numpy indexing
 at the support sizes used here; only the pricing runs in numpy.  ``_memo``
 is the one memo of certified W1 results; it is keyed and filled by
 ``otcore._w1``, on whole problems, not here.  It also holds the kept tree
-and counts the cold solves and the problems answered warm.
+and counts the cold solves, the problems answered warm and the entries it
+evicted.
 """
 from __future__ import annotations
 
@@ -64,32 +66,39 @@ class _Tree(NamedTuple):
     unique: bool  # no other plan is optimal for the costs it was solved on
 
 
-def _basic(a, b, tree):
-    """The basic solution of ``tree`` for supplies ``a`` and demands ``b``
-    as a dense plan; None if a flow is negative or more than ``_MASS_EPS``
-    is left at the root.
+def _basic(A, B, tree):
+    """The basic solutions of ``tree`` for the supplies ``A[k]`` and the
+    demands ``B[k]`` as dense plans, and for each row its smallest flow,
+    or -inf when more than ``_MASS_EPS`` is left at the root.  A row's
+    basic solution is feasible when that is nonnegative, and carries flow
+    on every arc of the tree when it is positive.
 
     Leaf elimination: each arc carries what its lower end still needs, the
     deepest nodes first, so every rounding is fixed by the tree and the
-    marginals alone.
+    marginals alone.  It runs on Python floats, row by row, which beats
+    one numpy call per node at every support size.
     """
+    K, p = A.shape
     below, parent = tree.below, tree.parent
-    p = len(a)
-    r = a.tolist() + b.tolist()
-    X = np.zeros((p, len(b)))
-    for x in below:
-        f = r[x]
-        if f < 0.0:
-            return None
-        y = parent[x]
-        r[y] -= f
-        if x < p:
-            X[x, y - p] = f
-        else:
-            X[y, x - p] = f
-    if abs(r[p]) > _MASS_EPS:
-        return None
-    return X
+    X = np.zeros((K, p, B.shape[1]))
+    low = []
+    for r, rb, x_k in zip(A.tolist(), B.tolist(), X):
+        r += rb
+        m = _INF
+        for x in below:
+            f = r[x]
+            y = parent[x]
+            r[y] -= f
+            if f < m:
+                m = f
+            # each arc joins a source to a sink, whichever end is lower
+            if x < p:
+                x_k[x, y - p] = f
+            else:
+                x_k[y, x - p] = f
+        # a NaN may pass here; the certificate rejects it
+        low.append(-_INF if abs(r[p]) > _MASS_EPS else m)
+    return X, low
 
 
 def _simplex(a, b, C):
@@ -299,11 +308,14 @@ def _simplex(a, b, C):
 class _Memo:
     """Thread-safe LRU of certified results, bounded in entries and bytes.
 
-    Besides its hits and misses it counts the cold simplex solves
-    (``cold``) and the problems answered from the kept tree (``warm``), and
-    it holds that tree: ``kept`` is ``(key, tree, u, v)``, keyed on the
-    shape and bytes of its cost matrix, or None (see ``solve``).  ``clear``
-    zeroes all four counts and forgets the tree.
+    Besides its hits and misses it counts the entries it dropped to stay
+    within its bounds (``evictions``), the cold simplex solves (``cold``)
+    and the problems answered from the kept tree (``warm``), and it holds
+    that tree: ``kept`` is ``(key, tree, u, v)``, keyed on the shape and
+    bytes of its cost matrix, or None (see ``solve``).  Only ``solve``
+    sets it, after the potentials passed the certificate's feasibility
+    half on that matrix.  ``clear`` zeroes all five counts and forgets
+    the tree.
     """
 
     def __init__(self, max_entries: int, max_bytes: int) -> None:
@@ -314,6 +326,7 @@ class _Memo:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
         self.cold = 0
         self.warm = 0
         self.kept = None
@@ -339,6 +352,7 @@ class _Memo:
             while len(self._data) > self.max_entries or self._bytes > self.max_bytes:
                 _, (_, dropped) = self._data.popitem(last=False)
                 self._bytes -= dropped
+                self.evictions += 1
 
     def clear(self) -> None:
         with self._lock:
@@ -346,17 +360,16 @@ class _Memo:
             self._bytes = 0
             self.hits = 0
             self.misses = 0
+            self.evictions = 0
             self.cold = 0
             self.warm = 0
             self.kept = None
 
-    def count(self, warm: bool) -> None:
-        """Count one problem answered from the kept tree, or one cold simplex solve."""
+    def count(self, cold: int = 0, warm: int = 0) -> None:
+        """Count cold simplex solves and problems answered from the kept tree."""
         with self._lock:
-            if warm:
-                self.warm += 1
-            else:
-                self.cold += 1
+            self.cold += cold
+            self.warm += warm
 
     def __len__(self) -> int:
         return len(self._data)
@@ -366,76 +379,136 @@ _memo = _Memo(max_entries=4096, max_bytes=64 << 20)
 
 
 def solve(a, b, C):
-    """Optimal transport plan between non-empty, strictly positive
-    histograms ``a`` and ``b``; other input raises ``TransportError``.
+    """Optimal transport plans on the cost matrix ``C`` between non-empty,
+    strictly positive histograms: ``a`` and ``b`` are the supplies and
+    demands of one problem, or stacks of them, one problem per row.  Other
+    input raises ``TransportError``.
 
-    Returns ``(value, plan, u, v)`` where ``(u, v)`` are dual potentials.
-    The result is certified: dual feasibility and a vanishing duality gap
-    are checked to ``CERT_TOL`` (scaled by the largest cost) on every
-    solve.
+    Returns ``(value, plan, u, v)`` where ``(u, v)`` are dual potentials;
+    for stacks ``value`` and ``plan`` are stacked too, and ``u`` and ``v``
+    are lists with one entry per row.  Every result is certified: dual
+    feasibility and a vanishing duality gap are checked to ``CERT_TOL``
+    (scaled by the largest cost).
 
     A cold solve keeps its optimal tree on ``_memo`` in place of the last
     one, but only when every arc off the tree has a reduced cost above the
     certificate's tolerance, so that no other plan is optimal for its
-    costs.  The next problem is first answered from that tree: only if
-    ``C`` is the cost matrix the tree was solved on, its basic solution for
-    ``a`` and ``b`` is feasible (no negative flow, no more than
+    costs.  Each problem is first answered from that tree: only if ``C``
+    is the cost matrix the tree was solved on, its basic solution for the
+    row's marginals is feasible (no negative flow, no more than
     ``_MASS_EPS`` unrouted) and carries flow on every arc of the tree, and
     the certificate passes.  The tree is then the problem's only optimal
     basis, where a cold solve ends too, so the answer is the cold one bit
     for bit and does not depend on which problems were solved before.
-    Rows of a distance table solved in order mostly share their cost
-    matrix, so most of them are answered this way.  The plan is always a
-    new array; the potentials are shared with the kept tree and are
-    read-only.
+
+    The rows are taken in order.  All rows left are tried against the
+    kept tree at once: their basic solutions row by row, their duality
+    gaps as array operations.  The first row the tree declines is solved
+    cold, which may keep another tree, and the rows after it are tried
+    against whatever tree is kept then.  So a stack gets the cold and warm
+    answers, and the potentials, that its rows get one call at a time.
+    The kept potentials passed the feasibility half of the certificate
+    when they were kept, on the same ``C``, and are read-only, so a warm
+    answer checks the duality gap only; a cold one checks both halves.
+    Rows of a distance table mostly share their cost matrix, so most of
+    them are answered warm.  The plans are always new arrays; the
+    potentials are shared with the kept tree.
     """
-    a = np.ascontiguousarray(a, dtype=float)
-    b = np.ascontiguousarray(b, dtype=float)
+    A = np.ascontiguousarray(a, dtype=float)
+    B = np.ascontiguousarray(b, dtype=float)
+    one = A.ndim == 1
+    if one:
+        A, B = A[None], B[None]
     C = np.ascontiguousarray(C, dtype=float)
     key = (C.shape, C.tobytes())
+    # an empty C has no max; its solve fails before any certificate
+    cmax = float(C.max()) if C.size else 0.0
+    tol = CERT_TOL * max(1.0, cmax)
+    K = len(A)
+    values, plans, us, vs = [], [], [], []
     kept = _memo.kept
-    if kept is not None and kept[0] == key:
-        plan = _basic(a, b, kept[1])
-        # every arc of the tree must carry flow, so that no other tree
-        # has the same basic solution
-        if plan is not None and np.count_nonzero(plan) == len(kept[1].below):
-            try:
-                result = _certify(a, b, C, plan, kept[2], kept[3])
-            except TransportError:
-                pass
-            else:
-                _memo.count(warm=True)
-                return result
-    _memo.count(warm=False)
-    tree, u, v, status = _simplex(a, b, C)
-    if status != 0:
-        raise TransportError(f"transportation simplex failed (status {status})")
-    plan = _basic(a, b, tree)
-    if plan is None:
-        # rounding at a degenerate arc made a flow negative: keep the
-        # flows the pivots left (each arc joins a source to a sink)
-        p = len(a)
-        plan = np.zeros((p, len(b)))
-        for x in tree.below:
-            y = tree.parent[x]
-            plan[min(x, y), max(x, y) - p] = tree.flow[x]
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u.flags.writeable = v.flags.writeable = False
-    result = _certify(a, b, C, plan, u, v)
-    _memo.kept = (key, tree, u, v) if tree.unique else None
-    return result
+    tree = kept[1] if kept is not None and kept[0] == key else None
+    if tree is not None:
+        u, v = kept[2], kept[3]
+    k = 0
+    while k < K:
+        cold = tree is None
+        if cold:
+            # no tree kept for C, or it declined row k: solve row k cold
+            _memo.count(cold=1)
+            tree, u, v, status = _simplex(A[k], B[k], C)
+            if status != 0:
+                raise TransportError(f"transportation simplex failed (status {status})")
+            u = np.asarray(u, dtype=float)
+            v = np.asarray(v, dtype=float)
+            u.flags.writeable = v.flags.writeable = False
+        # the basic solutions of row k and every row after it
+        X, low = _basic(A[k:], B[k:], tree)
+        if cold:
+            plan = X[:1]
+            if not low[0] >= 0.0:
+                # rounding at a degenerate arc made a flow negative: keep
+                # the flows the pivots left (each arc joins a source to a
+                # sink)
+                plan = np.zeros(X[:1].shape)
+                p = C.shape[0]
+                for x in tree.below:
+                    y = tree.parent[x]
+                    plan[0, min(x, y), max(x, y) - p] = tree.flow[x]
+            values.append(_certify(A[k], B[k], C, plan[0], u, v, cmax)[0])
+            plans.append(plan)
+            us.append(u)
+            vs.append(v)
+            _memo.kept = (key, tree, u, v) if tree.unique else None
+            k += 1
+            if k == K:
+                break
+            if not tree.unique:
+                tree = None
+                continue
+            X, low = X[1:], low[1:]
+        # the rows after: answered warm up to the first that declines
+        value = (X * C).sum(axis=(1, 2))
+        gap = abs(value - (A[k:] @ u + B[k:] @ v)).tolist()
+        m = 0
+        # every arc of the tree must carry flow, so that no other tree has
+        # the same basic solution
+        while m < len(low) and low[m] > 0.0 and gap[m] <= tol:
+            m += 1
+        if m:
+            values += value[:m].tolist()
+            plans.append(X[:m])
+            us += [u] * m
+            vs += [v] * m
+            _memo.count(warm=m)
+            k += m
+        tree = None
+    plans = plans[0] if len(plans) == 1 else np.concatenate(plans)
+    if one:
+        return values[0], plans[0], us[0], vs[0]
+    return np.array(values), plans, us, vs
 
 
 def _certify(a, b, C, plan, u, v, cmax=None):
-    """Check the plan's cost against the duals' value and the duals'
+    """Check each plan's cost against the duals' value and the duals'
     feasibility, both to ``CERT_TOL`` times max(1, cmax); cmax defaults to
-    max(C), and callers that keep max(C) pass it."""
+    max(C), and callers that keep max(C) pass it.  ``a``, ``b`` and
+    ``plan`` are one problem, or a stack of problems that share the duals,
+    whose feasibility is then checked once.  Returns ``(value, plan, u,
+    v)``, with a list of values for a stack."""
     if cmax is None:
         cmax = float(C.max())
-    value = float((plan * C).sum())
     tol = CERT_TOL * max(1.0, cmax)
-    gap = abs(value - (float(a @ u) + float(b @ v)))
+    if plan.ndim == 2:
+        value = float((plan * C).sum())
+        gap = abs(value - (float(a @ u) + float(b @ v)))
+    else:
+        # each cost is summed over its own plan alone, so a stacked cost
+        # is the cost of that plan alone bit for bit
+        value = (plan * C).sum(axis=(1, 2))
+        # max keeps a NaN
+        gap = float(abs(value - (a @ u + b @ v)).max())
+        value = value.tolist()
     feas = float((C - u[:, None] - v).min())
     # NaN fails both comparisons, so a non-finite plan or dual is rejected
     if not (gap <= tol and feas >= -tol):

@@ -284,16 +284,19 @@ def _geom3_stationary_rows(C, rho, ns, gamma, delta, L, p0_V):
     return lambda w0: rows
 
 
-# per distance: (distance between two weight rows, one-step gamma), both
-# taking the metric object.  The distances are the weight-level functions
-# behind wasserstein1_exact, vnorm_distance and total_variation, so a report
-# holds the public values bit for bit without building a law per step; gamma
-# goes through the module name, so a tracer or test that rebinds it sees
-# every call
-_W1 = (lambda p, q, metric: _w1(p, q, metric)[0],
+# per distance: (distances between the rows of two lists of weight rows,
+# one-step gamma), both taking the metric object.  The distances are the
+# weight-level functions behind wasserstein1_exact, vnorm_distance and
+# total_variation, so a report holds the public values bit for bit without
+# building a law per step; W1 measures the whole stack in one call, the
+# V-norm and TV row by row, as a stacked dot product or sum may round
+# otherwise.  gamma goes through the module name, so a tracer or test that
+# rebinds it sees every call
+_W1 = (lambda P, Q, metric: _w1(np.array(P), np.array(Q), metric)[0],
        lambda P, Pt, metric, Vt: kernel_gamma_wasserstein(P, Pt, metric, Vt))
-_VNORM = (lambda p, q, V: _vnorm(p, q, V.values), kernel_gamma_vnorm)
-_TV = (lambda p, q, _: _tv(p, q),
+_VNORM = (lambda P, Q, V: np.array([_vnorm(p, q, V.values) for p, q in zip(P, Q)]),
+          kernel_gamma_vnorm)
+_TV = (lambda P, Q, _: np.array([_tv(p, q) for p, q in zip(P, Q)]),
        lambda P, Pt, _, Vt: kernel_gamma_tv(P, Pt, Vt))
 
 
@@ -349,15 +352,23 @@ def _table(distance: Callable, metric, P: FiniteKernel, Pt: FiniteKernel,
 
     One row per step n = 0..n_max of the shared walks from ``start =
     (p0, pt0, n_max)``, or one row between the stationary laws when
-    ``start`` is None.  The rows are measured in order, so a W1 row can
-    reuse the optimal tree of the row before (see ``_transport.solve``).
+    ``start`` is None.  Both walks go to ``distance`` as two lists of K
+    rows in one call (in slices only when their plans would pass 16 MiB),
+    and W1 hands them to ``otcore._w1`` as two stacks, which solves the
+    table run by run: the rows of a run share their excess and deficit
+    supports, and most of them are answered from the optimal tree of an
+    earlier row (see ``otcore._w1`` and ``_transport.solve``).
     """
     if start is None:
-        laws = [(_once(stationary_distribution, P).weights,
-                 _once(stationary_distribution, Pt).weights)]
+        rows = ([_once(stationary_distribution, P).weights],
+                [_once(stationary_distribution, Pt).weights])
     else:
-        laws = zip(*_once(_walks, P, Pt, *start))
-    return np.array([distance(p, q, metric) for p, q in laws])
+        rows = _once(_walks, P, Pt, *start)
+    # a W1 call returns a dense plan per row: slices of at most 16 MiB of
+    # plans keep a long walk on a large space from holding all of them
+    step = max(1, (16 << 20) // (8 * P.space.size ** 2))
+    return np.concatenate([distance(rows[0][k:k + step], rows[1][k:k + step], metric)
+                           for k in range(0, len(rows[0]), step)])
 
 
 def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
@@ -450,5 +461,5 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
         # the table's row 0 is this distance between the start laws
         w0 = constants["w0"] = float(distances[0])
     elif row.w0 is not None:
-        w0 = constants["w0"] = row.w0[0](p0.weights, pt0.weights, metric)
+        w0 = constants["w0"] = float(row.w0[0]([p0.weights], [pt0.weights], metric)[0])
     return PerturbationReport(which, ns, distances, rows(w0), constants)

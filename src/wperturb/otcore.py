@@ -24,7 +24,11 @@ distance.  The bound checks ask for many identical distances, so the
 transport route keeps its certified results in ``_transport._memo``, a
 bounded LRU (4,096 entries, 64 MiB) keyed on the exact bytes of the whole
 problem ``(n, mu, nu, dist)``: a repeat costs one lookup and a copy of the
-stored plan, and every caller gets its own copy.
+stored plan, and every caller gets its own copy.  Each entry is charged
+its plan and the bytes of mu and nu; the bytes of ``dist`` are one object
+shared by every entry of the space and are not charged.  ``_w1`` takes a
+whole distance table, two stacks of rows, in one call, and solves it run
+by run (see its docstring).
 
 Total variation and the weighted norm ``sum_x V(x) |mu(x) - nu(x)|`` are
 closed forms too; they equal W1 under the trivial metric and under
@@ -219,8 +223,11 @@ def _require_same_points(mu: DiscreteDistribution, nu: DiscreteDistribution,
         raise SpaceMismatchError("metric space does not match the distributions")
 
 
-def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace) -> tuple[float, np.ndarray]:
-    """Exact W1 between two weight vectors on ``space`` and an optimal plan.
+def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
+    """Exact W1 between two weight vectors on ``space`` and an optimal plan,
+    or, for two stacks of K weight rows, the K distances between paired
+    rows as an array and a list of their K plans.  A single pair is the
+    one-row case of the stack.
 
     Picks the closed form the space's constructor recorded, else a
     transport solve from the excess ``max(wa - wb, 0)`` onto the deficit
@@ -233,13 +240,156 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace) -> tuple[float
     transport solver's certificate on the full ``space.dist`` with the
     potentials ``u = f``, ``v = -f`` of a 1-Lipschitz f: an extremal one
     for the closed forms, the c-transform of the solve's column potentials
-    for the transport route.  The transport route answers a problem it has
-    certified before from ``_transport._memo`` without solving again; the
-    closed forms are not memoised.  A miss goes to ``_transport.solve``.
+    for the transport route.
+
+    Equal rows, the closed forms and the memo lookups go row by row, in
+    order.  The transport route answers a problem it has certified before
+    from ``_transport._memo`` without solving again; a row that repeats an
+    earlier missed row of the same stack is looked up after the solves,
+    so that it hits as it would one row at a time.  The rows left are
+    split into runs of consecutive rows with the same excess and deficit
+    supports, and each run goes to ``_transport.solve`` as one stack on
+    its one cost matrix, which gives every row the answer it gets one
+    call at a time.  The c-transform of the column potentials and the
+    feasibility half of the full-problem certificate are computed once
+    for each stretch of a run that the same tree answered; the lift, the
+    lifted costs and the duality gaps are array operations over the run,
+    and each row rounds as it would alone.  The closed forms are not
+    memoised.
     """
-    n = space.size
+    if space._line is not None or space._star is not None:
+        if wa.ndim == 1:
+            return _closed_form(wa, wb, space)
+        out = [_closed_form(p, q, space) for p, q in zip(wa, wb)]
+        return np.array([value for value, _ in out]), [plan for _, plan in out]
+    one = wa.ndim == 1
+    if one:
+        wa, wb = wa[None], wb[None]
+    equal = np.logical_and.reduce(wa == wb, axis=1).tolist()
+    K, n = wa.shape
+    if space._dist_bytes is None:
+        # the metric is read-only, so its bytes are taken once per space
+        space._dist_bytes = space.dist.tobytes()
+    memo = _transport._memo
+    values = [0.0] * K
+    plans = [None] * K
+    keys = [None] * K
+    todo = []     # rows left for the solver, in order
+    repeats = []  # (row, the earlier row of todo that poses the same problem)
+    first = {}
+    for k in range(K):
+        if equal[k]:
+            plans[k] = np.diag(wa[k])
+            continue
+        # the whole problem is the memo key, so a repeat skips the
+        # extraction, the solve, the lift and the certificate
+        key = keys[k] = (n, wa[k].tobytes(), wb[k].tobytes(), space._dist_bytes)
+        if key in first:
+            repeats.append((k, first[key]))
+            continue
+        hit = memo.get(key)
+        if hit is not None:
+            values[k], plans[k] = hit[0], hit[1].copy()
+        else:
+            first[key] = k
+            todo.append(k)
+    if todo:
+        solved = _transport_rows(wa, wb, space) if len(todo) == K else \
+            _transport_rows(wa[todo], wb[todo], space)
+        for k, value, plan in zip(todo, *solved):
+            values[k] = value
+            plans[k] = plan
+            # only a certified result reaches the memo, and callers get
+            # copies; each entry is charged what it alone holds, its plan
+            # and the bytes of its two rows
+            memo.put(keys[k], (value, plan.copy()),
+                     plan.nbytes + len(keys[k][1]) + len(keys[k][2]))
+    for k, j in repeats:
+        hit = memo.get(keys[k])
+        values[k], plan = hit if hit is not None else (values[j], plans[j])
+        plans[k] = plan.copy()
+    if one:
+        return values[0], plans[0]
+    return np.array(values), plans
+
+
+def _transport_rows(wa, wb, space):
+    """The transport route of ``_w1`` for every row of the stacks ``wa``
+    and ``wb``: their W1 values as a list and their plans as one stacked
+    array, from one ``_transport.solve`` per run of rows with the same
+    split."""
+    K, n = wa.shape
+    dist = space.dist
+    # W1 depends only on wa - wb, so the common mass min(wa, wb) stays in
+    # place and only the excess is moved onto the deficit
+    d = wa - wb
+    starts = [0]
+    if K > 1:
+        sign = np.sign(d)
+        starts += (np.flatnonzero(np.logical_or.reduce(sign[1:] != sign[:-1], axis=1))
+                   + 1).tolist()
+    starts.append(K)
+    runs = []
+    for s, e in zip(starts, starts[1:]):
+        ia = (d[s] > 0.0).nonzero()[0]
+        ib = (d[s] < 0.0).nonzero()[0]
+        if ia.size and ib.size:
+            runs.append((s, e, ia, ib, True))
+        else:
+            # rows equal up to rounding leave one side empty: move all of
+            # wa onto wb over their positive supports instead, row by row
+            runs += [(k, k + 1, (wa[k] > 0.0).nonzero()[0], (wb[k] > 0.0).nonzero()[0], False)
+                     for k in range(s, e)]
+    values = [0.0] * K
+    plans = np.zeros((K, n, n))
+    for s, e, ia, ib, common in runs:
+        p, q, plan, dr = (wa, wb, plans, d) if e - s == K else \
+            (wa[s:e], wb[s:e], plans[s:e], d[s:e])
+        if common:
+            np.minimum(p, q, out=plan.reshape(e - s, -1)[:, ::n + 1])
+            # take gives C-contiguous rows, each of which sums as it would alone
+            a = dr.take(ia, axis=1)
+            b = -dr.take(ib, axis=1)
+        else:
+            a = p.take(ia, axis=1)
+            b = q.take(ib, axis=1)
+        mass = a.sum(axis=1)
+        # the columns of the deficit, taken once for the solve and the
+        # c-transform (take is cheaper than fancy indexing at these sizes)
+        cols = dist.take(ib, axis=1)
+        # each side at unit mass, so a tiny distance is solved to relative
+        # accuracy; the plan is scaled back by the excess mass
+        _, sub, _, vs = _transport.solve(a / mass[:, None], b / b.sum(axis=1)[:, None],
+                                         cols.take(ia, axis=0))
+        # the sub-plan's cells are off the diagonal (the excess and deficit
+        # supports are disjoint), or the plan is still all zero
+        plan[:, ia[:, None], ib] = mass[:, None, None] * sub
+        # rows answered from one tree share its column potentials, whose
+        # c-transform is 1-Lipschitz on the whole space, so (f, -f)
+        # certifies each of their lifted plans on the full problem
+        i = 0
+        while i < e - s:
+            j = i + 1
+            while j < e - s and vs[j] is vs[i]:
+                j += 1
+            f = (cols - vs[i]).min(axis=1)
+            if j - i == 1:
+                # a lone row is certified as one problem, on scalars
+                values[s + i] = _transport._certify(p[i], q[i], dist, plan[i], f, -f,
+                                                    space._dist_max)[0]
+            else:
+                values[s + i:s + j] = _transport._certify(p[i:j], q[i:j], dist, plan[i:j],
+                                                          f, -f, space._dist_max)[0]
+            i = j
+    return values, plans
+
+
+def _closed_form(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
+    """W1 and a certified optimal plan from the line or star structure of
+    ``space``; see ``_w1``."""
     if (wa == wb).all():
         return 0.0, np.diag(wa)
+    n = space.size
     if space._line is not None:
         order, xs = space._line
         p = wa[order]
@@ -261,7 +411,7 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace) -> tuple[float
         j = order[np.searchsorted(G, t)]
         plan = np.zeros((n, n))
         plan[i, j] = np.diff(t, prepend=0.0)
-    elif space._star is not None:
+    else:
         g = space._star
         d = wa - wb
         value = float(g @ np.abs(d))
@@ -270,54 +420,6 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace) -> tuple[float
         neg = np.maximum(-d, 0.0)
         # the two excess masses differ only by rounding; max never divides by 0
         plan = np.diag(np.minimum(wa, wb)) + np.outer(pos, neg) / max(pos.sum(), neg.sum())
-    else:
-        # the whole problem is the memo key, so a repeat skips the
-        # extraction, the solve, the lift and the certificate; the metric
-        # is read-only, so its bytes are taken once per space
-        if space._dist_bytes is None:
-            space._dist_bytes = space.dist.tobytes()
-        key = (n, wa.tobytes(), wb.tobytes(), space._dist_bytes)
-        hit = _transport._memo.get(key)
-        if hit is not None:
-            return hit[0], hit[1].copy()
-        # W1 depends only on wa - wb, so the common mass min(wa, wb) stays
-        # in place and only the excess is moved onto the deficit
-        d = wa - wb
-        ia = (d > 0.0).nonzero()[0]
-        ib = (d < 0.0).nonzero()[0]
-        plan = np.zeros((n, n))
-        if ia.size and ib.size:
-            a = d[ia]
-            b = -d[ib]
-            plan.ravel()[::n + 1] = np.minimum(wa, wb)
-        else:
-            # rows equal up to rounding leave one side empty: move all of
-            # wa onto wb over their positive supports instead
-            ia = (wa > 0.0).nonzero()[0]
-            ib = (wb > 0.0).nonzero()[0]
-            a = wa[ia]
-            b = wb[ib]
-        mass = a.sum()
-        # the columns of the deficit, taken once for the solve and the
-        # c-transform (take is cheaper than fancy indexing at these sizes)
-        cols = space.dist.take(ib, axis=1)
-        # each side at unit mass, so a tiny distance is solved to relative
-        # accuracy; the plan is scaled back by the excess mass
-        a = a / mass
-        b = b / b.sum()
-        C = cols.take(ia, axis=0)
-        _, sub, _, v = _transport.solve(a, b, C)
-        # the sub-plan's cells are off the diagonal (the excess and deficit
-        # supports are disjoint), or the plan is still all zero
-        plan[ia[:, None], ib] = mass * sub
-        # the c-transform of the column potentials is 1-Lipschitz on the
-        # whole space, so (f, -f) certifies the lifted plan on the full problem
-        f = (cols - v).min(axis=1)
-        value, plan = _transport._certify(wa, wb, space.dist, plan, f, -f,
-                                          space._dist_max)[:2]
-        # only a certified result reaches the memo, and callers get copies
-        _transport._memo.put(key, (value, plan), plan.nbytes + sum(map(len, key[1:])))
-        return value, plan.copy()
     _transport._certify(wa, wb, space.dist, plan, f, -f, space._dist_max)
     return value, plan
 

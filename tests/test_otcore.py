@@ -439,6 +439,38 @@ def test_rows_1e_12_apart_are_solved_to_relative_accuracy(seed):
     assert val == pytest.approx(mass * linprog_value(a, b, C), rel=1e-6)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_rows_1e_12_apart_on_a_line_match_the_exact_rational_w1(seed):
+    # integer points on a line as a plain FiniteMetricSpace, so the
+    # transport route runs, on a metric that is exact in binary.  Both
+    # rows are integers times 2^-54 below 1/2, so they are exact doubles
+    # whose exact sums are both 1, and they differ by about 1e-12 per
+    # point.
+    # The reference is the line formula sum_i |F_mu(x_i) - F_nu(x_i)|
+    # (x_(i+1) - x_i) in rationals
+    from fractions import Fraction
+
+    rng = np.random.default_rng(950 + seed)
+    n = int(rng.integers(4, 30))
+    xs = np.sort(rng.choice(np.arange(100), size=n, replace=False)).astype(float)
+    sp = FiniteMetricSpace(range(n), np.abs(xs[:, None] - xs[None, :]))
+    unit = 2 ** 54
+    mu = np.floor(rng.dirichlet(np.full(n, 5.0)) * unit).astype(np.int64)
+    mu[np.argmax(mu)] += unit - mu.sum()
+    delta = rng.integers(-18_000, 18_000, size=n)  # 18,000 * 2^-54 is 1e-12
+    delta[-1] -= delta.sum()
+    # below 2^53 the quotients are exact; the integer masses sum to 2^54
+    assert mu.max() < unit // 2 and (mu + delta).min() > 0
+    mu_w, nu_w = mu / unit, (mu + delta) / unit
+    val, _ = wasserstein1_exact(DiscreteDistribution(sp, mu_w), DiscreteDistribution(sp, nu_w))
+    cdf, exact = 0, Fraction(0)
+    for i in range(n - 1):
+        cdf -= int(delta[i])
+        exact += Fraction(abs(cdf), unit) * int(xs[i + 1] - xs[i])
+    assert exact > 0
+    assert abs(Fraction(val) - exact) <= Fraction(1, 10 ** 9) * exact
+
+
 def test_mismatched_spaces_raise():
     spa = trivial_metric(range(3))
     spb = trivial_metric(range(4))
@@ -789,6 +821,38 @@ def test_memo_evicts_least_recently_used_within_its_bounds():
     assert memo.get("huge") is None and memo.get("big") == 4
 
 
+def test_memo_charges_each_entry_its_plan_and_rows(monkeypatch):
+    # on 200 points a plan is 320,000 bytes and each row 1,600; the
+    # metric's 320,000 bytes are shared by every entry and not charged
+    n = 200
+    rng = np.random.default_rng(26)
+    sp = euclidean_space(rng, n)
+    entry = 8 * n * n + 2 * 8 * n
+    memo = _transport._Memo(max_entries=4096, max_bytes=3 * entry)
+    monkeypatch.setattr(_transport, "_memo", memo)
+    mu_w = random_simplex(rng, n)
+    laws = []
+    for k in range(4):
+        # a few points apart, so that each solve is small
+        nu_w = mu_w.copy()
+        nu_w[k] += 1e-3
+        nu_w[k + 100] -= 1e-3
+        laws.append(DiscreteDistribution(sp, nu_w))
+    mu = DiscreteDistribution(sp, mu_w)
+    for k, nu in enumerate(laws[:3]):
+        wasserstein1_exact(mu, nu)
+        assert (memo._bytes, len(memo), memo.evictions) == ((k + 1) * entry, k + 1, 0)
+    wasserstein1_exact(mu, laws[3])  # the oldest entry goes
+    assert (memo._bytes, len(memo), memo.evictions) == (3 * entry, 3, 1)
+    assert memo.misses == 4
+    wasserstein1_exact(mu, laws[1])
+    assert memo.hits == 1
+    wasserstein1_exact(mu, laws[0])  # evicted: solved again, evicting laws[2]
+    assert (memo.misses, memo.evictions) == (5, 2)
+    memo.clear()
+    assert (memo._bytes, len(memo), memo.evictions, memo.hits, memo.misses) == (0, 0, 0, 0, 0)
+
+
 def test_memo_counts_survive_concurrent_solves():
     import sys
     import threading
@@ -1012,3 +1076,133 @@ def test_warm_answers_on_tied_costs_are_the_cold_answers():
             assert (value, plan.tobytes()) == (fresh[0], fresh[1].tobytes())
             memo.kept = kept
     assert answered > 20
+
+
+def test_a_stack_gets_the_answers_of_its_rows_one_at_a_time():
+    # on tied costs a kept tree declines often: each row of a stack must
+    # get the cold or warm answer, and the potentials, that it gets when
+    # the rows are solved one call at a time
+    rng = np.random.default_rng(46)
+    memo = _transport._memo
+    declined = 0
+    for _ in range(60):
+        k, m = rng.integers(2, 7, size=2)
+        C = rng.integers(1, 4, size=(k, m)).astype(float)
+        A = np.array([random_simplex(rng, k) for _ in range(8)])
+        B = np.array([random_simplex(rng, m) for _ in range(8)])
+        memo.clear()
+        rows = [_transport.solve(a, b, C) for a, b in zip(A, B)]
+        counts = (memo.cold, memo.warm)
+        memo.clear()
+        values, plans, us, vs = _transport.solve(A, B, C)
+        assert (memo.cold, memo.warm) == counts
+        assert values.tolist() == [value for value, _, _, _ in rows]
+        assert plans.tobytes() == np.array([plan for _, plan, _, _ in rows]).tobytes()
+        for u, v, row in zip(us, vs, rows):
+            assert (u.tobytes(), v.tobytes()) == (row[2].tobytes(), row[3].tobytes())
+        declined += 0 < memo.cold - 1
+    assert declined > 10
+
+
+# ------------------------------------------------------------ batched tables
+
+
+def _public_route(WA, WB, space):
+    """Each row through wasserstein1_exact alone, from an empty memo, and
+    the memo counts that the rows taken one call at a time leave."""
+    expected = []
+    for wa, wb in zip(WA, WB):
+        _transport._memo.clear()
+        value, coupling = wasserstein1_exact(DiscreteDistribution(space, wa),
+                                             DiscreteDistribution(space, wb), space)
+        expected.append((value, coupling.joint.tobytes()))
+    memo = _transport._memo
+    memo.clear()
+    for wa, wb in zip(WA, WB):
+        wasserstein1_exact(DiscreteDistribution(space, wa), DiscreteDistribution(space, wb), space)
+    return expected, (memo.hits, memo.misses, memo.cold, memo.warm)
+
+
+def _assert_table_is_the_public_route(WA, WB, space):
+    """The stacked ``_w1`` of a table: every row bit for bit the public
+    route's, with the hits, misses, cold solves and warm answers of the
+    rows taken one at a time; returns those counts."""
+    expected, counts = _public_route(WA, WB, space)
+    memo = _transport._memo
+    memo.clear()
+    values, plans = _w1(np.array(WA), np.array(WB), space)
+    assert (memo.hits, memo.misses, memo.cold, memo.warm) == counts
+    assert [(value, plan.tobytes()) for value, plan in zip(values.tolist(), plans)] == expected
+    return counts
+
+
+def test_a_table_row_that_declines_mid_run_is_solved_cold():
+    # excess at 0 and 10, deficit at 1 and 11 on the untagged line: every
+    # row has that split, and a row moving mass from 0 to 11 has a negative
+    # flow on the tree of the rows before it.  Rows 1 and 3 are warm again
+    xs = np.array([0.0, 1.0, 10.0, 11.0])
+    sp = FiniteMetricSpace(range(4), np.abs(xs[:, None] - xs[None, :]))
+    WB = [[0.2, 0.3, 0.2, 0.3], [0.25, 0.35, 0.15, 0.25], [0.15, 0.25, 0.25, 0.35],
+          [0.17, 0.27, 0.23, 0.33], [0.22, 0.32, 0.18, 0.28]]
+    WA = [[0.3, 0.2, 0.3, 0.2]] * len(WB)
+    assert _assert_table_is_the_public_route(WA, WB, sp) == (0, 5, 3, 2)
+    # excess at 0 and 1, deficit at 2 and 3, with sub-problem costs
+    # [[1, 2], [2, 1]]: the tree of the first row carries 0.1 from 0 to 3,
+    # which the second row, moving 0.5 from each, leaves at exactly zero
+    D = [[0.0, 1.5, 1.0, 2.0], [1.5, 0.0, 2.0, 1.0], [1.0, 2.0, 0.0, 1.5], [2.0, 1.0, 1.5, 0.0]]
+    sp = FiniteMetricSpace(range(4), D)
+    WA = [[0.6, 0.4, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.7, 0.3, 0.0, 0.0], [0.65, 0.35, 0.0, 0.0]]
+    WB = [[0.0, 0.0, 0.5, 0.5]] * len(WA)
+    assert _assert_table_is_the_public_route(WA, WB, sp) == (0, 4, 3, 1)
+
+
+def test_repeated_table_rows_stay_memo_hits():
+    # converged walks repeat their rows bit for bit; each repeat of a row
+    # solved earlier in the same table is a hit, as it is one row at a time
+    rng = np.random.default_rng(47)
+    sp = euclidean_space(rng, 7)
+    mu, nu = random_simplex(rng, 7), random_simplex(rng, 7)
+    rows = [0.0, 0.1, 0.1, 0.1, 0.2, 0.1, 0.2]
+    WA = [mu] * len(rows)
+    WB = [(1.0 - t) * nu + t * mu for t in rows]
+    hits, misses, cold, warm = _assert_table_is_the_public_route(WA, WB, sp)
+    assert (hits, misses, cold + warm) == (4, 3, 3)
+    # and a table whose rows were all asked for before is all hits
+    memo = _transport._memo
+    _w1(np.array(WA), np.array(WB), sp)
+    assert (memo.hits, memo.misses) == (4 + len(rows), 3)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "untagged line", "line", "trivial", "d_V"])
+@pytest.mark.parametrize("shape", ["plain", "dust", "zeros"])
+def test_table_rows_match_the_public_route_on_every_metric(kind, shape):
+    # rows of one split, then an equal row (wa == wb), then rows equal up
+    # to rounding (the balanced solve), then rows of the opposite split,
+    # then two rows with the same excess whose deficits differ, the other
+    # points holding exactly equal masses
+    rng = np.random.default_rng(48)
+    n = 9
+    if kind == "euclidean":
+        sp = euclidean_space(rng, n)
+    elif kind == "untagged line":
+        sp = untagged(tagged_space(rng, "line", n))
+    else:
+        sp = tagged_space(rng, kind, n)
+    mu, nu = shaped_pair(rng, n, shape)
+    near = mu.copy()
+    near[np.argmax(near)] -= 4e-13
+    i, j, k = np.argsort(mu)[-3:]
+    moved = [mu.copy(), mu.copy()]
+    moved[0][[i, j]] += [0.01, -0.01]
+    moved[1][[i, k, j]] += [0.005, 0.005, -0.01]
+    WA = [mu] * 5 + [mu, mu, nu, nu] + [mu, mu]
+    WB = [(1.0 - t) * nu + t * mu for t in (0.0, 0.25, 0.5, 1.0, 0.75)] + [near, near, mu, mu] + moved
+    hits, misses, cold, warm = _assert_table_is_the_public_route(WA, WB, sp)
+    if sp._line is None and sp._star is None:
+        # the equal row takes no lookup; the repeats of the balanced row
+        # and of (nu, mu) are hits.  On a line many plans tie, so no tree
+        # is kept and every miss is solved cold
+        assert (hits, misses) == (2, 8) and cold + warm == 8
+        assert (warm > 0) == (kind == "euclidean")
+    else:
+        assert (hits, misses, cold, warm) == (0, 0, 0, 0)
