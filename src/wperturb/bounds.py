@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, SpaceMismatchError
 from .kernels import (
+    DriftCheck,
     DriftEstimate,
     FiniteKernel,
     _check_C,
@@ -248,14 +249,17 @@ class PerturbationReport:
 # before any chain is evolved or w0 is measured, and w0 can be read off
 # the distance table afterwards.  The rows differ only in rho^n, taken by
 # _pow for each n, and share the public scalar formula, so row n is the
-# scalar bound at n bit for bit.
-def _pows(rho, ns) -> np.ndarray:
-    return np.array([_pow(rho, n) for n in ns])
+# scalar bound at n bit for bit.  The powers of one (rho, ns) are taken
+# once and shared, read-only, by every variant fitted to that rho.
+def _pows(rho, ns: tuple) -> np.ndarray:
+    pows = np.array([_pow(rho, n) for n in ns])
+    pows.setflags(write=False)
+    return pows
 
 
 def _thm31_at(inputs: BoundInputs, ns) -> Callable:
     """rows(w0) for thm31_bound, from inputs checked with a placeholder w0."""
-    pows = _pows(inputs.rho, ns)
+    pows = _once(_pows, inputs.rho, tuple(ns))
     return lambda w0: _thm31(replace(inputs, w0=w0), pows)
 
 
@@ -270,7 +274,7 @@ def _geom2_rows(C, rho, ns, gamma, delta, L, p0_V):
 
 def _geom3_rows(C, rho, ns, gamma, delta, L, p0_V):
     limit = _geom3_limit(C, rho, gamma, delta, L, kappa(p0_V, L, delta))
-    pows = _pows(rho, ns)
+    pows = _once(_pows, rho, tuple(ns))
     return lambda w0: C * pows * w0 + limit
 
 
@@ -288,15 +292,17 @@ def _geom3_stationary_rows(C, rho, ns, gamma, delta, L, p0_V):
 # one-step gamma), both taking the metric object.  The distances are the
 # weight-level functions behind wasserstein1_exact, vnorm_distance and
 # total_variation, so a report holds the public values bit for bit without
-# building a law per step; W1 measures the whole stack in one call, the
-# V-norm and TV row by row, as a stacked dot product or sum may round
-# otherwise.  gamma goes through the module name, so a tracer or test that
-# rebinds it sees every call
+# building a law per step.  W1 and TV measure the whole stack in one call:
+# _w1 solves it run by run, and a stacked TV sums each row as it sums
+# alone.  The V-norm goes row by row, because a stacked product
+# |P - Q| @ v rounds otherwise than the one-row v @ |p - q| (it differed
+# in the last bit on most random stacks).  gamma goes through the module
+# name, so a tracer or test that rebinds it sees every call
 _W1 = (lambda P, Q, metric: _w1(np.array(P), np.array(Q), metric)[0],
        lambda P, Pt, metric, Vt: kernel_gamma_wasserstein(P, Pt, metric, Vt))
 _VNORM = (lambda P, Q, V: np.array([_vnorm(p, q, V.values) for p, q in zip(P, Q)]),
           kernel_gamma_vnorm)
-_TV = (lambda P, Q, _: np.array([_tv(p, q) for p, q in zip(P, Q)]),
+_TV = (lambda P, Q, _: _tv(np.array(P), np.array(Q)),
        lambda P, Pt, _, Vt: kernel_gamma_tv(P, Pt, Vt))
 
 
@@ -328,16 +334,39 @@ def _metric_slot(which: str, space: FiniteMetricSpace, V: WeightFunction):
     return {FiniteMetricSpace: space, WeightFunction: V, None: None}[_VARIANTS[which].slot]
 
 
-# Fits, gammas, the unit weight, the stationary laws, the walks and the
+# Fits, gammas, drift constants with their checks, the unit weight, the
+# stationary laws, the bound rows' powers of rho, the walks and the
 # distance tables of the instances verified last, keyed on the function
 # and every argument, so that the seven variants of one instance share
 # them across calls.  Kernels, spaces, weight functions and laws copy
 # their input, are read-only and hash by identity; the cache holds its
-# keys, so no cached id is reused.  One instance needs at most 13 entries,
-# plus 5 for each pair of start laws and n_max it is walked from.
+# keys, so no cached id is reused.  One instance needs at most 17 entries
+# (three fits, five gammas, four drifts, the unit weight, two stationary
+# laws and their two tables), plus 8 for each pair of start laws and
+# n_max it is walked from (the walks, four tables and the powers of three
+# rhos).  A sweep instance, with V as Vt, takes 27: 21 for the probe at
+# n_max = 0 and 6 more at n_max = 30, so 64 entries hold one instance
+# even in the worst case of 17 + 2 * 8.
 @functools.lru_cache(maxsize=64)
 def _once(fn, *args):
     return fn(*args)
+
+
+def _drift(K: FiniteKernel, Q: Optional[FiniteKernel], Vt: WeightFunction,
+           delta: float) -> tuple[float, DriftCheck]:
+    """L of the drift condition on K at ``delta``, raised to Q's one-step
+    gap ``max(Q Vt - Vt)`` when Q is given, and its check on K.
+
+    The check is returned, not raised, so that the caller raises on every
+    call whose drift fails, memo hit or not.
+    """
+    if Q is None:
+        L = fit_drift_L(K, Vt, delta)
+    else:
+        # raised from the fit on K alone, which the unraised variants keep
+        L = max(_once(_drift, K, None, Vt, delta)[0],
+                float(np.max(Q.apply_to_function(Vt.values) - Vt.values)), 1e-12)
+    return L, verify_drift(K, DriftEstimate(Vt, delta, L))
 
 
 def _walks(P: FiniteKernel, Pt: FiniteKernel, p0: DiscreteDistribution,
@@ -398,12 +427,17 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
     geom3_bound (w0 in the Vt-norm; L is raised to P's one-step gap).
     Stationary variants compare the stationary laws in one n = -1 row.
 
-    The fits, the gammas, the stationary laws, the walks of both chains
-    and the distance tables of the instances verified last are kept,
-    keyed on the kernel, metric, weight and law objects themselves and
-    on ``n_max``, so the calls for the seven variants of one instance
-    compute each of them once: thm31 and v1 share one W1 table, and geom1
-    and geom2 one V-norm table when the slot's V is ``Vt``.
+    The fits, the gammas, the drift constant L with its check, the
+    stationary laws, the bound rows' powers of rho, the walks of both
+    chains and the distance tables of the instances verified last are
+    kept, keyed on the kernel, metric, weight and law objects themselves
+    and on ``delta`` and ``n_max``, so the calls for the seven variants
+    of one instance compute each of them once: thm31 and v1 share one W1
+    table, and geom1 and geom2 one V-norm table when the slot's V is
+    ``Vt``.  The powers P^j that the fits take live on P, so the fits
+    under every metric share them, and tau's candidate pairs live on the
+    space.  A check that fails is kept with its result and raises again
+    on every call.
 
     Raises ValueError unless ``n_max`` is a nonnegative integer, and
     HypothesisViolation (or a subclass) when the selected theorem's
@@ -431,11 +465,8 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
     est = _once(fit_geometric_constants, P, metric, m, m)
     distance, gamma_of = row.measure
     gamma = _once(gamma_of, P, Pt, metric, Vt)
-    drift_kernel = P if row.drift == "P" else Pt
-    L = fit_drift_L(drift_kernel, Vt, delta)
-    if row.drift == "both":
-        L = max(L, float(np.max(P.apply_to_function(Vt.values) - Vt.values)), 1e-12)
-    check = verify_drift(drift_kernel, DriftEstimate(Vt, delta, L))
+    L, check = _once(_drift, P if row.drift == "P" else Pt,
+                     P if row.drift == "both" else None, Vt, delta)
     if not check.ok:
         raise HypothesisViolation(f"drift condition fails at index {check.worst_index} "
                                   f"(slack {check.worst_slack:.3e})")

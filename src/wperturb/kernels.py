@@ -33,6 +33,7 @@ from .otcore import (
     DiscreteDistribution,
     FiniteMetricSpace,
     WeightFunction,
+    _blocks,
     _w1,
 )
 
@@ -87,6 +88,18 @@ class FiniteKernel:
         self.space = space
         self.matrix = matrix
         self.matrix.setflags(write=False)
+        # the kernels of P^1..P^j and the raw product P^j, taken by _power
+        # on first use: the fits under every metric share them
+        self._powers = ([], None)
+
+    def _power(self, j: int) -> "FiniteKernel":
+        """P^j for j >= 1: the repeated product, rows renormalised."""
+        kernels, raw = self._powers
+        while len(kernels) < j:
+            raw = (np.eye(self.space.size) if raw is None else raw) @ self.matrix
+            kernels.append(FiniteKernel(self.space, raw / raw.sum(axis=1, keepdims=True)))
+            self._powers = (kernels, raw)
+        return kernels[j - 1]
 
     def row(self, i: int) -> DiscreteDistribution:
         return DiscreteDistribution(self.space, self.matrix[i])
@@ -186,12 +199,15 @@ def tau(P: FiniteKernel, metric: FiniteMetricSpace) -> float:
         raise SpaceMismatchError("metric does not match the kernel's points")
     if metric._star is not None:
         return _tau_star(P.matrix, metric._star)
-    if metric._line is None:
-        ia, ib = np.triu_indices(metric.size, k=1)
-    else:
-        order = metric._line[0]
-        ia, ib = order[:-1], order[1:]
-    return _sup_w1_ratio(P.matrix, P.matrix, ia, ib, metric.dist[ia, ib], metric)
+    if metric._pairs is None:
+        # the candidates depend only on the metric, which is read-only
+        if metric._line is None:
+            ia, ib = np.triu_indices(metric.size, k=1)
+        else:
+            order = metric._line[0]
+            ia, ib = order[:-1], order[1:]
+        metric._pairs = (ia, ib, metric.dist[ia, ib])
+    return _sup_w1_ratio(P.matrix, P.matrix, *metric._pairs, metric)
 
 
 def _plan_bounds(A: np.ndarray, B: np.ndarray, ia: np.ndarray, ib: np.ndarray,
@@ -245,11 +261,16 @@ def _sup_w1_ratio(A: np.ndarray, B: np.ndarray, ia: np.ndarray, ib: np.ndarray,
 
 def _tau_star(M: np.ndarray, g: np.ndarray) -> float:
     """max_{x!=y} sum_z g(z) |M(x,z) - M(y,z)| / (g(x) + g(y))."""
-    # one row x at a time: (n, n) temporaries instead of one (n, n, n)
+    # a block X of rows x at a time: (len(X), n, n) temporaries of about
+    # 2 MiB instead of one (n, n, n); the stacked product takes each x's
+    # (n, n) slab as the one-row product does, so it rounds the same
     worst = 0.0
-    for x in range(len(M)):
-        ratio = (np.abs(M[x] - M) @ g) / (g[x] + g)
-        ratio[x] = 0.0
+    for X in _blocks(len(M)):
+        diff = M[X][:, None, :] - M
+        num = np.abs(diff, out=diff) @ g
+        ratio = num / (g[X][:, None] + g)
+        r = np.arange(len(ratio))
+        ratio[r, X.start + r] = 0.0
         worst = max(worst, float(ratio.max()))
     return worst
 
@@ -353,11 +374,7 @@ def fit_geometric_constants(P: FiniteKernel,
     else:
         tag = "base"
         coeff = lambda K: tau(K, metric)
-    taus = [1.0]
-    power = np.eye(P.space.size)
-    for _ in range(n_check):
-        power = power @ P.matrix
-        taus.append(coeff(FiniteKernel(P.space, power / power.sum(axis=1, keepdims=True))))
+    taus = [1.0] + [coeff(P._power(j)) for j in range(1, n_check + 1)]
     if taus[m] >= 1.0:
         raise NoContractionError(
             f"tau(P^{m}) = {taus[m]:.6f} >= 1; no contraction at horizon m={m}"

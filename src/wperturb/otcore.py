@@ -75,10 +75,13 @@ class FiniteMetricSpace:
             off = dist[~np.eye(n, dtype=bool)]
             if np.min(off) <= 0.0:
                 raise ValueError("off-diagonal distances must be positive")
-        # triangle inequality, checked one intermediate point at a time to
-        # avoid materialising an (n, n, n) tensor
-        for j in range(n):
-            slack = dist - (dist[:, j][:, None] + dist[j, :][None, :])
+        # triangle inequality, checked for a block of intermediate points j
+        # at a time: slack[j, x, y] = d(x, y) - (d(x, j) + d(j, y)), each
+        # rounded as alone, in (len(J), n, n) temporaries of about 2 MiB
+        # instead of one (n, n, n) tensor
+        for J in _blocks(n):
+            slack = dist[:, J].T[:, :, None] + dist[J][:, None, :]
+            np.subtract(dist, slack, out=slack)
             if np.max(slack) > METRIC_TOL:
                 raise ValueError("triangle inequality fails")
         self.points = points
@@ -91,6 +94,9 @@ class FiniteMetricSpace:
         self._star = None
         # dist.tobytes(), taken by _w1 on first use as part of its memo key
         self._dist_bytes = None
+        # kernels.tau's candidate pairs (ia, ib) and their distances, taken
+        # by tau on first use
+        self._pairs = None
         # max(dist), which sets the tolerance of every certificate _w1 checks
         self._dist_max = float(np.max(dist)) if n else 1.0
 
@@ -106,6 +112,14 @@ class FiniteMetricSpace:
 
     def same_points(self, other: "FiniteMetricSpace") -> bool:
         return self is other or self.points == other.points
+
+
+def _blocks(n: int) -> list[slice]:
+    """Slices of range(n), each so long that a (len, n, n) float temporary
+    stays near 2 MiB: the per-point loops over an (n, n) matrix take one
+    block of points per numpy pass."""
+    step = max(1, (2 << 20) // (8 * n * n)) if n else 1
+    return [slice(s, s + step) for s in range(0, n, step)]
 
 
 def trivial_metric(points: Sequence) -> FiniteMetricSpace:
@@ -256,6 +270,14 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
     lifted costs and the duality gaps are array operations over the run,
     and each row rounds as it would alone.  The closed forms are not
     memoised.
+
+    Scaling each side to unit mass also absorbs, silently, any imbalance
+    between the two rows' float sums.  When they differ by an ulp, the
+    solve resolves that 1e-16 against the true excess as if the rows
+    balanced, and neither certificate flags it, since both are absolute:
+    two rows 1e-12 apart whose sums differ by an ulp gave a W1 4.5e-6
+    off the exact value in relative terms.  Only a certificate relative
+    to the distance itself would catch this.
     """
     if space._line is not None or space._star is not None:
         if wa.ndim == 1:
@@ -453,9 +475,12 @@ def total_variation(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float
     return _tv(mu.weights, nu.weights)
 
 
-def _tv(wa: np.ndarray, wb: np.ndarray) -> float:
-    """``total_variation`` on two weight vectors, unchecked."""
-    return float(np.abs(wa - wb).sum())
+def _tv(wa: np.ndarray, wb: np.ndarray):
+    """``total_variation`` on two weight vectors, unchecked; on two stacks
+    of rows, the array of their paired distances.  Each row of a stack
+    sums alone, as one vector does, so it rounds as one vector would."""
+    d = np.abs(wa - wb).sum(axis=-1)
+    return float(d) if wa.ndim == 1 else d
 
 
 def vnorm_distance(mu: DiscreteDistribution, nu: DiscreteDistribution,

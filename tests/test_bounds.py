@@ -299,6 +299,34 @@ def test_bound_hypotheses_raise_before_any_walk_or_w1(monkeypatch, which, Pt_row
         verify_on_finite(P, Pt, None, Vt, p, q, 5, which, delta=0.3)
 
 
+def test_a_failing_drift_check_raises_on_every_call(monkeypatch):
+    P, Pt, sp, V, Vt, p0, pt0 = make_instance(2)
+    checked = []
+
+    def failing(K, est):
+        checked.append(K)
+        return kernels.DriftCheck(ok=False, worst_slack=0.5, worst_index=1)
+
+    monkeypatch.setattr(bounds, "verify_drift", failing)
+    for which in ("thm31", "stationary", "geom1", "thm31"):
+        with pytest.raises(HypothesisViolation, match="drift condition fails at index 1"):
+            verify_on_finite(P, Pt, _metric_slot(which, sp, V), Vt, p0, pt0, 4, which)
+    # the drift of Pt under Vt is checked once; its failure is kept with it
+    # and raised again by each later call
+    assert checked == [Pt]
+
+
+def test_bound_hypotheses_raise_on_every_call():
+    sp = trivial_metric(range(2))
+    P = FiniteKernel(sp, [[0.7, 0.3], [0.6, 0.4]])
+    Pt = FiniteKernel(sp, [[0.1, 0.9], [0.9, 0.1]])  # gamma_tv 1.2 > 1/e
+    Vt = WeightFunction.ones(sp)
+    p = DiscreteDistribution(sp, [0.5, 0.5])
+    for which in ("geom3", "geom3_stationary", "geom3"):
+        with pytest.raises(HypothesisViolation, match="gamma_tv"):
+            verify_on_finite(P, Pt, None, Vt, p, p, 5, which, delta=0.3)
+
+
 @pytest.mark.parametrize("which", ["thm31", "v1", "geom1", "geom2", "geom3"])
 def test_w0_is_measured_once(monkeypatch, which):
     # thm31, v1, geom1 and geom2 measure w0 as their table does, so w0 is

@@ -252,6 +252,80 @@ def test_generate_random_instance_fits_each_metric_once(monkeypatch):
     assert fits == [sp, V]
 
 
+# What one instance and its seven variants compute, counted: the probe in
+# generate_random_instance (n_max = 0) and the seven public calls at
+# n_max = 30 share each of these, so a second verify of the same instance
+# repeats none of them.
+
+def verify_one_instance():
+    P, Pt, sp, V, p0, pt0 = generate_random_instance(3, 6, 0.5)
+    reports = [verify_on_finite(P, Pt, _metric_slot(which, sp, V), V, p0, pt0, 30, which)
+               for which in WHICH_CHOICES]
+    return (P, Pt, sp, V, p0, pt0), reports
+
+
+def test_an_instance_fits_each_drift_once(monkeypatch):
+    import wperturb.bounds as boundsmod
+
+    fits = []
+    fit = boundsmod.fit_drift_L
+    monkeypatch.setattr(boundsmod, "fit_drift_L",
+                        lambda K, W, delta: fits.append((K, W)) or fit(K, W, delta))
+    (P, Pt, sp, V, p0, pt0), _ = verify_one_instance()
+    # Pt under V (thm31, stationary, geom1, and geom3 before its L is
+    # raised to P's gap), Pt under the unit weight (v1), P under V (geom2)
+    assert [(K, W is V) for K, W in fits] == [(Pt, True), (Pt, False), (P, True)]
+
+
+def test_an_instance_walks_the_powers_of_P_once(monkeypatch):
+    import wperturb.kernels as kernelsmod
+
+    seen = {}
+    for name in ("tau", "tau_v"):
+        coeff = getattr(kernelsmod, name)
+        monkeypatch.setattr(kernelsmod, name, lambda K, metric, coeff=coeff:
+                            seen.setdefault(metric, []).append(K) or coeff(K, metric))
+    (P, Pt, sp, V, p0, pt0), _ = verify_one_instance()
+    # fits at horizon 2 under the space and under V, on the same P and P^2
+    assert list(seen) == [sp, V]
+    assert len(seen[sp]) == 2
+    assert all(a is b for a, b in zip(seen[sp], seen[V], strict=True))
+
+
+def test_an_instance_builds_the_tau_candidates_of_its_space_once(monkeypatch):
+    import wperturb.kernels as kernelsmod
+
+    tables = []
+    sup = kernelsmod._sup_w1_ratio
+
+    def spy(A, B, ia, ib, scale, metric):
+        if A is B:  # tau; the gamma sups compare P with Pt
+            tables.append((ia, ib, scale))
+        return sup(A, B, ia, ib, scale, metric)
+
+    monkeypatch.setattr(kernelsmod, "_sup_w1_ratio", spy)
+    verify_one_instance()
+    # the probe's tau of the candidate kernel, then the fit's tau of P and P^2
+    assert len(tables) == 3
+    assert all(x is y for table in tables for x, y in zip(table, tables[0]))
+
+
+def test_an_instance_takes_each_set_of_row_powers_once(monkeypatch):
+    import wperturb.bounds as boundsmod
+
+    calls = []
+    pows = boundsmod._pows
+    monkeypatch.setattr(boundsmod, "_pows",
+                        lambda rho, ns: calls.append((rho, ns)) or pows(rho, ns))
+    _, reports = verify_one_instance()
+    # the rho fitted under the space and the one under V, each at the
+    # probe's n = 0 and at n = 0..30
+    rhos = {rep.constants["rho"] for rep in reports}
+    assert len(rhos) == 2
+    assert sorted(calls) == sorted((rho, ns) for rho in rhos
+                                   for ns in ((0,), tuple(range(31))))
+
+
 def test_generate_random_instance_validation():
     with pytest.raises(ValueError):
         generate_random_instance(0, 1, 0.5)

@@ -40,6 +40,7 @@ from wperturb.otcore import (
     DiscreteDistribution,
     FiniteMetricSpace,
     WeightFunction,
+    _blocks,
     dv_metric,
     line_metric,
     point_mass,
@@ -230,6 +231,36 @@ def test_tau_star_row_by_row_is_bitwise_the_3d_form(n):
             M[-1, 0] += 1e-12
         g = np.ones(n) if case % 2 else 1.0 + rng.uniform(0.0, 3.0, size=n)
         assert _tau_star(M, g) == tau_star_3d(M, g)
+
+
+def tau_star_by_rows(M, g):
+    """Reference: the star-metric tau one row x at a time."""
+    worst = 0.0
+    for x in range(len(M)):
+        ratio = (np.abs(M[x] - M) @ g) / (g[x] + g)
+        ratio[x] = 0.0
+        worst = max(worst, float(ratio.max()))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 9, 65, 77, 100, 151, 200])
+def test_blocked_tau_star_is_the_row_loop_bit_for_bit(n):
+    blocks = _blocks(n)
+    if n > 64:  # several blocks of rows, the last one partial
+        assert len(blocks) > 1 and n % (blocks[0].stop - blocks[0].start) != 0
+    rng = np.random.default_rng(n)
+    for case in range(6):
+        M = random_kernel(rng, n, mix=rng.uniform(0.0, 0.9))
+        if case % 3 == 1:  # exact zeros and dust masses
+            M[rng.random((n, n)) < 0.3] = 0.0
+            M[rng.random((n, n)) < 0.1] = 1e-8
+            M[np.arange(n), rng.integers(n, size=n)] += 0.5
+            M = M / M.sum(axis=1, keepdims=True)
+        if case % 3 == 2:  # the sup only between the last two rows
+            M[:] = M[0]
+            M[-2:] = np.eye(n)[:2]
+        g = np.ones(n) if case % 2 else 1.0 + rng.uniform(0.0, 3.0, size=n)
+        assert _tau_star(M, g) == tau_star_by_rows(M, g)
 
 
 def test_tau_v_memory_stays_quadratic_at_cli_maximum():

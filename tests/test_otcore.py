@@ -21,10 +21,13 @@ from scipy.sparse import csr_matrix
 from wperturb import _transport
 from wperturb.errors import SpaceMismatchError
 from wperturb.otcore import (
+    METRIC_TOL,
     Coupling,
     DiscreteDistribution,
     FiniteMetricSpace,
     WeightFunction,
+    _blocks,
+    _tv,
     _w1,
     dv_metric,
     empirical_w1_1d,
@@ -103,6 +106,45 @@ def test_metric_validation_rejects_bad_matrices():
         FiniteMetricSpace([0, 1, 2], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     with pytest.raises(ValueError, match="finite"):
         FiniteMetricSpace([0, 1], [[0.0, np.inf], [np.inf, 0.0]])
+
+
+def triangle_holds_by_loop(dist):
+    """Reference: the triangle check one intermediate point j at a time."""
+    for j in range(len(dist)):
+        if np.max(dist - (dist[:, j][:, None] + dist[j, :][None, :])) > METRIC_TOL:
+            return False
+    return True
+
+
+def broken_through(n, j, excess):
+    """Distances 1 off the diagonal but d(a, j) = 0.5 and d(a, c) = 1.5 +
+    excess, for a, c the two points after j: d(a, c) <= d(a, j) + d(j, c)
+    is the one triangle that can fail, through j alone."""
+    a, c = (j + 1) % n, (j + 2) % n
+    dist = 1.0 - np.eye(n)
+    dist[a, j] = dist[j, a] = 0.5
+    dist[a, c] = dist[c, a] = 1.5 + excess
+    return dist
+
+
+@pytest.mark.parametrize("n", [7, 200])
+def test_triangle_check_sees_a_break_through_the_last_point_of_a_block(n):
+    blocks = _blocks(n)
+    if n == 200:  # blocks of 6 intermediate points, the last one partial
+        assert blocks[0] == slice(0, 6) and blocks[-1] == slice(198, 204)
+    ends = {0, n - 1}
+    for b in blocks[:1] + blocks[-2:]:
+        ends |= {b.start, min(b.stop, n) - 1}
+    # 2e-12 breaks the inequality beyond METRIC_TOL; 5e-13 stays within it
+    for j in sorted(ends):
+        for excess in (0.1, 2e-12):
+            dist = broken_through(n, j, excess)
+            assert not triangle_holds_by_loop(dist)
+            with pytest.raises(ValueError, match="^triangle inequality fails$"):
+                FiniteMetricSpace(range(n), dist)
+        dist = broken_through(n, j, 5e-13)
+        assert triangle_holds_by_loop(dist)
+        FiniteMetricSpace(range(n), dist)
 
 
 def test_trivial_metric_is_two_off_diagonal():
@@ -324,6 +366,24 @@ def test_trivial_metric_recovers_total_variation(seed):
     nu = DiscreteDistribution(sp, nu_w)
     val, _ = wasserstein1_exact(mu, nu)
     assert val == pytest.approx(total_variation(mu, nu), abs=1e-9)
+
+
+def test_stacked_tv_is_the_row_by_row_tv_bit_for_bit():
+    rng = np.random.default_rng(25)
+    for case in range(400):
+        n = int(rng.integers(1, 210))
+        A, B = rng.dirichlet(np.ones(n), size=(2, int(rng.integers(1, 32))))
+        if case % 2:  # exact zeros and dust masses on both sides
+            for X in (A, B):
+                X[rng.random(X.shape) < 0.3] = 0.0
+                X[rng.random(X.shape) < 0.1] = 1e-8
+        if case % 3 == 0:  # equal rows and rows 1e-12 apart
+            B[0] = A[0]
+            B[-1] = A[-1] + 1e-12 * rng.standard_normal(n)
+        # the one-pair sum, row by row
+        rows = np.array([float(np.abs(p - q).sum()) for p, q in zip(A, B)])
+        assert _tv(A, B).tobytes() == rows.tobytes()
+        assert _tv(A[0], B[0]) == rows[0] and type(_tv(A[0], B[0])) is float
 
 
 def test_total_variation_disjoint_supports_is_two():
