@@ -401,18 +401,18 @@ def solve(a, b, C):
     basis, where a cold solve ends too, so the answer is the cold one bit
     for bit and does not depend on which problems were solved before.
 
-    The rows are taken in order.  All rows left are tried against the
-    kept tree at once: their basic solutions row by row, their duality
-    gaps as array operations.  The first row the tree declines is solved
-    cold, which may keep another tree, and the rows after it are tried
-    against whatever tree is kept then.  So a stack gets the cold and warm
-    answers, and the potentials, that its rows get one call at a time.
-    The kept potentials passed the feasibility half of the certificate
-    when they were kept, on the same ``C``, and are read-only, so a warm
-    answer checks the duality gap only; a cold one checks both halves.
-    Rows of a distance table mostly share their cost matrix, so most of
-    them are answered warm.  The plans are always new arrays; the
-    potentials are shared with the kept tree.
+    The rows are taken in order, in one loop.  Each turn tries all rows
+    left against the kept tree at once, if it was solved on ``C`` (their
+    basic solutions row by row, their duality gaps as array operations),
+    answers them warm up to the first that the tree declines, and solves
+    that row cold, which may keep another tree for the next turn.  So a
+    stack gets the cold and warm answers, and the potentials, that its
+    rows get one call at a time.  The kept potentials passed the
+    feasibility half of the certificate when they were kept, on the same
+    ``C``, and are read-only, so a warm answer checks the duality gap
+    only; a cold one checks both halves.  Rows of a distance table mostly
+    share their cost matrix, so most of them are answered warm.  The plans
+    are always new arrays; the potentials are shared with the kept tree.
     """
     A = np.ascontiguousarray(a, dtype=float)
     B = np.ascontiguousarray(b, dtype=float)
@@ -427,62 +427,52 @@ def solve(a, b, C):
     K = len(A)
     values, plans, us, vs = [], [], [], []
     kept = _memo.kept
-    tree = kept[1] if kept is not None and kept[0] == key else None
-    if tree is not None:
-        u, v = kept[2], kept[3]
+    tree, u, v = kept[1:] if kept is not None and kept[0] == key else (None, None, None)
     k = 0
-    while k < K:
-        cold = tree is None
-        if cold:
-            # no tree kept for C, or it declined row k: solve row k cold
-            _memo.count(cold=1)
-            tree, u, v, status = _simplex(A[k], B[k], C)
-            if status != 0:
-                raise TransportError(f"transportation simplex failed (status {status})")
-            u = np.asarray(u, dtype=float)
-            v = np.asarray(v, dtype=float)
-            u.flags.writeable = v.flags.writeable = False
-        # the basic solutions of row k and every row after it
-        X, low = _basic(A[k:], B[k:], tree)
-        if cold:
-            plan = X[:1]
-            if not low[0] >= 0.0:
-                # rounding at a degenerate arc made a flow negative: keep
-                # the flows the pivots left (each arc joins a source to a
-                # sink)
-                plan = np.zeros(X[:1].shape)
-                p = C.shape[0]
-                for x in tree.below:
-                    y = tree.parent[x]
-                    plan[0, min(x, y), max(x, y) - p] = tree.flow[x]
-            values.append(_certify(A[k], B[k], C, plan[0], u, v, cmax)[0])
-            plans.append(plan)
-            us.append(u)
-            vs.append(v)
-            _memo.kept = (key, tree, u, v) if tree.unique else None
-            k += 1
-            if k == K:
-                break
-            if not tree.unique:
-                tree = None
-                continue
-            X, low = X[1:], low[1:]
-        # the rows after: answered warm up to the first that declines
-        value = (X * C).sum(axis=(1, 2))
-        gap = abs(value - (A[k:] @ u + B[k:] @ v)).tolist()
-        m = 0
-        # every arc of the tree must carry flow, so that no other tree has
-        # the same basic solution
-        while m < len(low) and low[m] > 0.0 and gap[m] <= tol:
-            m += 1
-        if m:
-            values += value[:m].tolist()
-            plans.append(X[:m])
-            us += [u] * m
-            vs += [v] * m
-            _memo.count(warm=m)
-            k += m
-        tree = None
+    while True:
+        if tree is not None and k < K:
+            # the rows left, if any, answered warm up to the first that declines
+            X, low = _basic(A[k:], B[k:], tree)
+            value = (X * C).sum(axis=(1, 2))
+            gap = abs(value - (A[k:] @ u + B[k:] @ v)).tolist()
+            m = 0
+            # every arc of the tree must carry flow, so that no other tree has
+            # the same basic solution
+            while m < len(low) and low[m] > 0.0 and gap[m] <= tol:
+                m += 1
+            if m:
+                values += value[:m].tolist()
+                plans.append(X[:m])
+                us += [u] * m
+                vs += [v] * m
+                _memo.count(warm=m)
+                k += m
+        if k == K:
+            break
+        # no tree kept for C, or it declined row k: solve row k cold
+        _memo.count(cold=1)
+        tree, u, v, status = _simplex(A[k], B[k], C)
+        if status != 0:
+            raise TransportError(f"transportation simplex failed (status {status})")
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        u.flags.writeable = v.flags.writeable = False
+        plan, low = _basic(A[k:k + 1], B[k:k + 1], tree)
+        if not low[0] >= 0.0:
+            # rounding at a degenerate arc made a flow negative: keep the
+            # flows the pivots left (each arc joins a source to a sink)
+            plan = np.zeros(plan.shape)
+            for x in tree.below:
+                y = tree.parent[x]
+                plan[0, min(x, y), max(x, y) - len(C)] = tree.flow[x]
+        values.append(_certify(A[k], B[k], C, plan[0], u, v, cmax)[0])
+        plans.append(plan)
+        us.append(u)
+        vs.append(v)
+        _memo.kept = (key, tree, u, v) if tree.unique else None
+        if not tree.unique:
+            tree = None
+        k += 1
     plans = plans[0] if len(plans) == 1 else np.concatenate(plans)
     if one:
         return values[0], plans[0], us[0], vs[0]

@@ -117,10 +117,13 @@ def ar1_nstep_bound(alpha: float, alpha_t: float, w0: float, n, kappa: float) ->
 
 
 def ar1_stationary_bound(alpha: float, alpha_t: float, E_absZ: float) -> float:
-    """Stationary Wasserstein bound |a - at| (1 - |at| + E|Z|) / ((1-|a|)(1-|at|))."""
-    _check_roots(alpha=alpha, alpha_t=alpha_t)
-    return (abs(alpha - alpha_t) * (1.0 - abs(alpha_t) + E_absZ)
-            / ((1.0 - abs(alpha)) * (1.0 - abs(alpha_t))))
+    """Stationary Wasserstein bound |a - at| (1 - |at| + E|Z|) / ((1-|a|)(1-|at|)).
+
+    ``bounds.stationary_wasserstein_bound`` with C = 1, rho = |alpha|,
+    gamma = |alpha - alpha_t| and the drift constants of ``ar1_constants``."""
+    _check_roots(alpha=alpha)
+    delta, L = ar1_constants(alpha_t, E_absZ)
+    return bounds.stationary_wasserstein_bound(1.0, abs(alpha), abs(alpha - alpha_t), L, delta)
 
 
 def ar1_stationary_lower_bound(alpha: float, alpha_t: float, E_Z: float) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -110,12 +110,13 @@ def kappa(p0_V: float, L: float, delta: float) -> float:
 
 def thm31_bound(inputs: BoundInputs) -> float:
     """n-step Wasserstein perturbation bound from (C, rho, gamma, kappa)."""
-    return _thm31(inputs, _pow(inputs.rho, inputs.n))
+    return _thm31(inputs, _pow(inputs.rho, inputs.n), inputs.w0)
 
 
-def _thm31(i: BoundInputs, rn):
-    """thm31_bound with rho^n given: a float, or an array of one per row."""
-    return i.C * (rn * i.w0 + (1.0 - rn) * i.gamma * i.kappa / (1.0 - i.rho))
+def _thm31(i: BoundInputs, rn, w0):
+    """thm31_bound with rho^n and w0 given (the w0 of ``i`` is not read);
+    rho^n is a float, or an array of one per row."""
+    return i.C * (rn * w0 + (1.0 - rn) * i.gamma * i.kappa / (1.0 - i.rho))
 
 
 def stationary_wasserstein_bound(C: float, rho: float, gamma: float,
@@ -258,9 +259,14 @@ def _pows(rho, ns: tuple) -> np.ndarray:
 
 
 def _thm31_at(inputs: BoundInputs, ns) -> Callable:
-    """rows(w0) for thm31_bound, from inputs checked with a placeholder w0."""
+    """rows(w0) for thm31_bound, from inputs checked with a placeholder w0;
+    rows checks only the w0 it is given."""
     pows = _once(_pows, inputs.rho, tuple(ns))
-    return lambda w0: _thm31(replace(inputs, w0=w0), pows)
+
+    def rows(w0):
+        _check_nonnegative(w0=w0)
+        return _thm31(inputs, pows, w0)
+    return rows
 
 
 def _thm31_rows(C, rho, ns, gamma, delta, L, p0_V):

@@ -27,8 +27,8 @@ problem ``(n, mu, nu, dist)``: a repeat costs one lookup and a copy of the
 stored plan, and every caller gets its own copy.  Each entry is charged
 its plan and the bytes of mu and nu; the bytes of ``dist`` are one object
 shared by every entry of the space and are not charged.  ``_w1`` takes a
-whole distance table, two stacks of rows, in one call, and solves it run
-by run (see its docstring).
+whole distance table, two stacks of rows, in one call, and is the whole
+transport route: lookups, runs, solves, lift (see its docstring).
 
 Total variation and the weighted norm ``sum_x V(x) |mu(x) - nu(x)|`` are
 closed forms too; they equal W1 under the trivial metric and under
@@ -259,17 +259,18 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
     Equal rows, the closed forms and the memo lookups go row by row, in
     order.  The transport route answers a problem it has certified before
     from ``_transport._memo`` without solving again; a row that repeats an
-    earlier missed row of the same stack is looked up after the solves,
-    so that it hits as it would one row at a time.  The rows left are
-    split into runs of consecutive rows with the same excess and deficit
-    supports, and each run goes to ``_transport.solve`` as one stack on
-    its one cost matrix, which gives every row the answer it gets one
-    call at a time.  The c-transform of the column potentials and the
-    feasibility half of the full-problem certificate are computed once
-    for each stretch of a run that the same tree answered; the lift, the
-    lifted costs and the duality gaps are array operations over the run,
-    and each row rounds as it would alone.  The closed forms are not
-    memoised.
+    earlier missed row of the same stack is looked up after the solves, so
+    that it hits as it would one row at a time.  The rows left (the stacks
+    themselves, uncopied, when no row was answered before) are split into
+    runs of consecutive rows with the same excess and deficit supports,
+    and each run goes to ``_transport.solve`` as one stack on its one cost
+    matrix, whose warm-then-cold loop gives every row the answer it gets
+    one call at a time.  The c-transform of the column potentials and the
+    feasibility half of the full-problem certificate are computed once for
+    each stretch of a run that the same tree answered (on scalars for a
+    lone row); the lift, the lifted costs and the duality gaps are array
+    operations over the run, and each row rounds as it would alone.  The
+    closed forms are not memoised.
 
     Scaling each side to unit mass also absorbs, silently, any imbalance
     between the two rows' float sums.  When they differ by an ulp, the
@@ -316,9 +317,69 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
             first[key] = k
             todo.append(k)
     if todo:
-        solved = _transport_rows(wa, wb, space) if len(todo) == K else \
-            _transport_rows(wa[todo], wb[todo], space)
-        for k, value, plan in zip(todo, *solved):
+        T = len(todo)
+        ta, tb = (wa, wb) if T == K else (wa[todo], wb[todo])
+        # W1 depends only on wa - wb, so the common mass min(wa, wb) stays in
+        # place and only the excess is moved onto the deficit
+        d = ta - tb
+        starts = [0]
+        if T > 1:
+            sign = np.sign(d)
+            starts += (np.flatnonzero(np.logical_or.reduce(sign[1:] != sign[:-1], axis=1))
+                       + 1).tolist()
+        starts.append(T)
+        runs = []
+        for s, e in zip(starts, starts[1:]):
+            ia = (d[s] > 0.0).nonzero()[0]
+            ib = (d[s] < 0.0).nonzero()[0]
+            if ia.size and ib.size:
+                runs.append((s, e, ia, ib, True))
+            else:
+                # rows equal up to rounding leave one side empty: move all of
+                # wa onto wb over their positive supports instead, row by row
+                runs += [(k, k + 1, (ta[k] > 0.0).nonzero()[0], (tb[k] > 0.0).nonzero()[0],
+                          False) for k in range(s, e)]
+        got = [0.0] * T
+        lifted = np.zeros((T, n, n))
+        for s, e, ia, ib, common in runs:
+            p, q, plan = ta[s:e], tb[s:e], lifted[s:e]
+            if common:
+                np.minimum(p, q, out=plan.reshape(e - s, -1)[:, ::n + 1])
+                # take gives C-contiguous rows, each of which sums as it would alone
+                a = d[s:e].take(ia, axis=1)
+                b = -d[s:e].take(ib, axis=1)
+            else:
+                a = p.take(ia, axis=1)
+                b = q.take(ib, axis=1)
+            mass = a.sum(axis=1)
+            # the columns of the deficit, taken once for the solve and the
+            # c-transform (take is cheaper than fancy indexing at these sizes)
+            cols = space.dist.take(ib, axis=1)
+            # each side at unit mass, so a tiny distance is solved to relative
+            # accuracy; the plan is scaled back by the excess mass
+            _, sub, _, vs = _transport.solve(a / mass[:, None], b / b.sum(axis=1)[:, None],
+                                             cols.take(ia, axis=0))
+            # the sub-plan's cells are off the diagonal (the excess and deficit
+            # supports are disjoint), or the plan is still all zero
+            plan[:, ia[:, None], ib] = mass[:, None, None] * sub
+            # rows answered from one tree share its column potentials, whose
+            # c-transform is 1-Lipschitz on the whole space, so (f, -f)
+            # certifies each of their lifted plans on the full problem
+            i = 0
+            while i < e - s:
+                j = i + 1
+                while j < e - s and vs[j] is vs[i]:
+                    j += 1
+                f = (cols - vs[i]).min(axis=1)
+                if j - i == 1:
+                    # a lone row is certified as one problem, on scalars
+                    got[s + i] = _transport._certify(p[i], q[i], space.dist, plan[i], f, -f,
+                                                     space._dist_max)[0]
+                else:
+                    got[s + i:s + j] = _transport._certify(
+                        p[i:j], q[i:j], space.dist, plan[i:j], f, -f, space._dist_max)[0]
+                i = j
+        for k, value, plan in zip(todo, got, lifted):
             values[k] = value
             plans[k] = plan
             # only a certified result reaches the memo, and callers get
@@ -333,77 +394,6 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
     if one:
         return values[0], plans[0]
     return np.array(values), plans
-
-
-def _transport_rows(wa, wb, space):
-    """The transport route of ``_w1`` for every row of the stacks ``wa``
-    and ``wb``: their W1 values as a list and their plans as one stacked
-    array, from one ``_transport.solve`` per run of rows with the same
-    split."""
-    K, n = wa.shape
-    dist = space.dist
-    # W1 depends only on wa - wb, so the common mass min(wa, wb) stays in
-    # place and only the excess is moved onto the deficit
-    d = wa - wb
-    starts = [0]
-    if K > 1:
-        sign = np.sign(d)
-        starts += (np.flatnonzero(np.logical_or.reduce(sign[1:] != sign[:-1], axis=1))
-                   + 1).tolist()
-    starts.append(K)
-    runs = []
-    for s, e in zip(starts, starts[1:]):
-        ia = (d[s] > 0.0).nonzero()[0]
-        ib = (d[s] < 0.0).nonzero()[0]
-        if ia.size and ib.size:
-            runs.append((s, e, ia, ib, True))
-        else:
-            # rows equal up to rounding leave one side empty: move all of
-            # wa onto wb over their positive supports instead, row by row
-            runs += [(k, k + 1, (wa[k] > 0.0).nonzero()[0], (wb[k] > 0.0).nonzero()[0], False)
-                     for k in range(s, e)]
-    values = [0.0] * K
-    plans = np.zeros((K, n, n))
-    for s, e, ia, ib, common in runs:
-        p, q, plan, dr = (wa, wb, plans, d) if e - s == K else \
-            (wa[s:e], wb[s:e], plans[s:e], d[s:e])
-        if common:
-            np.minimum(p, q, out=plan.reshape(e - s, -1)[:, ::n + 1])
-            # take gives C-contiguous rows, each of which sums as it would alone
-            a = dr.take(ia, axis=1)
-            b = -dr.take(ib, axis=1)
-        else:
-            a = p.take(ia, axis=1)
-            b = q.take(ib, axis=1)
-        mass = a.sum(axis=1)
-        # the columns of the deficit, taken once for the solve and the
-        # c-transform (take is cheaper than fancy indexing at these sizes)
-        cols = dist.take(ib, axis=1)
-        # each side at unit mass, so a tiny distance is solved to relative
-        # accuracy; the plan is scaled back by the excess mass
-        _, sub, _, vs = _transport.solve(a / mass[:, None], b / b.sum(axis=1)[:, None],
-                                         cols.take(ia, axis=0))
-        # the sub-plan's cells are off the diagonal (the excess and deficit
-        # supports are disjoint), or the plan is still all zero
-        plan[:, ia[:, None], ib] = mass[:, None, None] * sub
-        # rows answered from one tree share its column potentials, whose
-        # c-transform is 1-Lipschitz on the whole space, so (f, -f)
-        # certifies each of their lifted plans on the full problem
-        i = 0
-        while i < e - s:
-            j = i + 1
-            while j < e - s and vs[j] is vs[i]:
-                j += 1
-            f = (cols - vs[i]).min(axis=1)
-            if j - i == 1:
-                # a lone row is certified as one problem, on scalars
-                values[s + i] = _transport._certify(p[i], q[i], dist, plan[i], f, -f,
-                                                    space._dist_max)[0]
-            else:
-                values[s + i:s + j] = _transport._certify(p[i:j], q[i:j], dist, plan[i:j],
-                                                          f, -f, space._dist_max)[0]
-            i = j
-    return values, plans
 
 
 def _closed_form(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):

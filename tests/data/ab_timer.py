@@ -1,0 +1,138 @@
+"""Time the transport route of two source trees against each other, in one process.
+
+    python tests/data/ab_timer.py PARENT_SRC [CHANGE_SRC] [--rounds N] [--sweep-rounds M]
+
+``PARENT_SRC`` and ``CHANGE_SRC`` are ``src`` directories, each holding a
+``wperturb`` package; ``CHANGE_SRC`` defaults to this checkout's ``src``.
+A parent tree can be made with ``git archive <commit> | tar -x -C DIR``.
+Each tree is imported under its own package name, so both run in the same
+interpreter, on the same numpy and against the same load on the host.
+
+Workloads:
+
+  * ``pair n``: ``otcore._w1`` on 16 fixed pairs of random laws on ``n``
+    random points of the plane under the Euclidean metric, each call from
+    an empty memo (``_transport._memo.clear()`` also forgets the kept
+    tree), at n = 8, 24 and 80;
+  * ``sweep``: 36 ``generate_random_instance`` instances (sizes 4 to 12,
+    four seeds) through every ``verify_on_finite`` variant at
+    ``n_max = 30``, from empty memos.
+
+Each round times one side and then the other, in an order that alternates
+from round to round, and takes the ratio change / parent.  On a host whose
+speed drifts, paired ratios in one process resolve a few percent where
+separate processes do not.  The report gives, per workload, the median
+paired ratio with its quartiles and the median time of each side.  Before
+timing it checks that both trees give the same W1 bits on every pair.
+"""
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import time
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+PAIR_SIZES = (8, 24, 80)
+PAIRS = 16
+SWEEP = [(seed, size, (0.3, 0.5, 0.8)[size % 3]) for seed in (1, 2, 3, 4)
+         for size in range(4, 13)]
+
+
+def load(src: str, name: str):
+    """The ``wperturb`` package under ``src``, imported as ``name``."""
+    pkg = os.path.join(os.path.abspath(src), "wperturb")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return {sub: importlib.import_module(f"{name}.{sub}")
+            for sub in ("_transport", "bounds", "cli", "otcore")}
+
+
+def pair_inputs(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 2))
+    dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+    laws = rng.dirichlet(np.ones(n), size=2 * PAIRS)
+    return dist, list(zip(laws[0::2], laws[1::2]))
+
+
+def pair_op(pkg, dist, pairs):
+    """Seconds for the W1 of every pair, each from an empty memo, and the values."""
+    space = pkg["otcore"].FiniteMetricSpace(range(len(dist)), dist)
+    w1, memo = pkg["otcore"]._w1, pkg["_transport"]._memo
+
+    def run():
+        total = 0
+        values = []
+        for wa, wb in pairs:
+            memo.clear()
+            t = time.perf_counter_ns()
+            value, _ = w1(wa, wb, space)
+            total += time.perf_counter_ns() - t
+            values.append(value)
+        return total * 1e-9, values
+    return run
+
+
+def sweep_op(pkg):
+    """Seconds for one sweep-like pass from empty memos."""
+    bounds, cli, memo = pkg["bounds"], pkg["cli"], pkg["_transport"]._memo
+
+    def run():
+        memo.clear()
+        bounds._once.cache_clear()
+        t = time.perf_counter()
+        for seed, size, mix in SWEEP:
+            P, Pt, sp, V, p0, pt0 = cli.generate_random_instance(seed, size, mix)
+            for which in bounds.WHICH_CHOICES:
+                bounds.verify_on_finite(P, Pt, bounds._metric_slot(which, sp, V), V,
+                                        p0, pt0, 30, which)
+        return time.perf_counter() - t, None
+    return run
+
+
+def paired(runs, rounds: int):
+    """Per round: the time of each side, in alternating order, and their ratio."""
+    times = ([], [])
+    for r in range(rounds):
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            times[side].append(runs[side]()[0])
+    ratios = [c / p for p, c in zip(*times)]
+    return ratios, times
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_src")
+    ap.add_argument("change_src", nargs="?", default=os.path.join(HERE, "..", "..", "src"))
+    ap.add_argument("--rounds", type=int, default=150, help="rounds per pair size")
+    ap.add_argument("--sweep-rounds", type=int, default=60, help="rounds of the sweep pass")
+    args = ap.parse_args()
+    sides = (load(args.parent_src, "wperturb_parent"), load(args.change_src, "wperturb_change"))
+    work = []
+    for n in PAIR_SIZES:
+        dist, pairs = pair_inputs(n, seed=n)
+        runs = [pair_op(pkg, dist, pairs) for pkg in sides]
+        same = runs[0]()[1] == runs[1]()[1]
+        print(f"pair {n}: W1 bits {'agree' if same else 'DIFFER'} on {PAIRS} pairs")
+        work.append((f"pair {n}", runs, args.rounds))
+    work.append(("sweep", [sweep_op(pkg) for pkg in sides], args.sweep_rounds))
+    print(f"{'workload':10s} {'median ratio':>12s} {'quartiles':>17s} "
+          f"{'parent ms':>10s} {'change ms':>10s}")
+    for label, runs, rounds in work:
+        for run in runs:  # warm both sides once
+            run()
+        ratios, (tp, tc) = paired(runs, rounds)
+        q1, med, q3 = statistics.quantiles(ratios, n=4)
+        print(f"{label:10s} {med:12.3f} {q1:8.3f}-{q3:8.3f} "
+              f"{1e3 * statistics.median(tp):10.3f} {1e3 * statistics.median(tc):10.3f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -466,7 +466,7 @@ def test_ar1_run_files_are_pinned(tmp_path):
     # sha256 of each file of one `wperturb run`, recorded with the pins above
     pinned = {
         "ar1_nstep.csv": "34831bab793ae2bee788898fc63a9b963574ce37ee7e3798cd53e2d6d9a0d095",
-        "ar1_stationary.csv": "381d40038e8318be7b01f8d0b08e66ad2dc91687f12de4e1e8652ef1163dc69e",
+        "ar1_stationary.csv": "65577904c39667d96361d600f4165ebb0f0b2f51dcd61af7793397f806fe4940",
         "summary.txt": "4999afe9455cb63ba9a79d2ad06cd9a2c3297be03eab40fe913afbdba69b3fb5",
     }
     cfg = tmp_path / "ar1.ini"

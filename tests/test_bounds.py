@@ -25,7 +25,7 @@ from wperturb.bounds import (
 )
 from wperturb import _transport, bounds, kernels
 from wperturb.cli import generate_random_instance
-from wperturb.errors import HypothesisViolation
+from wperturb.errors import HypothesisViolation, SpaceMismatchError
 from wperturb.kernels import FiniteKernel, stationary_distribution, trajectory
 from wperturb.otcore import (
     DiscreteDistribution,
@@ -264,6 +264,30 @@ def test_verify_on_finite_hypothesis_failures_are_loud():
     q = DiscreteDistribution(sp, [0.4, 0.6])
     with pytest.raises(HypothesisViolation):
         verify_on_finite(swap, swap, sp, Vt, p, q, 5, "thm31")
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.2, 1.5])
+def test_verify_on_finite_rejects_delta_outside_the_open_unit_interval(delta):
+    P, Pt, sp, V, Vt, p0, pt0 = make_instance(4)
+    with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)$"):
+        verify_on_finite(P, Pt, sp, Vt, p0, pt0, 5, "thm31", delta=delta)
+
+
+def test_verify_on_finite_rejects_kernels_on_different_point_sets():
+    P, Pt, sp, V, Vt, p0, pt0 = make_instance(4)
+    shifted = FiniteMetricSpace([x + 1 for x in sp.points], sp.dist)
+    with pytest.raises(HypothesisViolation, match="^kernels must share one point set$"):
+        verify_on_finite(P, FiniteKernel(shifted, Pt.matrix), sp, Vt, p0, pt0, 5, "thm31")
+
+
+def test_verify_on_finite_rejects_start_laws_on_another_point_set():
+    P, Pt, sp, V, Vt, p0, pt0 = make_instance(4)
+    shifted = FiniteMetricSpace([x + 1 for x in sp.points], sp.dist)
+    for start in ((DiscreteDistribution(shifted, p0.weights), pt0),
+                  (p0, DiscreteDistribution(shifted, pt0.weights))):
+        with pytest.raises(SpaceMismatchError,
+                           match="^start laws and kernels disagree on points$"):
+            verify_on_finite(P, Pt, sp, Vt, *start, 5, "thm31")
 
 
 def test_verify_on_finite_geom3_big_gamma_rejected():

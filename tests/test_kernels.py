@@ -535,6 +535,15 @@ def test_fit_geometric_constants_certificate(seed):
         assert t <= est.C * est.rho ** k + 1e-9
 
 
+def test_fit_geometric_constants_rejects_tau_vanishing_only_at_the_horizon():
+    # P^2 sends every point to 2, so tau(P^2) = 0, while tau(P) = 1
+    sp = trivial_metric(range(3))
+    P = FiniteKernel(sp, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(NoContractionError,
+                       match="^tau vanishes at horizon m but not at smaller powers; decrease m$"):
+        fit_geometric_constants(P, sp, m=2, n_check=4)
+
+
 def test_fit_geometric_constants_rejects_no_contraction():
     sp = trivial_metric(range(2))
     swap = FiniteKernel(sp, [[0.0, 1.0], [1.0, 0.0]])
