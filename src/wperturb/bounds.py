@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import HypothesisViolation, SpaceMismatchError
+from .errors import HypothesisViolation
 from .kernels import (
     DriftCheck,
     DriftEstimate,
@@ -43,15 +43,14 @@ from .kernels import (
     stationary_distribution,
     verify_drift,
 )
-from .otcore import DiscreteDistribution, FiniteMetricSpace, WeightFunction, _tv, _vnorm, _w1
+from .otcore import DiscreteDistribution, FiniteMetricSpace, WeightFunction
+from .otcore import _require_same_points, _tv, _vnorm, _w1
 
 SLACK_TOL = 1e-9
 
 
 def _pow(rho: float, n) -> float:
     """rho^n by repeated squaring; n may be math.inf (limit value 0)."""
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
     if n == math.inf:
         return 0.0 if rho < 1.0 else 1.0
     if n < 0 or int(n) != n:
@@ -99,12 +98,10 @@ def _check_nonnegative(**values: float) -> None:
 
 def kappa(p0_V: float, L: float, delta: float) -> float:
     """max{pt0(V), L/(1-delta)}: the mass scale entering every bound."""
-    if not (0.0 <= delta < 1.0):
-        raise ValueError(f"delta = {delta} outside [0, 1)")
+    _check_unit(delta=delta)
     if p0_V < 1.0 - 1e-12:
         raise ValueError("p0_V must be >= 1 since V >= 1")
-    if L < 0.0:
-        raise ValueError("L must be nonnegative")
+    _check_nonnegative(L=L)
     return max(p0_V, L / (1.0 - delta))
 
 
@@ -484,8 +481,7 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
     if row.w0 is None:
         ns, start = np.array([-1]), None
     else:
-        if not (p0.space.same_points(P.space) and pt0.space.same_points(P.space)):
-            raise SpaceMismatchError("start laws and kernels disagree on points")
+        _require_same_points(P=P, p0=p0, pt0=pt0)
         ns = np.arange(n_max + 1)
         start = (p0, pt0, n_max)
     # every bound's checks first, so that one whose hypotheses fail raises

@@ -27,13 +27,15 @@ from typing import Union
 import numpy as np
 
 from ._transport import CERT_TOL
-from .errors import NoContractionError, NonUniqueStationaryError, SpaceMismatchError
+from .errors import NoContractionError, NonUniqueStationaryError
 from .otcore import (
     METRIC_TOL,
     DiscreteDistribution,
     FiniteMetricSpace,
     WeightFunction,
     _blocks,
+    _float_array,
+    _require_same_points,
     _w1,
 )
 
@@ -73,12 +75,8 @@ class FiniteKernel:
     """Row-stochastic transition matrix on a finite metric space."""
 
     def __init__(self, space: FiniteMetricSpace, matrix) -> None:
-        matrix = np.array(matrix, dtype=float)
         n = space.size
-        if matrix.shape != (n, n):
-            raise ValueError(f"kernel shape {matrix.shape} != ({n}, {n})")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("kernel entries must be finite")
+        matrix = _float_array(matrix, (n, n), "kernel entries")
         if np.min(matrix, initial=0.0) < 0.0:
             raise ValueError("kernel entries must be nonnegative")
         rowsums = matrix.sum(axis=1)
@@ -110,8 +108,7 @@ class FiniteKernel:
 
     def push(self, p: DiscreteDistribution) -> DiscreteDistribution:
         """One step of the chain started from p."""
-        if not p.space.same_points(self.space):
-            raise SpaceMismatchError("distribution and kernel disagree on points")
+        _require_same_points(P=self, p=p)
         return DiscreteDistribution(self.space, p.weights @ self.matrix)
 
     def __repr__(self) -> str:
@@ -120,13 +117,14 @@ class FiniteKernel:
 
 def compose(P: FiniteKernel, Q: FiniteKernel) -> FiniteKernel:
     """The kernel of 'one step of P then one step of Q'."""
-    if not P.space.same_points(Q.space):
-        raise SpaceMismatchError("kernels live on different point sets")
+    _require_same_points(P=P, Q=Q)
     return FiniteKernel(P.space, P.matrix @ Q.matrix)
 
 
 def _walk(w: np.ndarray, matrix: np.ndarray, n: int) -> list[np.ndarray]:
     """[w, w M, ..., w M^n] on raw weight rows: the one evolve loop."""
+    if not (isinstance(n, (int, np.integer)) and n >= 0):
+        raise ValueError("n must be a nonnegative integer")
     out = [w]
     for _ in range(n):
         out.append(out[-1] @ matrix)
@@ -135,17 +133,13 @@ def _walk(w: np.ndarray, matrix: np.ndarray, n: int) -> list[np.ndarray]:
 
 def evolve(p0: DiscreteDistribution, P: FiniteKernel, n: int) -> DiscreteDistribution:
     """Distribution of the chain after n steps from p0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not p0.space.same_points(P.space):
-        raise SpaceMismatchError("distribution and kernel disagree on points")
+    _require_same_points(P=P, p0=p0)
     return DiscreteDistribution(P.space, _walk(p0.weights, P.matrix, n)[-1])
 
 
 def trajectory(p0: DiscreteDistribution, P: FiniteKernel, n: int) -> list[DiscreteDistribution]:
     """[p0, p0 P, ..., p0 P^n]."""
-    if not p0.space.same_points(P.space):
-        raise SpaceMismatchError("distribution and kernel disagree on points")
+    _require_same_points(P=P, p0=p0)
     steps = _walk(p0.weights, P.matrix, n)[1:]
     return [p0] + [DiscreteDistribution(P.space, w) for w in steps]
 
@@ -156,8 +150,9 @@ def stationary_distribution(P: FiniteKernel) -> DiscreteDistribution:
     Uniqueness is certified first: the eigenvalue-1 space of the
     transpose must be one-dimensional (reducible chains, e.g. the
     identity kernel, are rejected).  The solve itself is least squares
-    on the stationarity equations plus normalization, with the residual
-    checked to STATIONARY_RESIDUAL_TOL.
+    on the stationarity equations plus normalization; its result, clipped
+    at 0 and renormalised, is what the residual check to
+    STATIONARY_RESIDUAL_TOL certifies.
     """
     n = P.space.size
     eigvals = np.linalg.eigvals(P.matrix.T)
@@ -171,8 +166,6 @@ def stationary_distribution(P: FiniteKernel) -> DiscreteDistribution:
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     pi, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    if np.min(pi) < -1e-10:
-        raise NonUniqueStationaryError("stationary solve produced negative mass")
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     residual = float(np.abs(pi @ P.matrix - pi).sum())
@@ -195,8 +188,7 @@ def tau(P: FiniteKernel, metric: FiniteMetricSpace) -> float:
     the ratio at (x, z) never exceeds the larger of the two beside it.
     Under any other metric they are all pairs of states.
     """
-    if not P.space.same_points(metric):
-        raise SpaceMismatchError("metric does not match the kernel's points")
+    _require_same_points(P=P, metric=metric)
     if metric._star is not None:
         return _tau_star(P.matrix, metric._star)
     if metric._pairs is None:
@@ -277,8 +269,7 @@ def _tau_star(M: np.ndarray, g: np.ndarray) -> float:
 
 def tau_v(P: FiniteKernel, V: WeightFunction) -> float:
     """tau under d_V, via the closed form max_{x!=y} ||P(x,.) - P(y,.)||_V / (V(x)+V(y))."""
-    if not P.space.same_points(V.space):
-        raise SpaceMismatchError("weight function does not match the kernel's points")
+    _require_same_points(P=P, V=V)
     return _tau_star(P.matrix, V.values)
 
 
@@ -333,8 +324,7 @@ class DriftCheck:
 
 def verify_drift(P: FiniteKernel, est: DriftEstimate) -> DriftCheck:
     """Check (P V)(x) - delta V(x) - L <= 0 pointwise."""
-    if not P.space.same_points(est.V.space):
-        raise SpaceMismatchError("weight function does not match the kernel's points")
+    _require_same_points(P=P, V=est.V)
     slack = P.apply_to_function(est.V.values) - est.delta * est.V.values - est.L
     worst = int(np.argmax(slack))  # argmax returns the first (lowest) index
     return DriftCheck(ok=bool(slack[worst] <= DRIFT_SLACK_TOL),
@@ -344,8 +334,7 @@ def verify_drift(P: FiniteKernel, est: DriftEstimate) -> DriftCheck:
 def fit_drift_L(P: FiniteKernel, V: WeightFunction, delta: float) -> float:
     """Smallest positive L making the drift condition hold at every point."""
     _check_unit(delta=delta)
-    if not P.space.same_points(V.space):
-        raise SpaceMismatchError("weight function does not match the kernel's points")
+    _require_same_points(P=P, V=V)
     gap = P.apply_to_function(V.values) - delta * V.values
     return max(1e-12, float(gap.max()))
 
@@ -407,10 +396,7 @@ def kernel_gamma_wasserstein(P: FiniteKernel, Pt: FiniteKernel,
     A row is solved only while its widened plan bound can still beat the
     best ratio solved so far (``_sup_w1_ratio``).
     """
-    if not P.space.same_points(Pt.space):
-        raise SpaceMismatchError("kernels live on different point sets")
-    if not P.space.same_points(metric):
-        raise SpaceMismatchError("metric does not match the kernels' points")
+    _require_same_points(P=P, Pt=Pt, metric=metric, Vt=Vt)
     vt = np.ones(P.space.size) if Vt is None else Vt.values
     rows = np.arange(P.space.size)
     return _sup_w1_ratio(P.matrix, Pt.matrix, rows, rows, vt, metric)
@@ -419,8 +405,7 @@ def kernel_gamma_wasserstein(P: FiniteKernel, Pt: FiniteKernel,
 def kernel_gamma_tv(P: FiniteKernel, Pt: FiniteKernel,
                     Vt: WeightFunction | None = None) -> float:
     """One-step perturbation size in total variation, sup_x ||P(x,.) - Pt(x,.)||_tv / Vt(x)."""
-    if not P.space.same_points(Pt.space):
-        raise SpaceMismatchError("kernels live on different point sets")
+    _require_same_points(P=P, Pt=Pt, Vt=Vt)
     vt = np.ones(P.space.size) if Vt is None else Vt.values
     tv = np.abs(P.matrix - Pt.matrix).sum(axis=1)
     return float(np.max(tv / vt))
@@ -434,10 +419,7 @@ def kernel_gamma_vnorm(P: FiniteKernel, Pt: FiniteKernel, V: WeightFunction,
     corollary; by d_V duality it equals kernel_gamma_wasserstein under
     dv_metric(V).
     """
-    if not P.space.same_points(Pt.space):
-        raise SpaceMismatchError("kernels live on different point sets")
-    if not P.space.same_points(V.space):
-        raise SpaceMismatchError("weight function does not match the kernels' points")
+    _require_same_points(P=P, Pt=Pt, V=V, Vt=Vt)
     vt = np.ones(P.space.size) if Vt is None else Vt.values
     num = np.abs(P.matrix - Pt.matrix) @ V.values
     return float(np.max(num / vt))

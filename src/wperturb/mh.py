@@ -25,6 +25,7 @@ from .bounds import PerturbationReport, _geom2_rows, geom2_bound
 from .errors import ConfigError, HypothesisViolation
 from .kernels import ROW_TOL, FiniteKernel, _check_C, _check_unit
 from .otcore import FiniteMetricSpace, WeightFunction, empirical_w1_clouds
+from .otcore import _float_array, _require_same_points
 
 # absolute tolerance of every line-constant quadrature
 _QUAD_TOL = 1e-8
@@ -109,16 +110,13 @@ class FiniteMhProblem:
     space: FiniteMetricSpace
 
     def __post_init__(self):
-        pi = np.ascontiguousarray(np.asarray(self.pi, dtype=np.float64))
-        Q = np.ascontiguousarray(np.asarray(self.Q, dtype=np.float64))
-        if pi.ndim != 1 or Q.shape != (pi.size, pi.size):
-            raise ValueError("pi must be a vector and Q a matching square matrix")
+        n = self.space.size
+        pi = _float_array(self.pi, (n,), "pi")
+        Q = _float_array(self.Q, (n, n), "Q")
         if np.any(pi <= 0) or abs(pi.sum() - 1.0) > ROW_TOL:
             raise ValueError("pi must be a strictly positive pmf")
         if np.any(Q < 0) or np.max(np.abs(Q.sum(axis=1) - 1.0)) > ROW_TOL:
             raise ValueError("Q rows must be probability vectors")
-        if self.space.size != pi.size:
-            raise ValueError("metric space size does not match pi")
         pi.flags.writeable = False
         Q.flags.writeable = False
         object.__setattr__(self, "pi", pi)
@@ -357,8 +355,9 @@ def _weight_values(V, problem: FiniteMhProblem) -> np.ndarray:
     if V is None:
         return np.ones(problem.n)
     if isinstance(V, WeightFunction):
+        _require_same_points(problem=problem, V=V)
         return V.values
-    return np.asarray(V, dtype=np.float64)
+    return _float_array(V, (problem.n,), "V")
 
 
 def _finite_eps(problem: FiniteMhProblem,

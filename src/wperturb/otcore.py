@@ -30,6 +30,10 @@ shared by every entry of the space and are not charged.  ``_w1`` takes a
 whole distance table, two stacks of rows, in one call, and is the whole
 transport route: lookups, runs, solves, lift (see its docstring).
 
+Each operand rule lives in one helper, used here and in ``kernels``,
+``bounds`` and ``mh``: ``_require_same_points`` (all on the point set of
+the first) and ``_float_array`` (a new float array of a shape, all finite).
+
 Total variation and the weighted norm ``sum_x V(x) |mu(x) - nu(x)|`` are
 closed forms too; they equal W1 under the trivial metric and under
 ``d_V(x, y) = (V(x) + V(y)) 1{x != y}``.  The test suite cross-checks
@@ -62,11 +66,7 @@ class FiniteMetricSpace:
     def __init__(self, points: Sequence, dist) -> None:
         points = list(points)
         n = len(points)
-        dist = np.array(dist, dtype=float)
-        if dist.shape != (n, n):
-            raise ValueError(f"distance matrix shape {dist.shape} != ({n}, {n})")
-        if not np.all(np.isfinite(dist)):
-            raise ValueError("distances must be finite")
+        dist = _float_array(dist, (n, n), "distances")
         if n and np.max(np.abs(np.diagonal(dist))) > METRIC_TOL:
             raise ValueError("metric diagonal must be zero")
         if np.max(np.abs(dist - dist.T), initial=0.0) > METRIC_TOL:
@@ -114,6 +114,17 @@ class FiniteMetricSpace:
         return self is other or self.points == other.points
 
 
+def _float_array(values, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as a new float array; ValueError unless it has ``shape``
+    and every entry is finite.  ``what`` names the values in the message."""
+    out = np.array(values, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, not {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite")
+    return out
+
+
 def _blocks(n: int) -> list[slice]:
     """Slices of range(n), each so long that a (len, n, n) float temporary
     stays near 2 MiB: the per-point loops over an (n, n) matrix take one
@@ -144,11 +155,7 @@ class WeightFunction:
     """Pointwise weights V >= 1 on a finite space."""
 
     def __init__(self, space: FiniteMetricSpace, values) -> None:
-        values = np.array(values, dtype=float)
-        if values.shape != (space.size,):
-            raise ValueError("one weight per point required")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("weights must be finite")
+        values = _float_array(values, (space.size,), "weights")
         if np.min(values, initial=np.inf) < 1.0 - 1e-12:
             raise ValueError("weight functions must satisfy V >= 1")
         self.space = space
@@ -177,11 +184,7 @@ class DiscreteDistribution:
     """Probability weights on a finite space (normalized within MASS_TOL)."""
 
     def __init__(self, space: FiniteMetricSpace, weights) -> None:
-        w = np.array(weights, dtype=float)
-        if w.shape != (space.size,):
-            raise ValueError("one weight per point required")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
+        w = _float_array(weights, (space.size,), "weights")
         if np.min(w, initial=0.0) < 0.0:
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > MASS_TOL:
@@ -213,9 +216,11 @@ class Coupling:
         n = space.size
         if joint.shape != (n, n):
             raise ValueError("coupling must be square on the space")
-        if np.min(joint, initial=0.0) < -1e-15:
+        # both scans fail on NaN, and an infinite entry makes the minimum
+        # or the sum infinite, so they refuse non-finite entries too
+        if not np.min(joint, initial=0.0) >= -1e-15:
             raise ValueError("coupling entries must be nonnegative")
-        if abs(float(joint.sum()) - 1.0) > MASS_TOL:
+        if not abs(float(joint.sum()) - 1.0) <= MASS_TOL:
             raise ValueError("coupling mass must be 1")
         self.space = space
         self.joint = joint
@@ -229,12 +234,17 @@ class Coupling:
         return float(np.sum(self.joint * self.space.dist))
 
 
-def _require_same_points(mu: DiscreteDistribution, nu: DiscreteDistribution,
-                         space: Optional[FiniteMetricSpace] = None) -> None:
-    if not mu.space.same_points(nu.space):
-        raise SpaceMismatchError("distributions live on different point sets")
-    if space is not None and not mu.space.same_points(space):
-        raise SpaceMismatchError("metric space does not match the distributions")
+def _require_same_points(**operands) -> None:
+    """Raise SpaceMismatchError unless every operand lives on the point set
+    of the first.  Each operand is a FiniteMetricSpace or has a ``.space``;
+    operands that are None are skipped.  The keywords name the operands in
+    the message."""
+    items = iter(operands.items())
+    first, ref = next(items)
+    ref = getattr(ref, "space", ref)
+    for name, x in items:
+        if x is not None and not ref.same_points(getattr(x, "space", x)):
+            raise SpaceMismatchError(f"{name} lives on another point set than {first}")
 
 
 def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
@@ -449,9 +459,9 @@ def wasserstein1_exact(mu: DiscreteDistribution, nu: DiscreteDistribution,
     over nu onto its deficit, the common mass staying in place.  The
     returned plan is always full size.
     """
+    _require_same_points(mu=mu, nu=nu, space=space)
     if space is None:
         space = mu.space
-    _require_same_points(mu, nu, space)
     value, plan = _w1(mu.weights, nu.weights, space)
     return value, Coupling(space, plan)
 
@@ -461,7 +471,7 @@ def total_variation(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float
 
     Equals ``wasserstein1_exact`` under the trivial metric.
     """
-    _require_same_points(mu, nu)
+    _require_same_points(mu=mu, nu=nu)
     return _tv(mu.weights, nu.weights)
 
 
@@ -480,9 +490,7 @@ def vnorm_distance(mu: DiscreteDistribution, nu: DiscreteDistribution,
     Equals ``wasserstein1_exact`` under ``dv_metric(V)``; the extremal
     dual function is f = sign(mu - nu) * V.
     """
-    _require_same_points(mu, nu)
-    if not V.space.same_points(mu.space):
-        raise SpaceMismatchError("weight function lives on a different point set")
+    _require_same_points(mu=mu, nu=nu, V=V)
     return _vnorm(mu.weights, nu.weights, V.values)
 
 

@@ -1,4 +1,4 @@
-"""Time the transport route of two source trees against each other, in one process.
+"""Time the W1 route of two source trees against each other, in one process.
 
     python tests/data/ab_timer.py PARENT_SRC [CHANGE_SRC] [--rounds N] [--sweep-rounds M]
 
@@ -14,6 +14,10 @@ Workloads:
     random points of the plane under the Euclidean metric, each call from
     an empty memo (``_transport._memo.clear()`` also forgets the kept
     tree), at n = 8, 24 and 80;
+  * ``public n``: the same pairs through ``otcore.wasserstein1_exact``,
+    on ``DiscreteDistribution`` laws built before timing, so that the
+    operand checks above ``_w1`` are timed too, each call from an empty
+    memo;
   * ``sweep``: 36 ``generate_random_instance`` instances (sizes 4 to 12,
     four seeds) through every ``verify_on_finite`` variant at
     ``n_max = 30``, from empty memos.
@@ -80,6 +84,28 @@ def pair_op(pkg, dist, pairs):
     return run
 
 
+def public_op(pkg, dist, pairs):
+    """Seconds for ``wasserstein1_exact`` on every pair, each from an empty
+    memo, and the values."""
+    otcore, memo = pkg["otcore"], pkg["_transport"]._memo
+    space = otcore.FiniteMetricSpace(range(len(dist)), dist)
+    laws = [(otcore.DiscreteDistribution(space, wa), otcore.DiscreteDistribution(space, wb))
+            for wa, wb in pairs]
+    w1 = otcore.wasserstein1_exact
+
+    def run():
+        total = 0
+        values = []
+        for mu, nu in laws:
+            memo.clear()
+            t = time.perf_counter_ns()
+            value, _ = w1(mu, nu)
+            total += time.perf_counter_ns() - t
+            values.append(value)
+        return total * 1e-9, values
+    return run
+
+
 def sweep_op(pkg):
     """Seconds for one sweep-like pass from empty memos."""
     bounds, cli, memo = pkg["bounds"], pkg["cli"], pkg["_transport"]._memo
@@ -111,17 +137,18 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_src")
     ap.add_argument("change_src", nargs="?", default=os.path.join(HERE, "..", "..", "src"))
-    ap.add_argument("--rounds", type=int, default=150, help="rounds per pair size")
+    ap.add_argument("--rounds", type=int, default=150, help="rounds per pair or public workload")
     ap.add_argument("--sweep-rounds", type=int, default=60, help="rounds of the sweep pass")
     args = ap.parse_args()
     sides = (load(args.parent_src, "wperturb_parent"), load(args.change_src, "wperturb_change"))
     work = []
-    for n in PAIR_SIZES:
-        dist, pairs = pair_inputs(n, seed=n)
-        runs = [pair_op(pkg, dist, pairs) for pkg in sides]
-        same = runs[0]()[1] == runs[1]()[1]
-        print(f"pair {n}: W1 bits {'agree' if same else 'DIFFER'} on {PAIRS} pairs")
-        work.append((f"pair {n}", runs, args.rounds))
+    for kind, op in (("pair", pair_op), ("public", public_op)):
+        for n in PAIR_SIZES:
+            dist, pairs = pair_inputs(n, seed=n)
+            runs = [op(pkg, dist, pairs) for pkg in sides]
+            same = runs[0]()[1] == runs[1]()[1]
+            print(f"{kind} {n}: W1 bits {'agree' if same else 'DIFFER'} on {PAIRS} pairs")
+            work.append((f"{kind} {n}", runs, args.rounds))
     work.append(("sweep", [sweep_op(pkg) for pkg in sides], args.sweep_rounds))
     print(f"{'workload':10s} {'median ratio':>12s} {'quartiles':>17s} "
           f"{'parent ms':>10s} {'change ms':>10s}")

@@ -286,8 +286,26 @@ def test_verify_on_finite_rejects_start_laws_on_another_point_set():
     for start in ((DiscreteDistribution(shifted, p0.weights), pt0),
                   (p0, DiscreteDistribution(shifted, pt0.weights))):
         with pytest.raises(SpaceMismatchError,
-                           match="^start laws and kernels disagree on points$"):
+                           match="^pt?0 lives on another point set than P$"):
             verify_on_finite(P, Pt, sp, Vt, *start, 5, "thm31")
+
+
+_STEPS = "n must be a nonnegative integer or math.inf"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: geom3_bound(1.0, 0.5, -1, 0.0, 0.1, 0.5, 1.0, 2.0), _STEPS),
+    (lambda: geom3_bound(1.0, 0.5, 2.5, 0.0, 0.1, 0.5, 1.0, 2.0), _STEPS),
+    (lambda: kappa(1.0, 1.0, 1.0), "delta must lie in [0, 1)"),
+    (lambda: kappa(0.5, 1.0, 0.5), "p0_V must be >= 1 since V >= 1"),
+    (lambda: kappa(1.0, -1.0, 0.5), "L must be nonnegative"),
+    (lambda: geom4_bound(0.5, 0.5, 2.0, 1.0, 1000.0), "base = 2C(L+1) must be >= 1"),
+], ids=["geom3-negative-n", "geom3-fractional-n", "kappa-delta", "kappa-p0_V", "kappa-L",
+        "geom4-base"])
+def test_bad_constants_get_a_typed_refusal(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_verify_on_finite_geom3_big_gamma_rejected():

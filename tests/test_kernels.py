@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wperturb import _transport, generate_random_instance, kernels, otcore
-from wperturb.errors import NoContractionError, NonUniqueStationaryError
+from wperturb.errors import NoContractionError, NonUniqueStationaryError, SpaceMismatchError
 from wperturb.kernels import (
     DriftCheck,
     DriftEstimate,
@@ -549,6 +549,85 @@ def test_fit_geometric_constants_rejects_no_contraction():
     swap = FiniteKernel(sp, [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NoContractionError):
         fit_geometric_constants(swap, WeightFunction.ones(sp), m=3, n_check=3)
+
+
+_SP = trivial_metric(range(2))
+_FAR = trivial_metric("ab")  # the same metric on other labels
+_P = FiniteKernel(_SP, [[0.7, 0.3], [0.4, 0.6]])
+_PT = FiniteKernel(_SP, [[0.6, 0.4], [0.4, 0.6]])
+_P_FAR = FiniteKernel(_FAR, _P.matrix)
+_V = WeightFunction(_SP, [1.0, 2.0])
+_V_FAR = WeightFunction(_FAR, [1.0, 2.0])
+_LAW = DiscreteDistribution(_SP, [0.5, 0.5])
+_LAW_FAR = DiscreteDistribution(_FAR, [0.5, 0.5])
+
+
+def _elsewhere(name):
+    return SpaceMismatchError, f"{name} lives on another point set than P"
+
+
+_STEPS = ValueError, "n must be a nonnegative integer"
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: FiniteKernel(_SP, [[1.0, 0.0]]),
+     (ValueError, "kernel entries must have shape (2, 2), not (1, 2)")),
+    (lambda: FiniteKernel(_SP, [[np.nan, 1.0], [0.5, 0.5]]),
+     (ValueError, "kernel entries must be finite")),
+    (lambda: _P.push(_LAW_FAR), _elsewhere("p")),
+    (lambda: compose(_P, _P_FAR), _elsewhere("Q")),
+    (lambda: evolve(_LAW_FAR, _P, 2), _elsewhere("p0")),
+    (lambda: trajectory(_LAW_FAR, _P, 2), _elsewhere("p0")),
+    (lambda: evolve(_LAW, _P, -1), _STEPS),
+    (lambda: evolve(_LAW, _P, 2.5), _STEPS),
+    (lambda: trajectory(_LAW, _P, -3), _STEPS),
+    (lambda: trajectory(_LAW, _P, 2.5), _STEPS),
+    (lambda: tau(_P, _FAR), _elsewhere("metric")),
+    (lambda: tau_v(_P, _V_FAR), _elsewhere("V")),
+    (lambda: verify_drift(_P, DriftEstimate(_V_FAR, 0.5, 1.0)), _elsewhere("V")),
+    (lambda: fit_drift_L(_P, _V_FAR, 0.5), _elsewhere("V")),
+    (lambda: fit_geometric_constants(_P, _SP, m=0), (ValueError, "m must be >= 1")),
+    (lambda: fit_geometric_constants(_P, _SP, m=4, n_check=3),
+     (ValueError, "n_check must be >= m")),
+    (lambda: kernel_gamma_wasserstein(_P, _P_FAR, _SP), _elsewhere("Pt")),
+    (lambda: kernel_gamma_wasserstein(_P, _PT, _FAR), _elsewhere("metric")),
+    (lambda: kernel_gamma_wasserstein(_P, _PT, _SP, _V_FAR), _elsewhere("Vt")),
+    (lambda: kernel_gamma_tv(_P, _P_FAR), _elsewhere("Pt")),
+    (lambda: kernel_gamma_tv(_P, _PT, _V_FAR), _elsewhere("Vt")),
+    (lambda: kernel_gamma_vnorm(_P, _P_FAR, _V), _elsewhere("Pt")),
+    (lambda: kernel_gamma_vnorm(_P, _PT, _V_FAR), _elsewhere("V")),
+    (lambda: kernel_gamma_vnorm(_P, _PT, _V, _V_FAR), _elsewhere("Vt")),
+], ids=["kernel-shape", "kernel-nan", "push", "compose", "evolve-law", "trajectory-law",
+        "evolve-negative", "evolve-fraction", "trajectory-negative", "trajectory-fraction",
+        "tau", "tau_v", "verify_drift", "fit_drift_L", "fit-m", "fit-n_check",
+        "gamma_w1-Pt", "gamma_w1-metric", "gamma_w1-Vt", "gamma_tv-Pt", "gamma_tv-Vt",
+        "gamma_vnorm-Pt", "gamma_vnorm-V", "gamma_vnorm-Vt"])
+def test_bad_operands_get_a_typed_refusal(call, refusal):
+    error, message = refusal
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_stationary_refuses_a_residual_above_its_tolerance(monkeypatch):
+    # no kernel that passes the eigenvalue test has been seen to leave a
+    # residual near 1e-10, so the refusal is reached with a zero tolerance
+    monkeypatch.setattr(kernels, "STATIONARY_RESIDUAL_TOL", 0.0)
+    P = FiniteKernel(trivial_metric(range(5)), random_kernel(np.random.default_rng(3), 5))
+    with pytest.raises(NonUniqueStationaryError,
+                       match=r"^stationarity residual \d\.\d{3}e-\d\d exceeds 0e\+00$"):
+        stationary_distribution(P)
+
+
+def test_fit_geometric_constants_refuses_a_tau_that_is_not_submultiplicative(monkeypatch):
+    # tau(P^j) = 0.9 at every power: rho = 0.9^(1/2) and C = 1 from m = 2,
+    # and then tau(P^3) = 0.9 > rho^3, which a true tau cannot give
+    monkeypatch.setattr(kernels, "tau", lambda K, metric: 0.9)
+    rho = 0.9 ** 0.5
+    with pytest.raises(NoContractionError) as info:
+        fit_geometric_constants(_P, _SP, m=2, n_check=4)
+    assert str(info.value) == ("certificate tau(P^n) <= C rho^n fails at n=3 "
+                               f"({0.9:.3e} > {rho ** 3:.3e})")
 
 
 def test_ergodicity_estimate_validation():

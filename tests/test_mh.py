@@ -20,7 +20,7 @@ from wperturb._rng import philox
 from wperturb.bounds import _pow
 from wperturb.bounds import kappa as kappa_const
 from wperturb.cli import main
-from wperturb.errors import ConfigError, HypothesisViolation
+from wperturb.errors import ConfigError, HypothesisViolation, SpaceMismatchError
 from wperturb.kernels import (DriftEstimate, evolve, fit_drift_L,
                               fit_geometric_constants, stationary_distribution,
                               verify_drift)
@@ -215,6 +215,34 @@ def test_finite_acceptance_range_and_inputs():
     with pytest.raises(ValueError):
         mh.FiniteMhProblem(np.array([0.5, 0.5]), np.array([[1.0, 0.1], [0.0, 1.0]]),
                            trivial_metric(range(2)))
+
+
+@pytest.mark.parametrize("entry", ["pi", "Q"])
+def test_finite_problem_refuses_nan(entry):
+    fp = random_finite_mh(0)
+    parts = {"pi": fp.pi.copy(), "Q": fp.Q.copy()}
+    parts[entry][1:2] = np.nan
+    with pytest.raises(ValueError, match=f"^{entry} must be finite$"):
+        mh.FiniteMhProblem(parts["pi"], parts["Q"], fp.space)
+
+
+_CONSTANTS = {
+    "gamma": lambda fp, V: mh.gamma_from_acceptance(
+        fp, mh.AcceptancePerturbation.uniform_noise(0.1), Vt=V),
+    "delta_V": lambda fp, V: mh.delta_v_transfer(
+        fp, mh.AcceptancePerturbation.uniform_noise(0.1), V=V),
+    "lambda": lambda fp, V: mh.lambda_constant(fp, V=V),
+}
+
+
+@pytest.mark.parametrize("constant", sorted(_CONSTANTS))
+def test_finite_constants_refuse_a_weight_off_the_problem(constant):
+    fp = random_finite_mh(0)
+    far = WeightFunction(trivial_metric([f"x{i}" for i in range(fp.n)]), np.full(fp.n, 2.0))
+    with pytest.raises(SpaceMismatchError, match="^V lives on another point set than problem$"):
+        _CONSTANTS[constant](fp, far)
+    with pytest.raises(ValueError, match=r"^V must have shape \(6,\), not \(1,\)$"):
+        _CONSTANTS[constant](fp, np.array([2.0]))
 
 
 @pytest.mark.parametrize("seed", range(12))

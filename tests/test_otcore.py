@@ -182,7 +182,7 @@ def test_distribution_validation():
         DiscreteDistribution(sp, [0.5, 0.3, 0.1])
     with pytest.raises(ValueError, match="nonnegative"):
         DiscreteDistribution(sp, [1.2, -0.2, 0.0])
-    with pytest.raises(ValueError, match="per point"):
+    with pytest.raises(ValueError, match="shape"):
         DiscreteDistribution(sp, [0.5, 0.5])
 
 
@@ -548,6 +548,50 @@ def test_coupling_validation():
         Coupling(sp, [[0.6, -0.1], [0.25, 0.25]])
     with pytest.raises(ValueError, match="mass"):
         Coupling(sp, [[0.3, 0.3], [0.3, 0.3]])
+
+
+_SP = trivial_metric(range(3))
+_FAR = trivial_metric("abc")  # the same metric on other labels
+_MU = DiscreteDistribution(_SP, [0.2, 0.3, 0.5])
+_NU = DiscreteDistribution(_FAR, [0.2, 0.3, 0.5])
+_NAN = np.full((3, 3), 1.0 / 9.0)
+_NAN[0, 1] = np.nan
+_INF = np.full((3, 3), 1.0 / 9.0)
+_INF[0, 1] = np.inf
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FiniteMetricSpace([0, 1], [[0.0, 1.0]]), ValueError,
+     "distances must have shape (2, 2), not (1, 2)"),
+    (lambda: FiniteMetricSpace([0, 1], [[0.0, np.nan], [np.nan, 0.0]]), ValueError,
+     "distances must be finite"),
+    (lambda: WeightFunction(_SP, [1.0, 2.0]), ValueError,
+     "weights must have shape (3,), not (2,)"),
+    (lambda: WeightFunction(_SP, [1.0, np.inf, 1.0]), ValueError, "weights must be finite"),
+    (lambda: DiscreteDistribution(_SP, [[0.2, 0.3, 0.5]]), ValueError,
+     "weights must have shape (3,), not (1, 3)"),
+    (lambda: DiscreteDistribution(_SP, [np.nan, 0.5, 0.5]), ValueError,
+     "weights must be finite"),
+    (lambda: Coupling(_SP, np.eye(2) / 2.0), ValueError, "coupling must be square on the space"),
+    (lambda: Coupling(_SP, _NAN), ValueError, "coupling entries must be nonnegative"),
+    (lambda: Coupling(_SP, _INF), ValueError, "coupling mass must be 1"),
+    (lambda: Coupling(_SP, -_INF), ValueError, "coupling entries must be nonnegative"),
+    (lambda: wasserstein1_exact(_MU, _NU), SpaceMismatchError,
+     "nu lives on another point set than mu"),
+    (lambda: wasserstein1_exact(_MU, _MU, _FAR), SpaceMismatchError,
+     "space lives on another point set than mu"),
+    (lambda: total_variation(_NU, _MU), SpaceMismatchError,
+     "nu lives on another point set than mu"),
+    (lambda: vnorm_distance(_MU, _MU, WeightFunction.ones(_FAR)), SpaceMismatchError,
+     "V lives on another point set than mu"),
+    (lambda: empirical_w1_1d([[0.0]], [[0.0]]), ValueError, "samples must be one-dimensional"),
+], ids=["dist-shape", "dist-nan", "V-shape", "V-inf", "law-shape", "law-nan",
+        "coupling-shape", "coupling-nan", "coupling-inf", "coupling-minus-inf", "w1-nu",
+        "w1-space", "tv-nu", "vnorm-V", "empirical-2d"])
+def test_bad_operands_get_a_typed_refusal(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_point_mass():
