@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import _check_count
+
 
 def philox(seed: int, *stream: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed),
@@ -25,9 +27,7 @@ def coupled_steps(step, x0: float, n: int, replicas: int):
     that returns new arrays.  Raises ValueError unless n and replicas are
     positive integers.
     """
-    for name, value in (("n", n), ("replicas", replicas)):
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
-            raise ValueError(f"{name} must be a positive integer")
+    _check_count(1, n=n, replicas=replicas)
     x = np.full(replicas, float(x0))
     xt = x.copy()
     for k in range(n):

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bounds
+from ._checks import _check_count, _check_nonnegative, _check_positive, _check_roots
 from ._rng import coupled_steps, philox
 from .errors import HypothesisViolation
 
@@ -30,8 +31,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def gaussian_abs_mean(mean: float, sd: float) -> float:
     """E|Z| for Z ~ N(mean, sd^2), the folded-normal mean."""
-    if sd < 0.0:
-        raise ValueError("sd must be nonnegative")
+    _check_nonnegative(sd=sd)
     if sd == 0.0:
         return abs(mean)
     r = mean / sd
@@ -60,8 +60,9 @@ class Innovation:
 
     @classmethod
     def gaussian(cls, mean: float, sd: float) -> "Innovation":
-        if not (math.isfinite(mean) and math.isfinite(sd) and sd > 0.0):
-            raise ValueError(f"need a finite mean and a finite sd > 0, got {mean}, {sd}")
+        if not math.isfinite(mean):
+            raise ValueError(f"mean must be finite, got {mean}")
+        _check_positive(sd=sd)
         return cls(
             sampler=lambda rng, size: rng.normal(mean, sd, size=size),
             mean=mean,
@@ -79,21 +80,13 @@ class Ar1Params:
     innovation: Innovation
 
     def __post_init__(self):
-        if not abs(self.alpha) < 1.0:
-            raise ValueError("|alpha| must be < 1")
-
-
-def _check_roots(**roots: float) -> None:
-    for name, value in roots.items():
-        if not abs(value) < 1.0:
-            raise ValueError(f"|{name}| must be < 1, got {value}")
+        _check_roots(alpha=self.alpha)
 
 
 def ar1_constants(alpha_t: float, E_absZ: float) -> tuple[float, float]:
     """Drift constants for V(x) = 1 + |x|: delta = |alpha_t|, L = 1 - |alpha_t| + E|Z|."""
     _check_roots(alpha_t=alpha_t)
-    if E_absZ < 0.0:
-        raise ValueError("E|Z| must be nonnegative")
+    _check_nonnegative(E_absZ=E_absZ)
     return abs(alpha_t), 1.0 - abs(alpha_t) + E_absZ
 
 
@@ -141,8 +134,7 @@ def ar1_gaussian_stationary_w1(alpha: float, alpha_t: float,
     W1 = E|dm + (s1 - s2) Z| with Z standard normal: a folded-normal mean.
     """
     _check_roots(alpha=alpha, alpha_t=alpha_t)
-    if sdZ <= 0.0:
-        raise ValueError("sdZ must be positive")
+    _check_positive(sdZ=sdZ)
     m1 = meanZ / (1.0 - alpha)
     m2 = meanZ / (1.0 - alpha_t)
     s1 = sdZ / math.sqrt(1.0 - alpha * alpha)
@@ -157,12 +149,10 @@ def ar1_tv_gamma(alpha: float, alpha_t: float, h_max: float,
     Requires a weakly unimodal innovation density bounded by h_max.
     """
     _check_roots(alpha=alpha, alpha_t=alpha_t)
-    if not unimodal:
-        raise HypothesisViolation(
-            "the 2|alpha - alpha_t| h_max rate needs a weakly unimodal innovation density"
-        )
-    if h_max is None or h_max <= 0.0:
-        raise ValueError("h_max must be a positive density bound")
+    if not unimodal or h_max is None:
+        raise HypothesisViolation("the 2|alpha - alpha_t| h_max rate needs a weakly "
+                                  "unimodal innovation density and its bound h_max")
+    _check_positive(h_max=h_max)
     return 2.0 * abs(alpha - alpha_t) * h_max
 
 
@@ -236,8 +226,7 @@ def ar1_simulate_coupled(params: Ar1Params, alpha_t: float, x0: float,
     standard error are returned.
     """
     _check_roots(alpha_t=alpha_t)
-    if replicas < 2:
-        raise ValueError("replicas must be >= 2")
+    _check_count(2, replicas=replicas)
     # each step is reduced as it comes into one buffer, so no (n, replicas)
     # cloud is stored; the mean and the SE take the same sums, in the same
     # order, as dev.mean() and dev.std(ddof=1)
@@ -281,8 +270,7 @@ class Ar1BoundReport:
 
 def ar1_report(params: Ar1Params, alpha_t: float, x0: float, n_max: int) -> Ar1BoundReport:
     """Evaluate every applicable AR(1) constant and bound, w0 = 0 (shared start)."""
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 1):
-        raise ValueError("n_max must be a positive integer")
+    _check_count(1, n_max=n_max)
     innov = params.innovation
     delta, L = ar1_constants(alpha_t, innov.abs_mean)
     k = ar1_kappa(alpha_t, innov.abs_mean, x0)

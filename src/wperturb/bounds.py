@@ -27,13 +27,13 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
+from ._checks import _check_C, _check_count, _check_horizon, _check_nonnegative
+from ._checks import _check_unit, _check_V_mean, _require_same_points
 from .errors import HypothesisViolation
 from .kernels import (
     DriftCheck,
     DriftEstimate,
     FiniteKernel,
-    _check_C,
-    _check_unit,
     _walk,
     fit_drift_L,
     fit_geometric_constants,
@@ -44,17 +44,15 @@ from .kernels import (
     verify_drift,
 )
 from .otcore import DiscreteDistribution, FiniteMetricSpace, WeightFunction
-from .otcore import _require_same_points, _tv, _vnorm, _w1
+from .otcore import _tv, _vnorm, _w1
 
 SLACK_TOL = 1e-9
 
 
 def _pow(rho: float, n) -> float:
-    """rho^n by repeated squaring; n may be math.inf (limit value 0)."""
+    """rho^n by repeated squaring; n may be math.inf (limit value 0); callers check n."""
     if n == math.inf:
         return 0.0 if rho < 1.0 else 1.0
-    if n < 0 or int(n) != n:
-        raise ValueError("n must be a nonnegative integer or math.inf")
     n = int(n)
     out = 1.0
     base = rho
@@ -82,25 +80,15 @@ class BoundInputs:
     def __post_init__(self):
         _check_unit(rho=self.rho, delta=self.delta)
         _check_C(self.C)
-        _check_nonnegative(L=self.L, gamma=self.gamma, kappa=self.kappa, w0=self.w0)
-        if self.kappa < 1.0 - 1e-12:
-            raise ValueError("kappa must be >= 1 (weight functions satisfy V >= 1)")
-        if self.n != math.inf and (self.n < 0 or int(self.n) != self.n):
-            raise ValueError("n must be a nonnegative integer or math.inf")
-
-
-def _check_nonnegative(**values: float) -> None:
-    """Raise ValueError if a named value is negative."""
-    for name, value in values.items():
-        if value < 0.0:
-            raise ValueError(f"{name} must be nonnegative")
+        _check_nonnegative(L=self.L, gamma=self.gamma, w0=self.w0)
+        _check_V_mean(kappa=self.kappa)
+        _check_horizon(self.n)
 
 
 def kappa(p0_V: float, L: float, delta: float) -> float:
     """max{pt0(V), L/(1-delta)}: the mass scale entering every bound."""
     _check_unit(delta=delta)
-    if p0_V < 1.0 - 1e-12:
-        raise ValueError("p0_V must be >= 1 since V >= 1")
+    _check_V_mean(p0_V=p0_V)
     _check_nonnegative(L=L)
     return max(p0_V, L / (1.0 - delta))
 
@@ -144,7 +132,9 @@ def _geom2_inputs(C, rho, n, w0, gamma, delta, L, p0_V) -> BoundInputs:
 _INV_E = math.exp(-1.0)
 
 
-def _geom3_gamma_factor(C: float, L: float, gamma_tv: float) -> float:
+def _geom3_gamma_factor(C: float, rho: float, gamma_tv: float, delta: float,
+                        L: float) -> float:
+    _check_unit(delta=delta, rho=rho)
     _check_C(C)
     _check_nonnegative(L=L)
     if not (0.0 < gamma_tv < _INV_E):
@@ -166,22 +156,22 @@ def geom3_bound(C: float, rho: float, n, w0_vnorm: float, gamma_tv: float,
     caller certifies.  w0_vnorm is the initial distance in the V-norm.
     """
     _check_nonnegative(w0_vnorm=w0_vnorm)
+    _check_V_mean(kappa=kappa)
+    _check_horizon(n)
     limit = _geom3_limit(C, rho, gamma_tv, delta, L, kappa)
     return C * _pow(rho, n) * w0_vnorm + limit
 
 
 def _geom3_limit(C, rho, gamma_tv, delta, L, kappa) -> float:
     """The n-free term of geom3_bound, after checking its hypotheses."""
-    _check_unit(delta=delta, rho=rho)
-    factor = _geom3_gamma_factor(C, L, gamma_tv)
+    factor = _geom3_gamma_factor(C, rho, gamma_tv, delta, L)
     return kappa * math.e / (1.0 - rho) * factor
 
 
 def geom3_stationary_bound(C: float, rho: float, gamma_tv: float,
                            delta: float, L: float) -> float:
     """||pi - pit||_tv bound; equals geom3_bound with w0 = 0, kappa = L/(1-delta)."""
-    _check_unit(delta=delta, rho=rho)
-    factor = _geom3_gamma_factor(C, L, gamma_tv)
+    factor = _geom3_gamma_factor(C, rho, gamma_tv, delta, L)
     return L / ((1.0 - delta) * (1.0 - rho)) * math.e * factor
 
 
@@ -192,14 +182,15 @@ def geom4_bound(base: float, rho: float, kappa: float, K: float, N: float) -> fl
     with a different drift pair pass their own).  Requires N > 6 K^(3/2).
     """
     _check_unit(rho=rho)
-    if K < 1.0:
+    _check_V_mean(kappa=kappa)
+    if not K >= 1.0:
         raise HypothesisViolation(f"K = {K} < 1; the budget constant must be >= 1")
-    if N <= 6.0 * K ** 1.5:
+    if not N > 6.0 * K ** 1.5:
         raise HypothesisViolation(
             f"N = {N} <= 6 K^(3/2) = {6.0 * K ** 1.5:.6g}; sample size too small "
             "for gamma to enter the valid range"
         )
-    if base < 1.0:
+    if not base >= 1.0:
         raise ValueError("base = 2C(L+1) must be >= 1")
     lnN = math.log(N)
     return 3.0 * kappa * base ** (2.0 / lnN) / (1.0 - rho) * K * lnN ** 2 / N
@@ -447,8 +438,7 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
     standing hypotheses fail on this instance, before either chain is
     evolved.
     """
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
-        raise ValueError("n_max must be a nonnegative integer")
+    _check_count(0, n_max=n_max)
     if which not in _VARIANTS:
         raise ValueError(f"unknown theorem selector {which!r}; pick from {WHICH_CHOICES}")
     if not P.space.same_points(Pt.space):

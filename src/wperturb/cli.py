@@ -144,8 +144,6 @@ def _spins(raw: str) -> tuple:
         if tok not in ("-1", "1", "+1"):
             raise ValueError("must be a comma-separated list of -1/+1 labels")
         out.append(int(tok))
-    if not out:
-        raise ValueError("must be nonempty")
     return tuple(out)
 
 

@@ -26,6 +26,8 @@ from typing import Union
 
 import numpy as np
 
+from ._checks import _check_C, _check_count, _check_positive, _check_unit
+from ._checks import _float_array, _require_same_points
 from ._transport import CERT_TOL
 from .errors import NoContractionError, NonUniqueStationaryError
 from .otcore import (
@@ -34,8 +36,6 @@ from .otcore import (
     FiniteMetricSpace,
     WeightFunction,
     _blocks,
-    _float_array,
-    _require_same_points,
     _w1,
 )
 
@@ -123,8 +123,7 @@ def compose(P: FiniteKernel, Q: FiniteKernel) -> FiniteKernel:
 
 def _walk(w: np.ndarray, matrix: np.ndarray, n: int) -> list[np.ndarray]:
     """[w, w M, ..., w M^n] on raw weight rows: the one evolve loop."""
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise ValueError("n must be a nonnegative integer")
+    _check_count(0, n=n)
     out = [w]
     for _ in range(n):
         out.append(out[-1] @ matrix)
@@ -273,19 +272,6 @@ def tau_v(P: FiniteKernel, V: WeightFunction) -> float:
     return _tau_star(P.matrix, V.values)
 
 
-def _check_unit(**values: float) -> None:
-    """Raise ValueError unless each named value lies in [0, 1)."""
-    for name, value in values.items():
-        if not (0.0 <= value < 1.0):
-            raise ValueError(f"{name} must lie in [0, 1)")
-
-
-def _check_C(C: float) -> None:
-    """Raise ValueError unless C >= 1 up to rounding; NaN fails too."""
-    if not C >= 1.0 - 1e-12:
-        raise ValueError("C must be >= 1 (tau of the identity is 1)")
-
-
 @dataclass(frozen=True)
 class ErgodicityEstimate:
     """Certificate tau(P^n) <= C rho^n, valid for all n by submultiplicativity."""
@@ -311,8 +297,7 @@ class DriftEstimate:
 
     def __post_init__(self):
         _check_unit(delta=self.delta)
-        if self.L <= 0.0:
-            raise ValueError("L must be positive")
+        _check_positive(L=self.L)
 
 
 @dataclass(frozen=True)
@@ -353,8 +338,7 @@ def fit_geometric_constants(P: FiniteKernel,
 
     Raises NoContractionError when tau(P^m) >= 1.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_count(1, m=m, n_check=n_check)
     if n_check < m:
         raise ValueError("n_check must be >= m")
     if isinstance(metric, WeightFunction):

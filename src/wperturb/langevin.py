@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import _check_C, _check_count, _check_nonnegative, _check_positive, _float_array
 from ._rng import coupled_steps, philox
 from .bounds import geom4_bound
 from .errors import HypothesisViolation
@@ -74,15 +75,12 @@ class GibbsModel:
 
     def __init__(self, levels, counts, s_obs: float, sigma_p: float):
         levels = np.asarray(levels, dtype=float)
-        counts = np.asarray(counts, dtype=float)
         if levels.ndim != 1 or levels.size == 0 or not np.all(np.isfinite(levels)):
             raise ValueError("levels must be a nonempty 1-d array of finite values")
         if np.any(np.diff(levels) <= 0.0):
             raise ValueError("levels must be strictly increasing")
-        if counts.shape != levels.shape:
-            raise ValueError("counts must have the shape of levels")
-        if not (np.all(np.isfinite(counts)) and np.all(counts > 0.0)):
-            raise ValueError("counts must be finite and positive")
+        counts = _float_array(counts, levels.shape, "counts")
+        _check_positive(counts=counts.min())
         s_obs = float(s_obs)
         if not math.isfinite(s_obs):
             raise ValueError("s_obs must be finite")
@@ -90,8 +88,7 @@ class GibbsModel:
         if s_inf == 0.0:
             raise ValueError("statistic is identically zero; ||s||_inf must be > 0")
         sigma_p = float(sigma_p)
-        if not (sigma_p > 0 and math.isfinite(sigma_p)):
-            raise ValueError("sigma_p must be positive and finite")
+        _check_positive(sigma_p=sigma_p)
 
         self.levels = levels
         self.log_counts = np.log(counts)
@@ -149,10 +146,8 @@ class LangevinParams:
     N: int
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be positive and finite")
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
-            raise ValueError("N must be a positive integer")
+        _check_positive(sigma=self.sigma)
+        _check_count(1, N=self.N)
 
 
 def likelihood_mean_s(model: GibbsModel, theta: float) -> float:
@@ -172,8 +167,7 @@ def noisy_grad(model: GibbsModel, theta: float, N: int, rng: np.random.Generator
     land on each level of s, so a single exact multinomial over the levels
     realizes the batch.
     """
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise ValueError("N must be a positive integer")
+    _check_count(1, N=N)
     counts = rng.multinomial(int(N), model.level_likelihood(theta))
     mean_s = float(counts @ model.levels) / float(N)
     return model.s_obs - mean_s - theta / model.sigma_p ** 2
@@ -212,9 +206,7 @@ def langevin_drift_constants(sigma: float, sigma_p: float, s_inf: float):
     that step size the prior pull no longer contracts and the triple is not
     valid.
     """
-    for name, val in (("sigma", sigma), ("sigma_p", sigma_p), ("s_inf", s_inf)):
-        if not (val > 0 and math.isfinite(val)):
-            raise ValueError(f"{name} must be positive and finite")
+    _check_positive(sigma=sigma, sigma_p=sigma_p, s_inf=s_inf)
     if not sigma ** 2 < 4 * sigma_p ** 2:
         raise HypothesisViolation(
             f"need sigma^2 < 4*sigma_p^2, got {sigma**2:.6g} >= {4*sigma_p**2:.6g}"
@@ -232,22 +224,22 @@ def langevin_tv_perturbation_bound(sigma: float, s_inf: float, N: int) -> float:
     the auxiliary sample is too small for the concentration step and the
     bound does not hold.
     """
-    for name, val in (("sigma", sigma), ("s_inf", s_inf)):
-        if not (val > 0 and math.isfinite(val)):
-            raise ValueError(f"{name} must be positive and finite")
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise ValueError("N must be a positive integer")
-    threshold = 4.0 * max(s_inf ** 2 * sigma ** 4, s_inf ** -3 * sigma ** -6)
-    if not N > threshold:
-        raise HypothesisViolation(
-            f"need N > {threshold:.6g} for the TV perturbation bound, got N={N}"
-        )
+    _check_positive(sigma=sigma, s_inf=s_inf)
+    _check_count(1, N=N)
+    _require_samples(4.0, sigma, s_inf, N, "TV perturbation bound")
     return _budget_K(sigma, s_inf) * math.log(N) / N
 
 
 def _budget_K(sigma: float, s: float) -> float:
     """K = 6 max(s sigma^2, s^-2 sigma^-4) of the one-step TV bound K ln(N)/N."""
     return 6.0 * max(s * sigma ** 2, s ** -2 * sigma ** -4)
+
+
+def _require_samples(factor: float, sigma: float, s: float, N: int, bound: str) -> None:
+    """HypothesisViolation unless N > factor * max(s^2 sigma^4, s^-3 sigma^-6)."""
+    threshold = factor * max(s ** 2 * sigma ** 4, s ** -3 * sigma ** -6)
+    if not N > threshold:
+        raise HypothesisViolation(f"need N > {threshold:.6g} for the {bound}, got N={N}")
 
 
 def langevin_final_bound(
@@ -265,16 +257,10 @@ def langevin_final_bound(
     """
     sigma, N = params.sigma, params.N
     s, sigma_p = model.s_inf, model.sigma_p
-    if not (C >= 1.0 and math.isfinite(C)):
-        raise ValueError("C must be finite and at least 1, since tau(P^0) = 1")
-    if not (E_absX0 >= 0 and math.isfinite(E_absX0)):
-        raise ValueError("E_absX0 must be nonnegative and finite")
+    _check_C(C)
+    _check_nonnegative(E_absX0=E_absX0)
     langevin_drift_constants(sigma, sigma_p, s)  # raises unless sigma^2 < 4 sigma_p^2
-    threshold = 90.0 * max(s ** 2 * sigma ** 4, s ** -3 * sigma ** -6)
-    if not N > threshold:
-        raise HypothesisViolation(
-            f"need N > {threshold:.6g} for the long-run bound, got N={N}"
-        )
+    _require_samples(90.0, sigma, s, N, "long-run bound")
     # with x = s sigma^2 the gate implies geom4's N > 6 K^(3/2) = 88.2
     # max(x^1.5, x^-3), and K >= 6, base >= 6C >= 1: geom4 adds no raise
     kappa = 2.0 + max(E_absX0, 4.0 * sigma_p ** 2 * (s + 1.0 / sigma))
@@ -325,8 +311,7 @@ def langevin_drift_check(
     when the estimated E[V(theta')] stays below delta*V(theta) + L*1_I(theta)
     with a 3-standard-error allowance.
     """
-    if not (isinstance(draws, (int, np.integer)) and draws >= 2):
-        raise ValueError("draws must be an integer >= 2")
+    _check_count(2, draws=draws)
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0 or not np.all(np.isfinite(thetas)):
         raise ValueError("theta_grid must be a nonempty 1-d array of finite values")
@@ -436,8 +421,7 @@ def empirical_tv_binned(a: np.ndarray, b: np.ndarray, bins: int = 256) -> float:
     b = np.asarray(b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
-    if not (isinstance(bins, (int, np.integer)) and bins > 0):
-        raise ValueError(f"bins must be a positive integer, got {bins!r}")
+    _check_count(1, bins=bins)
     ends = (a.min(), a.max(), b.min(), b.max())
     # numpy's min and max propagate NaN, so the four ends check every sample
     if not np.isfinite(ends).all():

@@ -20,12 +20,13 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ._checks import _check_C, _check_count, _check_nonnegative, _check_positive
+from ._checks import _check_unit, _check_V_mean, _float_array, _require_same_points
 from ._rng import coupled_steps, philox
 from .bounds import PerturbationReport, _geom2_rows, geom2_bound
 from .errors import ConfigError, HypothesisViolation
-from .kernels import ROW_TOL, FiniteKernel, _check_C, _check_unit
+from .kernels import ROW_TOL, FiniteKernel
 from .otcore import FiniteMetricSpace, WeightFunction, empirical_w1_clouds
-from .otcore import _float_array, _require_same_points
 
 # absolute tolerance of every line-constant quadrature
 _QUAD_TOL = 1e-8
@@ -55,8 +56,7 @@ class Proposal:
 
     @classmethod
     def uniform_window(cls, half_width: float) -> "Proposal":
-        if not half_width > 0:
-            raise ValueError("half_width must be positive")
+        _check_positive(half_width=half_width)
         h = float(half_width)
         return cls(
             sampler=lambda rng, x: x + h * (2.0 * rng.random(np.shape(x)) - 1.0),
@@ -90,8 +90,7 @@ class MhProblem:
     def gaussian_target(cls, half_width: float = 1.0,
                         sd: float = 1.0) -> "MhProblem":
         """Standard-normal-shaped density with a symmetric uniform window."""
-        if not sd > 0:
-            raise ValueError("sd must be positive")
+        _check_positive(sd=sd)
         inv2 = 1.0 / (2.0 * sd * sd)
         return cls(lambda x, y: (x * x - y * y) * inv2,
                    Proposal.uniform_window(half_width))
@@ -218,8 +217,7 @@ class AcceptancePerturbation:
     def __post_init__(self):
         if self.mode not in self._MODES:
             raise ConfigError(f"unknown perturbation mode {self.mode!r}")
-        if self.s < 0:
-            raise ValueError("s must be non-negative")
+        _check_nonnegative(s=self.s)
 
     @classmethod
     def none(cls) -> "AcceptancePerturbation":
@@ -357,7 +355,9 @@ def _weight_values(V, problem: FiniteMhProblem) -> np.ndarray:
     if isinstance(V, WeightFunction):
         _require_same_points(problem=problem, V=V)
         return V.values
-    return _float_array(V, (problem.n,), "V")
+    v = _float_array(V, (problem.n,), "V")
+    _check_positive(V=v.min())
+    return v
 
 
 def _finite_eps(problem: FiniteMhProblem,
@@ -462,14 +462,11 @@ def metro_geom_bound(C: float, rho: float, n, s: float, lam: float,
     L/(1-delta-lam s)}.  Requires s < (1 - delta)/lam, and C >= 1 since
     tau(P^0) = 1.
     """
-    if not C >= 1.0:
-        raise ValueError("C must be at least 1, since tau(P^0) = 1")
+    _check_C(C)
     if not lam >= 1.0:
         raise ValueError("lam must be at least 1")
-    if not L > 0:
-        raise ValueError("L must be positive")
-    if not p0_V >= 1.0 - 1e-12:
-        raise ValueError("p0_V must be at least 1")
+    _check_positive(L=L)
+    _check_V_mean(p0_V=p0_V)
     # before geom2's gamma + delta < 1, whose boundary rounds differently
     if s >= (1.0 - delta) / lam:
         raise HypothesisViolation(
@@ -489,8 +486,7 @@ def independent_mh_perturbation_bound(C: float, rho: float, mu_Gt: float,
     _check_unit(rho=rho)
     if not 0.0 <= mu_Gt <= 1.0:
         raise ValueError("mu_Gt must lie in [0, 1]")
-    if not (D_Gt >= 0 and math.isfinite(D_Gt)):
-        raise ValueError("D_Gt must be finite and non-negative")
+    _check_nonnegative(D_Gt=D_Gt)
     return C * mu_Gt * D_Gt / (1.0 - rho)
 
 
@@ -564,8 +560,7 @@ def mh_metro_geom_report(problem: MhProblem,
     (role 1).  Output is byte-reproducible for a seed; the per-step keying
     replaced a per-(replica, step) one, which changed every value once.
     """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
+    _check_count(2, samples=samples)
     xs, xts = _simulate_pair(problem, perturbation, constants.x0, n,
                              samples, seed)
     ns = np.arange(1, n + 1)

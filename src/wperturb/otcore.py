@@ -30,9 +30,8 @@ shared by every entry of the space and are not charged.  ``_w1`` takes a
 whole distance table, two stacks of rows, in one call, and is the whole
 transport route: lookups, runs, solves, lift (see its docstring).
 
-Each operand rule lives in one helper, used here and in ``kernels``,
-``bounds`` and ``mh``: ``_require_same_points`` (all on the point set of
-the first) and ``_float_array`` (a new float array of a shape, all finite).
+The operand rules live in ``_checks``, one helper per rule, for this module
+and every other: ``_require_same_points`` and ``_float_array`` among them.
 
 Total variation and the weighted norm ``sum_x V(x) |mu(x) - nu(x)|`` are
 closed forms too; they equal W1 under the trivial metric and under
@@ -47,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _transport
-from .errors import SpaceMismatchError
+from ._checks import _check_nonnegative, _float_array, _require_same_points
 
 MASS_TOL = 1e-12
 METRIC_TOL = 1e-12
@@ -114,17 +113,6 @@ class FiniteMetricSpace:
         return self is other or self.points == other.points
 
 
-def _float_array(values, shape: tuple, what: str) -> np.ndarray:
-    """``values`` as a new float array; ValueError unless it has ``shape``
-    and every entry is finite.  ``what`` names the values in the message."""
-    out = np.array(values, dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{what} must have shape {shape}, not {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{what} must be finite")
-    return out
-
-
 def _blocks(n: int) -> list[slice]:
     """Slices of range(n), each so long that a (len, n, n) float temporary
     stays near 2 MiB: the per-point loops over an (n, n) matrix take one
@@ -185,8 +173,7 @@ class DiscreteDistribution:
 
     def __init__(self, space: FiniteMetricSpace, weights) -> None:
         w = _float_array(weights, (space.size,), "weights")
-        if np.min(w, initial=0.0) < 0.0:
-            raise ValueError("weights must be nonnegative")
+        _check_nonnegative(weights=np.min(w, initial=0.0))
         if abs(float(w.sum()) - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
         self.space = space
@@ -232,19 +219,6 @@ class Coupling:
     def cost(self) -> float:
         """Transport cost of this coupling under the space's own metric."""
         return float(np.sum(self.joint * self.space.dist))
-
-
-def _require_same_points(**operands) -> None:
-    """Raise SpaceMismatchError unless every operand lives on the point set
-    of the first.  Each operand is a FiniteMetricSpace or has a ``.space``;
-    operands that are None are skipped.  The keywords name the operands in
-    the message."""
-    items = iter(operands.items())
-    first, ref = next(items)
-    ref = getattr(ref, "space", ref)
-    for name, x in items:
-        if x is not None and not ref.same_points(getattr(x, "space", x)):
-            raise SpaceMismatchError(f"{name} lives on another point set than {first}")
 
 
 def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):

@@ -555,3 +555,48 @@ def test_report_rejects_an_inverted_stationary_sandwich():
             Ar1BoundReport(**{**vars(rep), nan_side: math.nan})
     # within the rounding allowance the report stands
     Ar1BoundReport(**dict(fields, lower_bound=rep.stationary_bound + 1e-13))
+
+
+# ------------------------------------------------------------- refusals
+
+_INNOV = Innovation.gaussian(1.0, 1.0)
+_PARAMS = Ar1Params(0.5, _INNOV)
+_TV_RATE = ("the 2|alpha - alpha_t| h_max rate needs a weakly unimodal innovation "
+            "density and its bound h_max")
+_KAPPA = "kappa must be at least 1 and finite, since V >= 1"
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: gaussian_abs_mean(0.0, -1.0), (ValueError, "sd must be nonnegative and finite")),
+    (lambda: gaussian_abs_mean(0.0, math.nan), (ValueError, "sd must be nonnegative and finite")),
+    (lambda: Innovation.gaussian(math.inf, 1.0), (ValueError, "mean must be finite, got inf")),
+    (lambda: Innovation.gaussian(1.0, 0.0), (ValueError, "sd must be positive and finite")),
+    (lambda: Ar1Params(1.0, _INNOV), (ValueError, "|alpha| must be < 1, got 1.0")),
+    (lambda: Ar1Params(math.nan, _INNOV), (ValueError, "|alpha| must be < 1, got nan")),
+    (lambda: ar1_constants(-1.5, 1.0), (ValueError, "|alpha_t| must be < 1, got -1.5")),
+    (lambda: ar1_constants(0.5, -0.1), (ValueError, "E_absZ must be nonnegative and finite")),
+    (lambda: ar1_constants(0.5, math.nan), (ValueError, "E_absZ must be nonnegative and finite")),
+    (lambda: ar1_nstep_bound(0.5, 0.4, 0.0, 3, 0.5), (ValueError, _KAPPA)),
+    (lambda: ar1_gaussian_stationary_w1(0.5, 0.4, 1.0, 0.0),
+     (ValueError, "sdZ must be positive and finite")),
+    (lambda: ar1_tv_gamma(0.5, 0.4, 0.0), (ValueError, "h_max must be positive and finite")),
+    (lambda: ar1_tv_gamma(0.5, 0.4, None), (HypothesisViolation, _TV_RATE)),
+    (lambda: ar1_tv_gamma(0.5, 0.4, 1.0, unimodal=False), (HypothesisViolation, _TV_RATE)),
+    (lambda: ar1_tv_final_bound(0.5, 0.5, 1.0, 2.0, 1.0),
+     (HypothesisViolation, "|alpha - alpha_t| = 0.0 outside (0, e^-1/2 = 0.183940)")),
+    (lambda: ar1_simulate_coupled(_PARAMS, 0.4, 0.0, n=3, replicas=1),
+     (ValueError, "replicas must be an integer >= 2")),
+    (lambda: ar1_simulate_coupled(_PARAMS, 0.4, 0.0, n=3, replicas=2.5),
+     (ValueError, "replicas must be an integer >= 2")),
+    (lambda: ar1_simulate_coupled(_PARAMS, 0.4, 0.0, n=0, replicas=10),
+     (ValueError, "n must be a positive integer")),
+    (lambda: ar1_report(_PARAMS, 0.4, 0.0, 2.0), (ValueError, "n_max must be a positive integer")),
+], ids=["abs_mean-sd", "abs_mean-nan-sd", "gaussian-mean", "gaussian-sd", "alpha", "alpha-nan",
+        "alpha_t", "E_absZ", "E_absZ-nan", "nstep-kappa", "stationary_w1-sdZ", "tv-h_max",
+        "tv-no-h_max", "tv-not-unimodal", "tv_final-gap", "simulate-replicas",
+        "simulate-fractional-replicas", "simulate-n", "report-n_max"])
+def test_bad_operands_get_a_typed_refusal(call, refusal):
+    error, message = refusal
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

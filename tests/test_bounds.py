@@ -191,7 +191,7 @@ def test_bound_inputs_validation():
 
 def test_bound_inputs_require_C_at_least_one():
     # tau(P^0) = 1, so no ergodicity constant below 1 can hold at n = 0
-    with pytest.raises(ValueError, match="C must be >= 1"):
+    with pytest.raises(ValueError, match="C must be at least 1"):
         BoundInputs(C=0.5, rho=0.5, delta=0.5, L=1, gamma=0.1, kappa=1, n=1, w0=0)
     ok = BoundInputs(C=1.0, rho=0.5, delta=0.5, L=1, gamma=0.1, kappa=1, n=1, w0=0)
     assert thm31_bound(ok) == pytest.approx(0.1)
@@ -297,8 +297,8 @@ _STEPS = "n must be a nonnegative integer or math.inf"
     (lambda: geom3_bound(1.0, 0.5, -1, 0.0, 0.1, 0.5, 1.0, 2.0), _STEPS),
     (lambda: geom3_bound(1.0, 0.5, 2.5, 0.0, 0.1, 0.5, 1.0, 2.0), _STEPS),
     (lambda: kappa(1.0, 1.0, 1.0), "delta must lie in [0, 1)"),
-    (lambda: kappa(0.5, 1.0, 0.5), "p0_V must be >= 1 since V >= 1"),
-    (lambda: kappa(1.0, -1.0, 0.5), "L must be nonnegative"),
+    (lambda: kappa(0.5, 1.0, 0.5), "p0_V must be at least 1 and finite, since V >= 1"),
+    (lambda: kappa(1.0, -1.0, 0.5), "L must be nonnegative and finite"),
     (lambda: geom4_bound(0.5, 0.5, 2.0, 1.0, 1000.0), "base = 2C(L+1) must be >= 1"),
 ], ids=["geom3-negative-n", "geom3-fractional-n", "kappa-delta", "kappa-p0_V", "kappa-L",
         "geom4-base"])
@@ -565,3 +565,48 @@ def test_report_csv_round_trip():
     assert float(s) == 0.5 - 1.0 / 3.0
     assert rep.min_slack == pytest.approx(0.5 - 1.0 / 3.0)
     assert rep.verified()
+
+
+def _inputs(**changes):
+    base = dict(C=1.0, rho=0.5, delta=0.5, L=1.0, gamma=0.1, kappa=2.0, n=4, w0=0.1)
+    return BoundInputs(**{**base, **changes})
+
+
+_C_RULE = "C must be at least 1 and finite, since tau(P^0) = 1"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kappa(1.0, math.nan, 0.5), "L must be nonnegative and finite"),
+    (lambda: kappa(math.inf, 1.0, 0.5), "p0_V must be at least 1 and finite, since V >= 1"),
+    (lambda: thm31_bound(_inputs(gamma=math.nan)), "gamma must be nonnegative and finite"),
+    (lambda: thm31_bound(_inputs(L=math.nan)), "L must be nonnegative and finite"),
+    (lambda: thm31_bound(_inputs(kappa=math.nan)),
+     "kappa must be at least 1 and finite, since V >= 1"),
+    (lambda: thm31_bound(_inputs(w0=math.nan)), "w0 must be nonnegative and finite"),
+    (lambda: thm31_bound(_inputs(C=math.inf)), _C_RULE),
+    (lambda: thm31_bound(_inputs(C=1.0 - 1e-13)), _C_RULE),
+    (lambda: thm31_bound(_inputs(n=math.nan)), "n must be a nonnegative integer or math.inf"),
+    (lambda: geom3_stationary_bound(1.0, 0.5, 0.1, 0.5, math.nan),
+     "L must be nonnegative and finite"),
+    (lambda: geom3_bound(1.0, 0.5, 4, 0.0, 0.1, 0.5, 1.0, math.nan),
+     "kappa must be at least 1 and finite, since V >= 1"),
+    (lambda: geom4_bound(4.0, 0.5, math.nan, 1.0, 1000.0),
+     "kappa must be at least 1 and finite, since V >= 1"),
+    (lambda: geom4_bound(math.nan, 0.5, 2.0, 1.0, 1000.0), "base = 2C(L+1) must be >= 1"),
+    (lambda: stationary_wasserstein_bound(1.0, 0.5, math.inf, 1.0, 0.5),
+     "gamma must be nonnegative and finite"),
+], ids=["kappa-L-nan", "kappa-p0_V-inf", "thm31-gamma-nan", "thm31-L-nan", "thm31-kappa-nan",
+        "thm31-w0-nan", "thm31-C-inf", "thm31-C-below-1", "thm31-n-nan", "geom3_stationary-L-nan",
+        "geom3-kappa-nan", "geom4-kappa-nan", "geom4-base-nan", "stationary-gamma-inf"])
+def test_nan_and_infinite_constants_get_a_typed_refusal(call, message):
+    # each returned a value (nan, inf, or a bound from C just below 1) before
+    # every rule refused NaN and infinity
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_geom4_refuses_a_nan_budget_or_sample_size():
+    for K, N in ((math.nan, 1000.0), (1.0, math.nan)):
+        with pytest.raises(HypothesisViolation):
+            geom4_bound(4.0, 0.5, 2.0, K, N)

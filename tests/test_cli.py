@@ -609,3 +609,99 @@ def test_verify_suite_seed_flag(capsys):
 def test_experiment_config_is_plain_data():
     cfg = ExperimentConfig(kind="ar1", seed=1, out="x", params={"alpha": 0.1})
     assert cfg.params["alpha"] == 0.1
+
+
+# ------------------------------------------------------------- refusals
+
+@pytest.mark.parametrize("template, old, new, message", [
+    (FINITE, "size = 8", "size = 8\n    which = thm99",
+     "[finite-verify] which: must be one of " + ", ".join(WHICH_CHOICES)),
+    (LANGEVIN, "theta_grid = -30,0,30", "theta_grid = , ,",
+     "[langevin] theta_grid: must be a nonempty comma-separated list of floats"),
+    (AR1, "alpha = 0.5", "alpha = 0.5\n    alpha = 0.6",
+     "malformed config: While reading from {path} [line  9]: option 'alpha' in section "
+     "'ar1' already exists"),
+    (AR1, "seed = 42", "seed = 42\n    colour = blue", "unknown keys in [experiment]: colour"),
+    (AR1, "alpha = 0.5", "", "[ar1] missing required key 'alpha'"),
+    (LANGEVIN, "observed = 1,1,1,-1,-1", "observed = 1\n    M = 1",
+     "[langevin] path-agreement needs M >= 2"),
+], ids=["choice", "float-list", "malformed", "experiment-key", "required-key", "path-M"])
+def test_schema_refusals_exit_2_with_their_message(tmp_path, capsys, template, old, new, message):
+    assert old in template
+    out = tmp_path / "res"
+    path = write_cfg(tmp_path, template.replace(old, new).replace("out = results",
+                                                                 f"out = {out}"))
+    assert main(["run", path]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"config error: {message.format(path=repr(path))}\n"
+    assert not out.exists()
+
+
+def _swap_instance(seed, size, contraction_mix):
+    # a realized instance whose P swaps two states: tau(P^m) = 1, no contraction
+    from wperturb.kernels import FiniteKernel
+    from wperturb.otcore import DiscreteDistribution, WeightFunction, trivial_metric
+
+    sp = trivial_metric(range(2))
+    P = FiniteKernel(sp, [[0.0, 1.0], [1.0, 0.0]])
+    law = DiscreteDistribution(sp, [0.5, 0.5])
+    return P, P, sp, WeightFunction.ones(sp), law, law
+
+
+def test_finite_verify_exits_3_on_an_instance_that_fails_a_hypothesis(tmp_path, monkeypatch,
+                                                                       capsys):
+    import wperturb.cli as climod
+
+    monkeypatch.setattr(climod, "generate_random_instance", _swap_instance)
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, FINITE_CFG.format(out=out, size=2))]) \
+        == EXIT_HYPOTHESIS
+    assert capsys.readouterr().err.startswith("hypothesis violation: tau(P^2) = 1.000000 >= 1")
+    assert not out.exists()
+
+
+def test_ar1_exits_3_on_a_hypothesis_failure(tmp_path, monkeypatch, capsys):
+    # no [ar1] config that passes the schema fails a hypothesis: |alpha| < 1
+    # and |alpha_t| < 1 are schema bounds, and the Gaussian innovation is
+    # unimodal with a density bound.  So the failure is injected into the
+    # report: the TV rate of an innovation that is not unimodal
+    import wperturb.cli as climod
+    from wperturb.ar1 import ar1_tv_gamma
+
+    monkeypatch.setattr(climod, "ar1_report",
+                        lambda params, alpha_t, x0, n_max: ar1_tv_gamma(
+                            params.alpha, alpha_t, 1.0, unimodal=False))
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, AR1_CFG.format(out=out))]) == EXIT_HYPOTHESIS
+    assert capsys.readouterr().err.startswith("hypothesis violation: the 2|alpha - alpha_t|")
+    assert not out.exists()
+
+
+def test_generate_random_instance_gives_up_after_100_tries(monkeypatch):
+    import wperturb.cli as climod
+    from wperturb.errors import HypothesisViolation
+
+    tries = []
+
+    def never(*args):
+        tries.append(args[-1])
+        raise HypothesisViolation("refused")
+
+    monkeypatch.setattr(climod, "verify_on_finite", never)
+    with pytest.raises(RuntimeError) as info:
+        generate_random_instance(3, 2, 0.5)
+    assert str(info.value) == ("resampling exhausted: no instance of size 2 at "
+                               "contraction_mix=0.5 passed all hypotheses in 100 tries")
+    # each try stops at its first refused variant
+    assert tries == [WHICH_CHOICES[0]] * 100
+
+
+def test_write_atomic_removes_its_temporary_file_when_the_rename_fails(tmp_path, monkeypatch):
+    import wperturb.cli as climod
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(climod.os, "replace", refuse)
+    with pytest.raises(OSError, match="^rename refused$"):
+        climod._write_atomic(str(tmp_path / "report.csv"), "n,distance\n")
+    assert os.listdir(tmp_path) == []

@@ -586,7 +586,7 @@ _STEPS = ValueError, "n must be a nonnegative integer"
     (lambda: tau_v(_P, _V_FAR), _elsewhere("V")),
     (lambda: verify_drift(_P, DriftEstimate(_V_FAR, 0.5, 1.0)), _elsewhere("V")),
     (lambda: fit_drift_L(_P, _V_FAR, 0.5), _elsewhere("V")),
-    (lambda: fit_geometric_constants(_P, _SP, m=0), (ValueError, "m must be >= 1")),
+    (lambda: fit_geometric_constants(_P, _SP, m=0), (ValueError, "m must be a positive integer")),
     (lambda: fit_geometric_constants(_P, _SP, m=4, n_check=3),
      (ValueError, "n_check must be >= m")),
     (lambda: kernel_gamma_wasserstein(_P, _P_FAR, _SP), _elsewhere("Pt")),
@@ -670,3 +670,18 @@ def test_gamma_vnorm_equals_gamma_wasserstein_under_dv(seed):
     lhs = kernel_gamma_vnorm(P, Pt, V, Vt)
     rhs = kernel_gamma_wasserstein(P, Pt, untagged(dv_metric(V)), Vt)
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DriftEstimate(_V, 0.5, np.nan), "L must be positive and finite"),
+    (lambda: DriftEstimate(_V, 0.5, np.inf), "L must be positive and finite"),
+    (lambda: fit_geometric_constants(_P, _SP, m=2.5), "m must be a positive integer"),
+    (lambda: fit_geometric_constants(_P, _SP, m=2, n_check=4.5),
+     "n_check must be a positive integer"),
+], ids=["drift-L-nan", "drift-L-inf", "fit-fractional-m", "fit-fractional-n_check"])
+def test_nan_infinite_and_fractional_operands_get_a_value_error(call, message):
+    # DriftEstimate accepted these L, and a fractional m or n_check raised
+    # TypeError from indexing
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -531,7 +531,7 @@ def test_final_bound_raises_as_the_parent_at_the_sample_size_edge(N):
 @pytest.mark.parametrize("C", [0.1, 0.5, 0.9999999999999999, -1.0, math.nan, math.inf])
 def test_final_bound_needs_C_at_least_one(C):
     # tau(P^0) = 1, so no certificate tau(P^n) <= C rho^n has C < 1
-    with pytest.raises(ValueError, match="C must be finite and at least 1"):
+    with pytest.raises(ValueError, match="C must be at least 1 and finite"):
         langevin_final_bound(two_point(), LangevinParams(1.0, 10 ** 4), C, 0.5, 0.0)
     assert langevin_final_bound(two_point(), LangevinParams(1.0, 10 ** 4),
                                 1.0, 0.5, 0.0) > 0.0
@@ -715,3 +715,69 @@ def test_noisy_chain_tv_proxy_shrinks_with_N():
     )
     cap = langevin_tv_perturbation_bound(0.8, m.s_inf, 100)
     assert empirical_tv_binned(xs[0], xts[0]) <= cap
+
+
+# ------------------------------------------------------------- refusals
+
+_MODEL = two_point()
+_LEVELS = "levels must be a nonempty 1-d array of finite values"
+_N = ValueError, "N must be a positive integer"
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: GibbsModel([], [], 0.0, 1.0), (ValueError, _LEVELS)),
+    (lambda: GibbsModel([[-1.0, 1.0]], [[1.0, 1.0]], 0.0, 1.0), (ValueError, _LEVELS)),
+    (lambda: GibbsModel([1.0, -1.0], [1.0, 1.0], 0.0, 1.0),
+     (ValueError, "levels must be strictly increasing")),
+    (lambda: GibbsModel([-1.0, 1.0], [1.0, 1.0, 1.0], 0.0, 1.0),
+     (ValueError, "counts must have shape (2,), not (3,)")),
+    (lambda: GibbsModel([-1.0, 1.0], [1.0, math.nan], 0.0, 1.0),
+     (ValueError, "counts must be finite")),
+    (lambda: GibbsModel([-1.0, 1.0], [1.0, 0.0], 0.0, 1.0), (ValueError, "counts must be positive and finite")),
+    (lambda: GibbsModel([-1.0, 1.0], [1.0, 1.0], math.inf, 1.0),
+     (ValueError, "s_obs must be finite")),
+    (lambda: GibbsModel([0.0], [2.0], 0.0, 1.0),
+     (ValueError, "statistic is identically zero; ||s||_inf must be > 0")),
+    (lambda: GibbsModel([-1.0, 1.0], [1.0, 1.0], 0.0, math.nan),
+     (ValueError, "sigma_p must be positive and finite")),
+    (lambda: GibbsModel.ising_sum(0, ()), (ValueError, f"M must be an integer in [1, {MAX_M}]")),
+    (lambda: GibbsModel.path_agreement(2, (1, 0)),
+     (ValueError, "observed must be a length-M tuple of -1/+1 labels")),
+    (lambda: LangevinParams(0.0, 10), (ValueError, "sigma must be positive and finite")),
+    (lambda: LangevinParams(1.0, 2.5), _N),
+    (lambda: noisy_grad(_MODEL, 0.0, 0, philox(1, 0)), _N),
+    (lambda: langevin_drift_constants(1.0, 1.0, math.inf),
+     (ValueError, "s_inf must be positive and finite")),
+    (lambda: langevin_drift_constants(3.0, 1.0, 1.0),
+     (HypothesisViolation, "need sigma^2 < 4*sigma_p^2, got 9 >= 4")),
+    (lambda: langevin_tv_perturbation_bound(-1.0, 1.0, 100),
+     (ValueError, "sigma must be positive and finite")),
+    (lambda: langevin_tv_perturbation_bound(1.0, 1.0, 100.0), _N),
+    (lambda: langevin_tv_perturbation_bound(1.0, 1.0, 4),
+     (HypothesisViolation, "need N > 4 for the TV perturbation bound, got N=4")),
+    (lambda: langevin_final_bound(_MODEL, LangevinParams(1.0, 10 ** 4), math.inf, 0.5, 0.0),
+     (ValueError, "C must be at least 1 and finite, since tau(P^0) = 1")),
+    (lambda: langevin_final_bound(_MODEL, LangevinParams(1.0, 10 ** 4), 1.0, 0.5, -1.0),
+     (ValueError, "E_absX0 must be nonnegative and finite")),
+    (lambda: langevin_final_bound(_MODEL, LangevinParams(1.0, 90), 1.0, 0.5, 0.0),
+     (HypothesisViolation, "need N > 90 for the long-run bound, got N=90")),
+    (lambda: langevin_drift_check(_MODEL, LangevinParams(1.0, 10), [0.0], 1, philox(1, 0)),
+     (ValueError, "draws must be an integer >= 2")),
+    (lambda: langevin_drift_check(_MODEL, LangevinParams(1.0, 10), [], 10, philox(1, 0)),
+     (ValueError, "theta_grid must be a nonempty 1-d array of finite values")),
+    (lambda: empirical_tv_binned(np.zeros(3), np.array([])),
+     (ValueError, "both samples must be nonempty")),
+    (lambda: empirical_tv_binned(np.zeros(3), np.ones(3), 2.5),
+     (ValueError, "bins must be a positive integer")),
+    (lambda: empirical_tv_binned(np.zeros(3), np.array([0.0, math.inf])),
+     (ValueError, "samples must be finite")),
+], ids=["levels-empty", "levels-2d", "levels-order", "counts-shape", "counts-nan", "counts-zero",
+        "s_obs", "zero-statistic", "sigma_p", "M", "observed", "sigma", "N", "noisy_grad-N",
+        "drift-s_inf", "drift-step", "tv-sigma", "tv-N", "tv-threshold", "final-C",
+        "final-E_absX0", "final-threshold", "drift_check-draws", "drift_check-grid",
+        "tv_binned-empty", "tv_binned-bins", "tv_binned-inf"])
+def test_bad_operands_get_a_typed_refusal(call, refusal):
+    error, message = refusal
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -556,7 +556,7 @@ def test_independent_bound_values_and_monotonicity():
 
 def test_independent_bound_requires_C_at_least_one():
     # tau(P^0) = 1, so no ergodicity constant below 1 can hold at n = 0
-    with pytest.raises(ValueError, match="C must be >= 1"):
+    with pytest.raises(ValueError, match="C must be at least 1"):
         mh.independent_mh_perturbation_bound(0.5, 0.5, 0.25, 1.5)
     assert mh.independent_mh_perturbation_bound(1.0, 0.5, 0.25, 1.5) == 0.75
 
@@ -764,3 +764,102 @@ def test_metro_geom_report_guard_rails_on_arrays():
         lambda rng, x, y, u: np.where(u < 0.5, np.nan, 1.0))
     with pytest.raises(RuntimeError, match="outside"):
         mh.mh_metro_geom_report(prob, not_a_number, cons, n=3, samples=50, seed=0)
+
+
+# ------------------------------------------------------------- refusals
+
+
+@pytest.mark.parametrize("constant", sorted(_CONSTANTS))
+@pytest.mark.parametrize("zero_at", [2, 5])
+def test_finite_constants_refuse_a_weight_array_that_is_not_positive(constant, zero_at):
+    # the constants are invariant to scaling V, so the rule is V > 0; a zero
+    # weight used to give gamma = inf and delta_V = nan
+    fp = random_finite_mh(0)
+    V = np.ones(fp.n)
+    V[zero_at] = 0.0
+    for weights in (V, V - 0.5):
+        with pytest.raises(ValueError, match="^V must be positive and finite$"):
+            _CONSTANTS[constant](fp, weights)
+    assert _CONSTANTS[constant](fp, 0.5 * (V + 1.0)) >= 0.0
+
+
+def test_quadrature_refuses_an_error_estimate_above_its_cap(monkeypatch):
+    # the cap is max(10 * _QUAD_TOL, _QUAD_ERR_CAP) relative to the value,
+    # and no integrand of the package has been seen to come near it, so
+    # both are set to 0: any nonzero error estimate then fails
+    monkeypatch.setattr(mh, "_QUAD_TOL", 0.0)
+    monkeypatch.setattr(mh, "_QUAD_ERR_CAP", 0.0)
+    with pytest.raises(RuntimeError, match=r"^quadrature error estimate \d\.\d{3}e-\d\d "
+                                           r"too large on \[-0\.5, 1\.5\]$"):
+        mh.lambda_constant(mh.MhProblem.exponential_target(), x_grid=[0.5])
+
+
+_PROB = mh.MhProblem.exponential_target()
+_CONS = mh.MetroGeomConstants(C=1.0, rho=0.5, delta=0.5, L=1.0, lam=2.0, s=0.1)
+_FP = random_finite_mh(0, n=3)
+_NOISE = mh.AcceptancePerturbation.uniform_noise(0.1)
+_C = ValueError, "C must be at least 1 and finite, since tau(P^0) = 1"
+_NO_DENSITY = mh.MhProblem(lambda x, y: 0.0,
+                           mh.Proposal(sampler=lambda rng, x: x + rng.standard_normal()))
+_HALF_LINE = mh.MhProblem(lambda x, y: 0.0, mh.Proposal(
+    sampler=lambda rng, x: x + rng.exponential(), density=lambda x, y: math.exp(x - y),
+    support=lambda x: (x, math.inf)))
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: mh.Proposal.uniform_window(0.0),
+     (ValueError, "half_width must be positive and finite")),
+    (lambda: mh.Proposal.uniform_window(math.inf),
+     (ValueError, "half_width must be positive and finite")),
+    (lambda: mh.MhProblem.gaussian_target(sd=0.0), (ValueError, "sd must be positive and finite")),
+    (lambda: mh.FiniteMhProblem([0.5, 0.5, 0.0], np.eye(3), _FP.space),
+     (ValueError, "pi must be a strictly positive pmf")),
+    (lambda: mh.FiniteMhProblem(_FP.pi, 2.0 * np.eye(3), _FP.space),
+     (ValueError, "Q rows must be probability vectors")),
+    (lambda: mh.finite_mh_kernel(_FP.space, _FP.Q, np.full((3, 3), 1.5)),
+     (ValueError, "acceptance probabilities must lie in [0, 1]")),
+    (lambda: mh.AcceptancePerturbation("coin-flip"),
+     (ConfigError, "unknown perturbation mode 'coin-flip'")),
+    (lambda: mh.AcceptancePerturbation.uniform_noise(-0.1),
+     (ValueError, "s must be nonnegative and finite")),
+    (lambda: mh.AcceptancePerturbation.uniform_noise(math.nan),
+     (ValueError, "s must be nonnegative and finite")),
+    (lambda: mh.AcceptancePerturbation.randomized_ratio(lambda *a: 1.0).alpha_tilde(0.5, 0, 1),
+     (ConfigError, "randomized-ratio constants need an alpha_tilde function")),
+    (lambda: mh.lambda_constant(_NO_DENSITY, x_grid=[0.0]),
+     (HypothesisViolation, "quadrature constants need a proposal density with compact support")),
+    (lambda: mh.lambda_constant(_HALF_LINE, x_grid=[0.0]),
+     (HypothesisViolation, "proposal support must be a bounded interval")),
+    (lambda: mh.gamma_from_acceptance(_PROB, _NOISE, x_grid=[]),
+     (ConfigError, "line gamma needs a non-empty x_grid")),
+    (lambda: mh.lambda_constant(mh.MhProblem(lambda x, y: 0.0, mh.Proposal.uniform_window(1.0)),
+                                V=lambda t: math.exp(t * t), x_grid=[20.0]),
+     (HypothesisViolation, "lambda integral appears divergent")),
+    (lambda: mh.metro_geom_bound(0.5, 0.5, 10, 0.05, 2.0, 0.7, 1.0, 1.0), _C),
+    (lambda: mh.metro_geom_bound(math.inf, 0.5, 10, 0.05, 2.0, 0.7, 1.0, 1.0), _C),
+    (lambda: mh.metro_geom_bound(1.0, 0.5, 10, 0.05, 0.5, 0.7, 1.0, 1.0),
+     (ValueError, "lam must be at least 1")),
+    (lambda: mh.metro_geom_bound(1.0, 0.5, 10, 0.05, 2.0, 0.7, 0.0, 1.0),
+     (ValueError, "L must be positive and finite")),
+    (lambda: mh.metro_geom_bound(1.0, 0.5, 10, 0.05, 2.0, 0.7, 1.0, 0.5),
+     (ValueError, "p0_V must be at least 1 and finite, since V >= 1")),
+    (lambda: mh.metro_geom_bound(1.0, 0.5, 10, 0.2, 2.0, 0.7, 1.0, 1.0),
+     (HypothesisViolation, "need s < (1 - delta)/lam = 0.15, got 0.2")),
+    (lambda: mh.independent_mh_perturbation_bound(1.0 - 1e-13, 0.5, 0.25, 1.5), _C),
+    (lambda: mh.independent_mh_perturbation_bound(math.inf, 0.5, 0.25, 1.5), _C),
+    (lambda: mh.independent_mh_perturbation_bound(1.0, 0.5, 1.2, 1.5),
+     (ValueError, "mu_Gt must lie in [0, 1]")),
+    (lambda: mh.independent_mh_perturbation_bound(1.0, 0.5, 0.25, math.nan),
+     (ValueError, "D_Gt must be nonnegative and finite")),
+    (lambda: mh.mh_metro_geom_report(_PROB, _NOISE, _CONS, n=3, samples=1, seed=0),
+     (ValueError, "samples must be an integer >= 2")),
+], ids=["window-zero", "window-inf", "gaussian-sd", "pi", "Q", "acceptance", "mode", "s",
+        "s-nan", "alpha_tilde", "no-density", "unbounded-support", "empty-grid",
+        "lambda-divergent", "metro-C", "metro-C-inf", "metro-lam", "metro-L", "metro-p0_V",
+        "metro-s", "independent-C-below-1", "independent-C-inf", "independent-mu_Gt",
+        "independent-D_Gt", "report-samples"])
+def test_bad_operands_get_a_typed_refusal(call, refusal):
+    error, message = refusal
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
