@@ -18,14 +18,15 @@ Every plan is the basic solution of the final tree (``_basic``), so a
 result depends on the problem and its optimal basis, not on the pivots
 that reached it.  ``solve`` takes one problem or a stack of problems on
 one cost matrix, the rows of a run of a distance table, and may answer a
-problem from the tree of an earlier one; its docstring gives the rule.
+row from the tree of the row solved cold just before it; its docstring
+gives the rule.  No tree outlives the call, so a result depends only on
+the arguments of the call that made it.
 
 The tree is kept in Python lists, which beat element-wise numpy indexing
 at the support sizes used here; only the pricing runs in numpy.  ``_memo``
 is the one memo of certified W1 results; it is keyed and filled by
-``otcore._w1``, on whole problems, not here.  It also holds the kept tree
-and counts the cold solves, the problems answered warm and the entries it
-evicted.
+``otcore._w1``, on whole problems, not here.  It also counts the cold
+solves, the problems answered warm and the entries it evicted.
 """
 from __future__ import annotations
 
@@ -310,12 +311,8 @@ class _Memo:
 
     Besides its hits and misses it counts the entries it dropped to stay
     within its bounds (``evictions``), the cold simplex solves (``cold``)
-    and the problems answered from the kept tree (``warm``), and it holds
-    that tree: ``kept`` is ``(key, tree, u, v)``, keyed on the shape and
-    bytes of its cost matrix, or None (see ``solve``).  Only ``solve``
-    sets it, after the potentials passed the certificate's feasibility
-    half on that matrix.  ``clear`` zeroes all five counts and forgets
-    the tree.
+    and the problems answered warm (``warm``; see ``solve``).  ``clear``
+    zeroes all five counts.
     """
 
     def __init__(self, max_entries: int, max_bytes: int) -> None:
@@ -329,7 +326,6 @@ class _Memo:
         self.evictions = 0
         self.cold = 0
         self.warm = 0
-        self.kept = None
 
     def get(self, key):
         with self._lock:
@@ -363,10 +359,9 @@ class _Memo:
             self.evictions = 0
             self.cold = 0
             self.warm = 0
-            self.kept = None
 
     def count(self, cold: int = 0, warm: int = 0) -> None:
-        """Count cold simplex solves and problems answered from the kept tree."""
+        """Count cold simplex solves and problems answered warm."""
         with self._lock:
             self.cold += cold
             self.warm += warm
@@ -390,29 +385,22 @@ def solve(a, b, C):
     feasibility and a vanishing duality gap are checked to ``CERT_TOL``
     (scaled by the largest cost).
 
-    A cold solve keeps its optimal tree on ``_memo`` in place of the last
-    one, but only when every arc off the tree has a reduced cost above the
-    certificate's tolerance, so that no other plan is optimal for its
-    costs.  Each problem is first answered from that tree: only if ``C``
-    is the cost matrix the tree was solved on, its basic solution for the
-    row's marginals is feasible (no negative flow, no more than
-    ``_MASS_EPS`` unrouted) and carries flow on every arc of the tree, and
-    the certificate passes.  The tree is then the problem's only optimal
-    basis, where a cold solve ends too, so the answer is the cold one bit
-    for bit and does not depend on which problems were solved before.
-
-    The rows are taken in order, in one loop.  Each turn tries all rows
-    left against the kept tree at once, if it was solved on ``C`` (their
-    basic solutions row by row, their duality gaps as array operations),
-    answers them warm up to the first that the tree declines, and solves
-    that row cold, which may keep another tree for the next turn.  So a
-    stack gets the cold and warm answers, and the potentials, that its
-    rows get one call at a time.  The kept potentials passed the
-    feasibility half of the certificate when they were kept, on the same
-    ``C``, and are read-only, so a warm answer checks the duality gap
-    only; a cold one checks both halves.  Rows of a distance table mostly
-    share their cost matrix, so most of them are answered warm.  The plans
-    are always new arrays; the potentials are shared with the kept tree.
+    The rows are taken in order, in one loop: the next row is solved cold,
+    and the rows after it are answered from its optimal tree, up to the
+    first row that the tree declines, which is solved cold next.  A tree
+    answers only if every arc off it has a reduced cost above the
+    certificate's tolerance, so that no other plan is optimal for ``C``,
+    and only rows whose basic solution on it is feasible (no negative
+    flow, no more than ``_MASS_EPS`` unrouted), carries flow on every arc
+    of the tree, and passes the certificate.  The tree is then the row's
+    only optimal basis, where a cold solve ends too, so a warm answer is
+    the cold one bit for bit.  Its potentials passed the feasibility half
+    of the certificate on the cold row, on the same ``C``, and are
+    read-only, so a warm answer checks the duality gap only, for all its
+    rows at once (their basic solutions row by row, their gaps as array
+    operations).  Rows of a distance table mostly share their cost
+    matrix, so most of them are answered warm.  The plans are always new
+    arrays; the warm rows share the potentials of their cold row.
     """
     A = np.ascontiguousarray(a, dtype=float)
     B = np.ascontiguousarray(b, dtype=float)
@@ -420,36 +408,13 @@ def solve(a, b, C):
     if one:
         A, B = A[None], B[None]
     C = np.ascontiguousarray(C, dtype=float)
-    key = (C.shape, C.tobytes())
     # an empty C has no max; its solve fails before any certificate
     cmax = float(C.max()) if C.size else 0.0
     tol = CERT_TOL * max(1.0, cmax)
     K = len(A)
     values, plans, us, vs = [], [], [], []
-    kept = _memo.kept
-    tree, u, v = kept[1:] if kept is not None and kept[0] == key else (None, None, None)
     k = 0
-    while True:
-        if tree is not None and k < K:
-            # the rows left, if any, answered warm up to the first that declines
-            X, low = _basic(A[k:], B[k:], tree)
-            value = (X * C).sum(axis=(1, 2))
-            gap = abs(value - (A[k:] @ u + B[k:] @ v)).tolist()
-            m = 0
-            # every arc of the tree must carry flow, so that no other tree has
-            # the same basic solution
-            while m < len(low) and low[m] > 0.0 and gap[m] <= tol:
-                m += 1
-            if m:
-                values += value[:m].tolist()
-                plans.append(X[:m])
-                us += [u] * m
-                vs += [v] * m
-                _memo.count(warm=m)
-                k += m
-        if k == K:
-            break
-        # no tree kept for C, or it declined row k: solve row k cold
+    while k < K:
         _memo.count(cold=1)
         tree, u, v, status = _simplex(A[k], B[k], C)
         if status != 0:
@@ -469,10 +434,24 @@ def solve(a, b, C):
         plans.append(plan)
         us.append(u)
         vs.append(v)
-        _memo.kept = (key, tree, u, v) if tree.unique else None
-        if not tree.unique:
-            tree = None
         k += 1
+        if not (tree.unique and k < K):
+            continue
+        # the rows left answered warm up to the first that declines
+        X, low = _basic(A[k:], B[k:], tree)
+        value = (X * C).sum(axis=(1, 2))
+        gap = abs(value - (A[k:] @ u + B[k:] @ v)).tolist()
+        m = 0
+        # every arc of the tree must carry flow, so that no other tree has
+        # the same basic solution
+        while m < len(low) and low[m] > 0.0 and gap[m] <= tol:
+            m += 1
+        values += value[:m].tolist()
+        plans.append(X[:m])
+        us += [u] * m
+        vs += [v] * m
+        _memo.count(warm=m)
+        k += m
     plans = plans[0] if len(plans) == 1 else np.concatenate(plans)
     if one:
         return values[0], plans[0], us[0], vs[0]

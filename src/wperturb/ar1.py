@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bounds
-from ._checks import _check_count, _check_nonnegative, _check_positive, _check_roots
+from ._checks import (_check_C, _check_count, _check_nonnegative, _check_positive,
+                      _check_roots, _check_V_mean)
 from ._rng import coupled_steps, philox
 from .errors import HypothesisViolation
 
@@ -163,9 +164,13 @@ def ar1_tv_final_bound(alpha: float, alpha_t: float, C: float,
                        kappa: float, E_absZ: float) -> float:
     """Stationary TV bound kappa e/(1-|a|) * 2C(E|Z|+2) * g ln(1/g), g = |a - at|.
 
-    Valid for densities bounded by 1 and g in (0, e^-1 / 2).
+    Valid for densities bounded by 1 and g in (0, e^-1 / 2), with C >= 1,
+    kappa >= 1 and E|Z| >= 0.
     """
     _check_roots(alpha=alpha, alpha_t=alpha_t)
+    _check_C(C)
+    _check_V_mean(kappa=kappa)
+    _check_nonnegative(E_absZ=E_absZ)
     g = abs(alpha - alpha_t)
     if not (0.0 < g < _HALF_INV_E):
         raise HypothesisViolation(

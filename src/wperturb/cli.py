@@ -41,6 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._checks import _check_count
 from ._rng import philox
 from .ar1 import Ar1Params, Innovation, ar1_report, ar1_simulate_coupled
 from .bounds import SLACK_TOL, WHICH_CHOICES, PerturbationReport, verify_on_finite
@@ -182,9 +183,9 @@ _SCHEMAS = {
         "C": (_float_in(1.0, ends="[)"), _REQUIRED),
         "rho": (_float_in(0.0, 1.0, "[)"), _REQUIRED),
         "delta": (_float_in(0.0, 1.0, "[)"), _REQUIRED),
-        "L": (_float_in(0.0, ends="[)"), _REQUIRED),
-        "lam": (_float_in(0.0), _REQUIRED),
-        "p0_V": (_float_in(0.0), 1.0),
+        "L": (_float_in(0.0), _REQUIRED),
+        "lam": (_float_in(1.0, ends="[)"), _REQUIRED),
+        "p0_V": (_float_in(1.0, ends="[)"), 1.0),
         "x0": (_float_in(), 0.0),
         "n_max": (_int_in(1), 30),
         "replicas": (_int_in(2), 2000),
@@ -286,8 +287,9 @@ def generate_random_instance(seed: int, size: int, contraction_mix: float):
 
     Returns (P, Pt, metric, V, p0, pt0).
     """
-    if not 2 <= size <= 200:
-        raise ValueError("size must lie in [2, 200]")
+    _check_count(2, size=size)
+    if size > 200:
+        raise ValueError("size must be at most 200")
     if not 0.0 < contraction_mix <= 1.0:
         raise ValueError("contraction_mix must lie in (0, 1]")
     for attempt in range(100):

@@ -24,7 +24,9 @@ distance.  The bound checks ask for many identical distances, so the
 transport route keeps its certified results in ``_transport._memo``, a
 bounded LRU (4,096 entries, 64 MiB) keyed on the exact bytes of the whole
 problem ``(n, mu, nu, dist)``: a repeat costs one lookup and a copy of the
-stored plan, and every caller gets its own copy.  Each entry is charged
+stored plan, and every caller gets its own copy.  The solver keeps no
+other state between calls, so a distance does not depend on what was
+solved before it.  Each entry is charged
 its plan and the bytes of mu and nu; the bytes of ``dist`` are one object
 shared by every entry of the space and are not charged.  ``_w1`` takes a
 whole distance table, two stacks of rows, in one call, and is the whole
@@ -248,11 +250,12 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
     themselves, uncopied, when no row was answered before) are split into
     runs of consecutive rows with the same excess and deficit supports,
     and each run goes to ``_transport.solve`` as one stack on its one cost
-    matrix, whose warm-then-cold loop gives every row the answer it gets
-    one call at a time.  The c-transform of the column potentials and the
-    feasibility half of the full-problem certificate are computed once for
-    each stretch of a run that the same tree answered (on scalars for a
-    lone row); the lift, the lifted costs and the duality gaps are array
+    matrix, which solves a row cold and answers the rows after it from
+    that row's tree while the tree is their one optimal basis, so every row
+    gets its cold answer, the one it gets alone.  The c-transform of the
+    column potentials and the feasibility half of the full-problem
+    certificate are computed once for each stretch of a run that the same
+    tree answered (on scalars for a lone row); the lift, the lifted costs and the duality gaps are array
     operations over the run, and each row rounds as it would alone.  The
     closed forms are not memoised.
 

@@ -12,12 +12,15 @@ Workloads:
 
   * ``pair n``: ``otcore._w1`` on 16 fixed pairs of random laws on ``n``
     random points of the plane under the Euclidean metric, each call from
-    an empty memo (``_transport._memo.clear()`` also forgets the kept
-    tree), at n = 8, 24 and 80;
+    an empty memo, at n = 8, 24 and 80;
   * ``public n``: the same pairs through ``otcore.wasserstein1_exact``,
     on ``DiscreteDistribution`` laws built before timing, so that the
     operand checks above ``_w1`` are timed too, each call from an empty
     memo;
+  * ``table``: ``otcore._w1`` on the stacked ``thm31`` walk rows
+    (n = 0..30) of each of the sweep's 36 instances, one call per
+    instance from an empty memo, so that the stacked warm path is timed
+    alone;
   * ``sweep``: 36 ``generate_random_instance`` instances (sizes 4 to 12,
     four seeds) through every ``verify_on_finite`` variant at
     ``n_max = 30``, from empty memos.
@@ -27,7 +30,8 @@ from round to round, and takes the ratio change / parent.  On a host whose
 speed drifts, paired ratios in one process resolve a few percent where
 separate processes do not.  The report gives, per workload, the median
 paired ratio with its quartiles and the median time of each side.  Before
-timing it checks that both trees give the same W1 bits on every pair.
+timing it checks that both trees give the same W1 bits on every pair and
+every table row.
 """
 import argparse
 import importlib
@@ -55,7 +59,7 @@ def load(src: str, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {sub: importlib.import_module(f"{name}.{sub}")
-            for sub in ("_transport", "bounds", "cli", "otcore")}
+            for sub in ("_transport", "bounds", "cli", "kernels", "otcore")}
 
 
 def pair_inputs(n: int, seed: int):
@@ -106,6 +110,31 @@ def public_op(pkg, dist, pairs):
     return run
 
 
+def table_op(pkg):
+    """Seconds for the stacked ``thm31`` table of every sweep instance, each
+    from an empty memo, and the distances."""
+    cli, trajectory = pkg["cli"], pkg["kernels"].trajectory
+    w1, memo = pkg["otcore"]._w1, pkg["_transport"]._memo
+    tables = []
+    for seed, size, mix in SWEEP:
+        P, Pt, sp, _, p0, pt0 = cli.generate_random_instance(seed, size, mix)
+        WA = np.array([law.weights for law in trajectory(p0, P, 30)])
+        WB = np.array([law.weights for law in trajectory(pt0, Pt, 30)])
+        tables.append((WA, WB, sp))
+
+    def run():
+        total = 0
+        values = []
+        for WA, WB, sp in tables:
+            memo.clear()
+            t = time.perf_counter_ns()
+            value, _ = w1(WA, WB, sp)
+            total += time.perf_counter_ns() - t
+            values += value.tolist()
+        return total * 1e-9, values
+    return run
+
+
 def sweep_op(pkg):
     """Seconds for one sweep-like pass from empty memos."""
     bounds, cli, memo = pkg["bounds"], pkg["cli"], pkg["_transport"]._memo
@@ -149,6 +178,10 @@ def main() -> None:
             same = runs[0]()[1] == runs[1]()[1]
             print(f"{kind} {n}: W1 bits {'agree' if same else 'DIFFER'} on {PAIRS} pairs")
             work.append((f"{kind} {n}", runs, args.rounds))
+    runs = [table_op(pkg) for pkg in sides]
+    same = runs[0]()[1] == runs[1]()[1]
+    print(f"table: W1 bits {'agree' if same else 'DIFFER'} on {len(SWEEP)} tables")
+    work.append(("table", runs, args.rounds))
     work.append(("sweep", [sweep_op(pkg) for pkg in sides], args.sweep_rounds))
     print(f"{'workload':10s} {'median ratio':>12s} {'quartiles':>17s} "
           f"{'parent ms':>10s} {'change ms':>10s}")

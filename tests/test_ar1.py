@@ -584,6 +584,11 @@ _KAPPA = "kappa must be at least 1 and finite, since V >= 1"
     (lambda: ar1_tv_gamma(0.5, 0.4, 1.0, unimodal=False), (HypothesisViolation, _TV_RATE)),
     (lambda: ar1_tv_final_bound(0.5, 0.5, 1.0, 2.0, 1.0),
      (HypothesisViolation, "|alpha - alpha_t| = 0.0 outside (0, e^-1/2 = 0.183940)")),
+    (lambda: ar1_tv_final_bound(0.5, 0.45, 0.5, 2.0, 1.0),
+     (ValueError, "C must be at least 1 and finite, since tau(P^0) = 1")),
+    (lambda: ar1_tv_final_bound(0.5, 0.45, 1.0, math.nan, 1.0), (ValueError, _KAPPA)),
+    (lambda: ar1_tv_final_bound(0.5, 0.45, 1.0, 2.0, -2.0),
+     (ValueError, "E_absZ must be nonnegative and finite")),
     (lambda: ar1_simulate_coupled(_PARAMS, 0.4, 0.0, n=3, replicas=1),
      (ValueError, "replicas must be an integer >= 2")),
     (lambda: ar1_simulate_coupled(_PARAMS, 0.4, 0.0, n=3, replicas=2.5),
@@ -593,7 +598,8 @@ _KAPPA = "kappa must be at least 1 and finite, since V >= 1"
     (lambda: ar1_report(_PARAMS, 0.4, 0.0, 2.0), (ValueError, "n_max must be a positive integer")),
 ], ids=["abs_mean-sd", "abs_mean-nan-sd", "gaussian-mean", "gaussian-sd", "alpha", "alpha-nan",
         "alpha_t", "E_absZ", "E_absZ-nan", "nstep-kappa", "stationary_w1-sdZ", "tv-h_max",
-        "tv-no-h_max", "tv-not-unimodal", "tv_final-gap", "simulate-replicas",
+        "tv-no-h_max", "tv-not-unimodal", "tv_final-gap", "tv_final-C", "tv_final-kappa",
+        "tv_final-E_absZ", "simulate-replicas",
         "simulate-fractional-replicas", "simulate-n", "report-n_max"])
 def test_bad_operands_get_a_typed_refusal(call, refusal):
     error, message = refusal

@@ -526,8 +526,8 @@ def test_verifier_distances_match_the_public_route_bit_for_bit(seed, size, mix):
                for which in WHICH_CHOICES}
 
     def cold_w1(p, q):
-        # clearing the memo also forgets the solver's kept tree, so every
-        # W1 below is a cold solve of its own problem alone
+        # from an empty memo, every W1 below is a cold solve of its own
+        # problem alone
         _transport._memo.clear()
         return wasserstein1_exact(p, q, sp)[0]
 

@@ -142,8 +142,9 @@ def test_schema_accepts_closed_ends(tmp_path):
         "size = 8", "size = 8\n    contraction_mix = 1")))
     assert cfg.params["contraction_mix"] == 1.0
     cfg = load_config(write_cfg(tmp_path, MH.replace("s = 0.02", "s = 0").replace(
-        "rho = 0.95", "rho = 0").replace("L = 0.85", "L = 0\n    x0 = -0.0")))
-    assert cfg.params["s"] == cfg.params["rho"] == cfg.params["L"] == 0.0
+        "rho = 0.95", "rho = 0").replace("lam = 3.4", "lam = 1\n    p0_V = 1\n    x0 = -0.0")))
+    assert cfg.params["s"] == cfg.params["rho"] == 0.0
+    assert cfg.params["lam"] == cfg.params["p0_V"] == 1.0
     assert str(cfg.params["x0"]) == "-0.0"
 
 
@@ -214,6 +215,18 @@ def test_generate_random_instance_deterministic():
     assert a[4].weights.tobytes() == b[4].weights.tobytes()
     c = generate_random_instance(6, 6, 0.5)
     assert a[0].matrix.tobytes() != c[0].matrix.tobytes()
+
+
+@pytest.mark.parametrize("size, message", [
+    (8.0, "size must be an integer >= 2"),
+    (2.5, "size must be an integer >= 2"),
+    (1, "size must be an integer >= 2"),
+    (201, "size must be at most 200"),
+], ids=["integral-float", "fraction", "below-2", "above-200"])
+def test_generate_random_instance_refuses_a_bad_size(size, message):
+    with pytest.raises(ValueError) as info:
+        generate_random_instance(1, size, 0.5)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_generate_random_instance_rank_one_at_full_mix():
@@ -625,7 +638,12 @@ def test_experiment_config_is_plain_data():
     (AR1, "alpha = 0.5", "", "[ar1] missing required key 'alpha'"),
     (LANGEVIN, "observed = 1,1,1,-1,-1", "observed = 1\n    M = 1",
      "[langevin] path-agreement needs M >= 2"),
-], ids=["choice", "float-list", "malformed", "experiment-key", "required-key", "path-M"])
+    (MH, "L = 0.85", "L = 0", "[mh] L: must be a finite number in (0.0, inf)"),
+    (MH, "lam = 3.4", "lam = 0.5", "[mh] lam: must be a finite number in [1.0, inf)"),
+    (MH, "lam = 3.4", "lam = 3.4\n    p0_V = 0.99",
+     "[mh] p0_V: must be a finite number in [1.0, inf)"),
+], ids=["choice", "float-list", "malformed", "experiment-key", "required-key", "path-M",
+        "mh-L", "mh-lam", "mh-p0_V"])
 def test_schema_refusals_exit_2_with_their_message(tmp_path, capsys, template, old, new, message):
     assert old in template
     out = tmp_path / "res"

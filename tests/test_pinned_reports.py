@@ -4,11 +4,12 @@
 ``generate_random_instance`` calls (sizes 6, 9 and 12), each report's
 ``distances`` and ``bounds`` at ``n_max = 30`` as ``float.hex`` strings,
 and the numbers of cold transport solves, of problems answered warm from
-the optimal tree of the last cold solve, and of W1 memo misses that
-generating the instance and making the seven reports took, starting from
-empty memos.  A change that is meant to leave the arithmetic alone must
-leave every one of them as it is; ``data/record_pinned_reports.py``
-rewrites the file from the current code and says what moved.
+the optimal tree of the row solved cold before them in the same call, and
+of W1 memo misses that generating the instance and making the seven
+reports took, starting from empty memos.  A change that is meant to leave
+the arithmetic alone must leave every one of them as it is;
+``data/record_pinned_reports.py`` rewrites the file from the current code
+and says what moved.
 """
 import itertools
 import json
@@ -57,8 +58,8 @@ def test_reports_are_pinned_to_the_bit(monkeypatch, case):
 def test_reports_do_not_depend_on_earlier_solves(case):
     # each report is made after unrelated solves on the same space (tau of
     # another kernel, then the other six reports in reverse order), with
-    # their memo entries and the solver's kept tree left in place, and must
-    # still equal its pins to the bit
+    # their memo entries left in place, and must still equal its pins to
+    # the bit
     P, Pt, sp, V, p0, pt0 = generate_random_instance(case["seed"], case["size"], case["mix"])
     for which in WHICH_CHOICES:
         _transport._memo.clear()
@@ -77,8 +78,9 @@ def test_reports_do_not_depend_on_earlier_solves(case):
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"size{c['size']}")
 def test_every_row_is_the_same_after_any_other_row(case):
     # a row answered from the tree of any other row of its table is its cold
-    # answer to the bit: the solver keeps only a tree that is the one optimal
-    # basis of its costs, and answers warm only when the new plan is
+    # answer to the bit: each ordered pair of rows is one two-row stack, and
+    # the solver answers the second row from the first row's tree only when
+    # that tree is the one optimal basis of its costs and the new plan is
     # nondegenerate, so a cold solve ends on the same tree
     P, Pt, sp, V, p0, pt0 = generate_random_instance(case["seed"], case["size"], case["mix"])
     rows = [(p.weights, q.weights)
@@ -86,12 +88,14 @@ def test_every_row_is_the_same_after_any_other_row(case):
     cold = []
     for wa, wb in rows:
         _transport._memo.clear()
-        cold.append(_w1(wa, wb, sp))
+        value, plan = _w1(wa, wb, sp)
+        cold.append((value, plan.tobytes()))
     warm = 0
     for i, j in itertools.permutations(range(len(rows)), 2):
         _transport._memo.clear()
-        _w1(*rows[i], sp)
-        value, plan = _w1(*rows[j], sp)
+        values, plans = _w1(np.array([rows[i][0], rows[j][0]]),
+                            np.array([rows[i][1], rows[j][1]]), sp)
         warm += _transport._memo.warm
-        assert (value, plan.tobytes()) == (cold[j][0], cold[j][1].tobytes()), (i, j)
+        pair = [(value, plan.tobytes()) for value, plan in zip(values.tolist(), plans)]
+        assert pair == [cold[i], cold[j]], (i, j)
     assert warm > len(rows)
