@@ -3,12 +3,13 @@
 The helpers are ``_require_same_points`` (one point set), ``_float_array``
 (a new float array of a shape, all finite), ``_check_unit``, ``_check_C``,
 ``_check_V_mean``, ``_check_nonnegative``, ``_check_positive``,
-``_check_count``, ``_check_horizon`` and ``_check_roots``; the README
-tabulates each rule with its message.  The scalar rules run on every
-bound: each is one plain comparison that NaN fails, and no message is
-formatted before a failure.
+``_check_count``, ``_check_index``, ``_check_horizon``, ``_check_roots``
+and ``_check_samples``; the README tabulates each rule with its message.
+The scalar rules run on every bound: each is one plain comparison that
+NaN fails, and no message is formatted before a failure.
 """
 import math
+import sys
 
 import numpy as np
 
@@ -70,17 +71,34 @@ def _check_positive(**values: float) -> None:
 
 def _check_count(lo: int, **values) -> None:
     for name, value in values.items():
-        if not (isinstance(value, (int, np.integer)) and value >= lo):
+        # a bool is an int to Python, but no count
+        if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                and value >= lo):
             kind = {0: "a nonnegative integer", 1: "a positive integer"}
             raise ValueError(f"{name} must be {kind.get(lo, f'an integer >= {lo}')}")
+
+
+def _check_index(size: int, **values) -> None:
+    """Raise ValueError unless each value indexes one of ``size`` points."""
+    _check_count(0, **values)
+    for name, value in values.items():
+        if not value < size:
+            raise ValueError(f"{name} must be below {size}, the number of points")
 
 
 def _check_horizon(n) -> None:
     if n != math.inf and not (n >= 0 and int(n) == n):
         raise ValueError("n must be a nonnegative integer or math.inf")
+    if n != math.inf and n > sys.float_info.max:  # rho ** n would overflow
+        raise ValueError("n past the float range must be math.inf")
 
 
 def _check_roots(**values: float) -> None:
     for name, value in values.items():
         if not abs(value) < 1.0:
             raise ValueError(f"|{name}| must be < 1, got {value}")
+
+
+def _check_samples(*samples: np.ndarray) -> None:
+    if not all(np.isfinite(x).all() for x in samples):
+        raise ValueError("samples must be finite")

@@ -49,21 +49,6 @@ from .otcore import _tv, _vnorm, _w1
 SLACK_TOL = 1e-9
 
 
-def _pow(rho: float, n) -> float:
-    """rho^n by repeated squaring; n may be math.inf (limit value 0); callers check n."""
-    if n == math.inf:
-        return 0.0 if rho < 1.0 else 1.0
-    n = int(n)
-    out = 1.0
-    base = rho
-    while n:
-        if n & 1:
-            out *= base
-        base *= base
-        n >>= 1
-    return out
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Constants feeding the n-step perturbation bound."""
@@ -95,7 +80,9 @@ def kappa(p0_V: float, L: float, delta: float) -> float:
 
 def thm31_bound(inputs: BoundInputs) -> float:
     """n-step Wasserstein perturbation bound from (C, rho, gamma, kappa)."""
-    return _thm31(inputs, _pow(inputs.rho, inputs.n), inputs.w0)
+    # float(n), the operand Python's ** takes for an int n: a numpy integer
+    # n would take numpy's power, which rounds some n otherwise
+    return _thm31(inputs, inputs.rho ** float(inputs.n), inputs.w0)
 
 
 def _thm31(i: BoundInputs, rn, w0):
@@ -159,7 +146,7 @@ def geom3_bound(C: float, rho: float, n, w0_vnorm: float, gamma_tv: float,
     _check_V_mean(kappa=kappa)
     _check_horizon(n)
     limit = _geom3_limit(C, rho, gamma_tv, delta, L, kappa)
-    return C * _pow(rho, n) * w0_vnorm + limit
+    return C * rho ** float(n) * w0_vnorm + limit  # float(n): see thm31_bound
 
 
 def _geom3_limit(C, rho, gamma_tv, delta, L, kappa) -> float:
@@ -237,19 +224,13 @@ class PerturbationReport:
 # rows(w0), one bound per n in ns.  So a hypothesis that fails raises
 # before any chain is evolved or w0 is measured, and w0 can be read off
 # the distance table afterwards.  The rows differ only in rho^n, taken by
-# _pow for each n, and share the public scalar formula, so row n is the
-# scalar bound at n bit for bit.  The powers of one (rho, ns) are taken
-# once and shared, read-only, by every variant fitted to that rho.
-def _pows(rho, ns: tuple) -> np.ndarray:
-    pows = np.array([_pow(rho, n) for n in ns])
-    pows.setflags(write=False)
-    return pows
-
-
+# the scalar ** for each Python int n (a numpy array power rounds some n
+# otherwise), and share the public scalar formula, so row n is the scalar
+# bound at n bit for bit.
 def _thm31_at(inputs: BoundInputs, ns) -> Callable:
     """rows(w0) for thm31_bound, from inputs checked with a placeholder w0;
     rows checks only the w0 it is given."""
-    pows = _once(_pows, inputs.rho, tuple(ns))
+    pows = np.array([inputs.rho ** n for n in ns])
 
     def rows(w0):
         _check_nonnegative(w0=w0)
@@ -268,7 +249,7 @@ def _geom2_rows(C, rho, ns, gamma, delta, L, p0_V):
 
 def _geom3_rows(C, rho, ns, gamma, delta, L, p0_V):
     limit = _geom3_limit(C, rho, gamma, delta, L, kappa(p0_V, L, delta))
-    pows = _once(_pows, rho, tuple(ns))
+    pows = np.array([rho ** n for n in ns])
     return lambda w0: C * pows * w0 + limit
 
 
@@ -329,18 +310,18 @@ def _metric_slot(which: str, space: FiniteMetricSpace, V: WeightFunction):
 
 
 # Fits, gammas, drift constants with their checks, the unit weight, the
-# stationary laws, the bound rows' powers of rho, the walks and the
-# distance tables of the instances verified last, keyed on the function
-# and every argument, so that the seven variants of one instance share
-# them across calls.  Kernels, spaces, weight functions and laws copy
-# their input, are read-only and hash by identity; the cache holds its
-# keys, so no cached id is reused.  One instance needs at most 17 entries
-# (three fits, five gammas, four drifts, the unit weight, two stationary
-# laws and their two tables), plus 8 for each pair of start laws and
-# n_max it is walked from (the walks, four tables and the powers of three
-# rhos).  A sweep instance, with V as Vt, takes 27: 21 for the probe at
-# n_max = 0 and 6 more at n_max = 30, so 64 entries hold one instance
-# even in the worst case of 17 + 2 * 8.
+# stationary laws, the walks and the distance tables of the instances
+# verified last, keyed on the function and every argument, so that the
+# seven variants of one instance share them across calls.  Kernels,
+# spaces, weight functions and laws copy their input, are read-only and
+# hash by identity; the cache holds its keys, so no cached id is reused.
+# One instance needs at most 17 entries (three fits, five gammas, four
+# drifts, the unit weight, two stationary laws and their two tables),
+# plus 5 for each pair of start laws and n_max it is walked from (the
+# walks and four tables; the powers of rho are not kept).  A sweep
+# instance, with V as Vt, takes 23: 19 for the probe at n_max = 0 and 4
+# more at n_max = 30, so 64 entries hold one instance even in the worst
+# case of 17 + 2 * 5.
 @functools.lru_cache(maxsize=64)
 def _once(fn, *args):
     return fn(*args)
@@ -422,16 +403,15 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
     Stationary variants compare the stationary laws in one n = -1 row.
 
     The fits, the gammas, the drift constant L with its check, the
-    stationary laws, the bound rows' powers of rho, the walks of both
-    chains and the distance tables of the instances verified last are
-    kept, keyed on the kernel, metric, weight and law objects themselves
-    and on ``delta`` and ``n_max``, so the calls for the seven variants
-    of one instance compute each of them once: thm31 and v1 share one W1
-    table, and geom1 and geom2 one V-norm table when the slot's V is
-    ``Vt``.  The powers P^j that the fits take live on P, so the fits
-    under every metric share them, and tau's candidate pairs live on the
-    space.  A check that fails is kept with its result and raises again
-    on every call.
+    stationary laws, the walks of both chains and the distance tables of
+    the instances verified last are kept, keyed on the kernel, metric,
+    weight and law objects themselves and on ``delta`` and ``n_max``, so
+    the calls for the seven variants of one instance compute each of
+    them once: thm31 and v1 share one W1 table, and geom1 and geom2 one
+    V-norm table when the slot's V is ``Vt``.  The powers P^j that the
+    fits take live on P, so the fits under every metric share them, and
+    tau's candidate pairs live on the space.  A check that fails is kept
+    with its result and raises again on every call.
 
     Raises ValueError unless ``n_max`` is a nonnegative integer, and
     HypothesisViolation (or a subclass) when the selected theorem's

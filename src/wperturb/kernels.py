@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from ._checks import _check_C, _check_count, _check_positive, _check_unit
-from ._checks import _float_array, _require_same_points
+from ._checks import _check_index, _float_array, _require_same_points
 from ._transport import CERT_TOL
 from .errors import NoContractionError, NonUniqueStationaryError
 from .otcore import (
@@ -100,6 +100,7 @@ class FiniteKernel:
         return kernels[j - 1]
 
     def row(self, i: int) -> DiscreteDistribution:
+        _check_index(self.space.size, i=i)
         return DiscreteDistribution(self.space, self.matrix[i])
 
     def apply_to_function(self, values) -> np.ndarray:

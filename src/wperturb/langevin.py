@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import _check_C, _check_count, _check_nonnegative, _check_positive, _float_array
+from ._checks import _check_C, _check_count, _check_nonnegative, _check_positive
+from ._checks import _check_samples, _float_array
 from ._rng import coupled_steps, philox
 from .bounds import geom4_bound
 from .errors import HypothesisViolation
@@ -422,12 +423,9 @@ def empirical_tv_binned(a: np.ndarray, b: np.ndarray, bins: int = 256) -> float:
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
     _check_count(1, bins=bins)
-    ends = (a.min(), a.max(), b.min(), b.max())
-    # numpy's min and max propagate NaN, so the four ends check every sample
-    if not np.isfinite(ends).all():
-        raise ValueError("samples must be finite")
-    lo = min(ends[0], ends[2])
-    hi = max(ends[1], ends[3])
+    _check_samples(a, b)
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
     if lo == hi:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)

@@ -48,7 +48,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _transport
-from ._checks import _check_nonnegative, _float_array, _require_same_points
+from ._checks import _check_index, _check_nonnegative, _check_samples, _float_array
+from ._checks import _require_same_points
 
 MASS_TOL = 1e-12
 METRIC_TOL = 1e-12
@@ -192,6 +193,7 @@ class DiscreteDistribution:
 
 
 def point_mass(space: FiniteMetricSpace, index: int) -> DiscreteDistribution:
+    _check_index(space.size, index=index)
     w = np.zeros(space.size)
     w[index] = 1.0
     return DiscreteDistribution(space, w)
@@ -490,6 +492,7 @@ def empirical_w1_1d(xs, ys) -> float:
         raise ValueError("samples must be nonempty")
     if xs.size != ys.size:
         raise ValueError(f"sample sizes differ: {xs.size} vs {ys.size}")
+    _check_samples(xs, ys)  # before the sortedness scan, which lets NaN through
     if np.any(np.diff(xs) < 0) or np.any(np.diff(ys) < 0):
         raise ValueError("samples must be sorted ascending")
     return float(np.mean(np.abs(xs - ys)))

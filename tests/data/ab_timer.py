@@ -21,6 +21,9 @@ Workloads:
     (n = 0..30) of each of the sweep's 36 instances, one call per
     instance from an empty memo, so that the stacked warm path is timed
     alone;
+  * ``rows``: the bound rows (n = 0..30) of every n-step variant of the
+    sweep's 36 instances, from constants fitted before timing, with the
+    verifier's memo cleared each round;
   * ``sweep``: 36 ``generate_random_instance`` instances (sizes 4 to 12,
     four seeds) through every ``verify_on_finite`` variant at
     ``n_max = 30``, from empty memos.
@@ -29,9 +32,11 @@ Each round times one side and then the other, in an order that alternates
 from round to round, and takes the ratio change / parent.  On a host whose
 speed drifts, paired ratios in one process resolve a few percent where
 separate processes do not.  The report gives, per workload, the median
-paired ratio with its quartiles and the median time of each side.  Before
+paired ratio with its quartiles and the median time of each side, and
+marks the workload ``unresolved`` when its quartiles contain 1.0.  Before
 timing it checks that both trees give the same W1 bits on every pair and
-every table row.
+every table row; the rows get no bit check, since a change to the bound
+formulas may move their bits by design.
 """
 import argparse
 import importlib
@@ -135,6 +140,30 @@ def table_op(pkg):
     return run
 
 
+def rows_op(pkg):
+    """Seconds for the bound rows of every n-step variant of every sweep
+    instance, from an empty verifier memo."""
+    bounds, cli = pkg["bounds"], pkg["cli"]
+    ns = list(range(31))
+    calls = []
+    for seed, size, mix in SWEEP:
+        P, Pt, sp, V, p0, pt0 = cli.generate_random_instance(seed, size, mix)
+        for which, variant in bounds._VARIANTS.items():
+            if variant.w0 is not None:
+                c = bounds.verify_on_finite(P, Pt, bounds._metric_slot(which, sp, V), V,
+                                            p0, pt0, 30, which).constants
+                calls.append((variant.bound, (c["C"], c["rho"], ns, c["gamma"],
+                                              c["delta"], c["L"], c["p0_V"]), c["w0"]))
+
+    def run():
+        bounds._once.cache_clear()
+        t = time.perf_counter()
+        for bound, args, w0 in calls:
+            bound(*args)(w0)
+        return time.perf_counter() - t, None
+    return run
+
+
 def sweep_op(pkg):
     """Seconds for one sweep-like pass from empty memos."""
     bounds, cli, memo = pkg["bounds"], pkg["cli"], pkg["_transport"]._memo
@@ -182,6 +211,7 @@ def main() -> None:
     same = runs[0]()[1] == runs[1]()[1]
     print(f"table: W1 bits {'agree' if same else 'DIFFER'} on {len(SWEEP)} tables")
     work.append(("table", runs, args.rounds))
+    work.append(("rows", [rows_op(pkg) for pkg in sides], args.rounds))
     work.append(("sweep", [sweep_op(pkg) for pkg in sides], args.sweep_rounds))
     print(f"{'workload':10s} {'median ratio':>12s} {'quartiles':>17s} "
           f"{'parent ms':>10s} {'change ms':>10s}")
@@ -191,7 +221,8 @@ def main() -> None:
         ratios, (tp, tc) = paired(runs, rounds)
         q1, med, q3 = statistics.quantiles(ratios, n=4)
         print(f"{label:10s} {med:12.3f} {q1:8.3f}-{q3:8.3f} "
-              f"{1e3 * statistics.median(tp):10.3f} {1e3 * statistics.median(tc):10.3f}")
+              f"{1e3 * statistics.median(tp):10.3f} {1e3 * statistics.median(tc):10.3f}"
+              + ("  unresolved" if q1 <= 1.0 <= q3 else ""))
 
 
 if __name__ == "__main__":

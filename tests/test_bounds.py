@@ -4,6 +4,7 @@ Expected numbers below were computed independently (30-digit arithmetic
 on the displayed formulas) and frozen.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ def test_thm31_degenerate_and_limit():
     lim = thm31_bound(BoundInputs(C=2, rho=0.5, delta=0.5, L=1.0,
                                   gamma=0.1, kappa=4, n=math.inf, w0=1.0))
     assert lim == pytest.approx(2 * 0.1 * 4 / 0.5, abs=1e-12)
+
+
+def test_thm31_takes_rho_to_the_n_correctly_rounded():
+    # with C = w0 = 1 and gamma = 0 the bound is rho^n itself: Python's **,
+    # within 1 ulp of the exact power
+    rng = np.random.default_rng(30)
+    for rho, n in zip(rng.random(3000).tolist(), rng.integers(0, 64, 3000).tolist()):
+        b = thm31_bound(BoundInputs(C=1, rho=rho, delta=0.5, L=0, gamma=0, kappa=1,
+                                    n=n, w0=1))
+        assert b == rho ** n, (rho, n)
+        assert abs(Fraction(b) - Fraction(rho) ** n) <= Fraction(math.ulp(b)), (rho, n)
+        # a numpy integer n gives the same bits (numpy's own power rounds
+        # some n otherwise); geom3's limit term is far below rho^n here
+        assert thm31_bound(BoundInputs(C=1, rho=rho, delta=0.5, L=0, gamma=0, kappa=1,
+                                       n=np.int64(n), w0=1)) == b, (rho, n)
+        assert (geom3_bound(1.0, rho, np.int64(n), 1.0, 1e-300, 0.5, 1.0, 1.0)
+                == geom3_bound(1.0, rho, n, 1.0, 1e-300, 0.5, 1.0, 1.0)), (rho, n)
 
 
 @settings(max_examples=200)
@@ -296,11 +314,13 @@ _STEPS = "n must be a nonnegative integer or math.inf"
 @pytest.mark.parametrize("call, message", [
     (lambda: geom3_bound(1.0, 0.5, -1, 0.0, 0.1, 0.5, 1.0, 2.0), _STEPS),
     (lambda: geom3_bound(1.0, 0.5, 2.5, 0.0, 0.1, 0.5, 1.0, 2.0), _STEPS),
+    (lambda: geom3_bound(1.0, 0.5, 2 ** 1024, 0.0, 0.1, 0.5, 1.0, 2.0),
+     "n past the float range must be math.inf"),
     (lambda: kappa(1.0, 1.0, 1.0), "delta must lie in [0, 1)"),
     (lambda: kappa(0.5, 1.0, 0.5), "p0_V must be at least 1 and finite, since V >= 1"),
     (lambda: kappa(1.0, -1.0, 0.5), "L must be nonnegative and finite"),
     (lambda: geom4_bound(0.5, 0.5, 2.0, 1.0, 1000.0), "base = 2C(L+1) must be >= 1"),
-], ids=["geom3-negative-n", "geom3-fractional-n", "kappa-delta", "kappa-p0_V", "kappa-L",
+], ids=["geom3-negative-n", "geom3-fractional-n", "geom3-huge-n", "kappa-delta", "kappa-p0_V", "kappa-L",
         "geom4-base"])
 def test_bad_constants_get_a_typed_refusal(call, message):
     with pytest.raises(ValueError) as info:

@@ -323,22 +323,6 @@ def test_an_instance_builds_the_tau_candidates_of_its_space_once(monkeypatch):
     assert all(x is y for table in tables for x, y in zip(table, tables[0]))
 
 
-def test_an_instance_takes_each_set_of_row_powers_once(monkeypatch):
-    import wperturb.bounds as boundsmod
-
-    calls = []
-    pows = boundsmod._pows
-    monkeypatch.setattr(boundsmod, "_pows",
-                        lambda rho, ns: calls.append((rho, ns)) or pows(rho, ns))
-    _, reports = verify_one_instance()
-    # the rho fitted under the space and the one under V, each at the
-    # probe's n = 0 and at n = 0..30
-    rhos = {rep.constants["rho"] for rep in reports}
-    assert len(rhos) == 2
-    assert sorted(calls) == sorted((rho, ns) for rho in rhos
-                                   for ns in ((0,), tuple(range(31))))
-
-
 def test_generate_random_instance_validation():
     with pytest.raises(ValueError):
         generate_random_instance(0, 1, 0.5)

@@ -597,11 +597,15 @@ _STEPS = ValueError, "n must be a nonnegative integer"
     (lambda: kernel_gamma_vnorm(_P, _P_FAR, _V), _elsewhere("Pt")),
     (lambda: kernel_gamma_vnorm(_P, _PT, _V_FAR), _elsewhere("V")),
     (lambda: kernel_gamma_vnorm(_P, _PT, _V, _V_FAR), _elsewhere("Vt")),
+    (lambda: _P.row(-1), (ValueError, "i must be a nonnegative integer")),
+    (lambda: _P.row(False), (ValueError, "i must be a nonnegative integer")),
+    (lambda: _P.row(2), (ValueError, "i must be below 2, the number of points")),
 ], ids=["kernel-shape", "kernel-nan", "push", "compose", "evolve-law", "trajectory-law",
         "evolve-negative", "evolve-fraction", "trajectory-negative", "trajectory-fraction",
         "tau", "tau_v", "verify_drift", "fit_drift_L", "fit-m", "fit-n_check",
         "gamma_w1-Pt", "gamma_w1-metric", "gamma_w1-Vt", "gamma_tv-Pt", "gamma_tv-Vt",
-        "gamma_vnorm-Pt", "gamma_vnorm-V", "gamma_vnorm-Vt"])
+        "gamma_vnorm-Pt", "gamma_vnorm-V", "gamma_vnorm-Vt", "row-negative", "row-bool",
+        "row-past-end"])
 def test_bad_operands_get_a_typed_refusal(call, refusal):
     error, message = refusal
     with pytest.raises(error) as info:

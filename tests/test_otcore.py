@@ -585,9 +585,18 @@ _INF[0, 1] = np.inf
     (lambda: vnorm_distance(_MU, _MU, WeightFunction.ones(_FAR)), SpaceMismatchError,
      "V lives on another point set than mu"),
     (lambda: empirical_w1_1d([[0.0]], [[0.0]]), ValueError, "samples must be one-dimensional"),
+    (lambda: empirical_w1_1d([0.0, 1.0, np.nan], [0.0, 1.0, 2.0]), ValueError,
+     "samples must be finite"),
+    (lambda: empirical_w1_clouds([0.0, np.inf, 1.0], [0.0, 1.0, 2.0]), ValueError,
+     "samples must be finite"),
+    (lambda: point_mass(_SP, -1), ValueError, "index must be a nonnegative integer"),
+    (lambda: point_mass(_SP, True), ValueError, "index must be a nonnegative integer"),
+    (lambda: point_mass(_SP, 1.0), ValueError, "index must be a nonnegative integer"),
+    (lambda: point_mass(_SP, 3), ValueError, "index must be below 3, the number of points"),
 ], ids=["dist-shape", "dist-nan", "V-shape", "V-inf", "law-shape", "law-nan",
         "coupling-shape", "coupling-nan", "coupling-inf", "coupling-minus-inf", "w1-nu",
-        "w1-space", "tv-nu", "vnorm-V", "empirical-2d"])
+        "w1-space", "tv-nu", "vnorm-V", "empirical-2d", "empirical-nan", "clouds-inf",
+        "point-mass-negative", "point-mass-bool", "point-mass-float", "point-mass-past-end"])
 def test_bad_operands_get_a_typed_refusal(call, error, message):
     with pytest.raises(error) as info:
         call()
