@@ -90,8 +90,8 @@ class FiniteMetricSpace:
         self.dist = dist
         self.dist.setflags(write=False)
         # structure recorded by the constructors below, read by _w1 and
-        # kernels.tau: (order, sorted coordinates) of a line, or the g of
-        # a star metric (g(x) + g(y)) 1{x != y}
+        # kernels.tau: (order, gaps between the sorted coordinates) of a
+        # line, or the g of a star metric (g(x) + g(y)) 1{x != y}
         self._line = None
         self._star = None
         # dist.tobytes(), taken by _w1 on first use as part of its memo key
@@ -126,7 +126,8 @@ def _blocks(n: int) -> list[slice]:
 
 def trivial_metric(points: Sequence) -> FiniteMetricSpace:
     """The metric d(x, y) = 2 for x != y, under which W1 equals total variation."""
-    n = len(list(points))
+    points = list(points)  # read once: an iterator has no second pass
+    n = len(points)
     space = FiniteMetricSpace(points, 2.0 * (1.0 - np.eye(n)))
     space._star = np.ones(n)
     return space
@@ -135,10 +136,12 @@ def trivial_metric(points: Sequence) -> FiniteMetricSpace:
 def line_metric(xs: Sequence[float], points: Optional[Sequence] = None) -> FiniteMetricSpace:
     """Distinct real locations with |x - y| as the metric; labels default to the xs."""
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("locations must be one-dimensional")
     dist = np.abs(xs[:, None] - xs[None, :])
     space = FiniteMetricSpace(list(xs) if points is None else points, dist)
     order = np.argsort(xs, kind="stable")
-    space._line = (order, xs[order])
+    space._line = (order, np.diff(xs[order]))
     return space
 
 
@@ -392,26 +395,34 @@ def _closed_form(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
         return 0.0, np.diag(wa)
     n = space.size
     if space._line is not None:
-        order, xs = space._line
+        order, gaps = space._line
         p = wa[order]
         q = wb[order]
         # cumsum of the difference, not a difference of CDFs, so that
         # nearly equal rows keep their (tiny) positive distance
         c = np.cumsum(p - q)[:-1]
-        gaps = np.diff(xs)
         value = float(np.abs(c) @ gaps)
         f = np.zeros(n)
-        f[order] = np.concatenate(([0.0], np.cumsum(-np.sign(c) * gaps)))
+        f[order[1:]] = np.cumsum(-np.sign(c) * gaps)
         # monotone coupling: cell (i, j) carries the overlap of the i-th
         # and j-th quantile intervals (F and G share their last breakpoint)
         F = np.cumsum(p)
         G = np.cumsum(q)
         F[-1] = G[-1] = max(F[-1], G[-1])
-        t = np.union1d(F, G)
+        # the distinct breakpoints, sorted: np.union1d(F, G) by the same
+        # sort and adjacent-unique mask, without its hash table
+        t = np.concatenate((F, G))
+        t.sort()
+        distinct = np.empty(t.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(t[1:], t[:-1], out=distinct[1:])
+        t = t[distinct]
         i = order[np.searchsorted(F, t)]
         j = order[np.searchsorted(G, t)]
+        # the cell masses, np.diff(t, prepend=0.0) in place
+        np.subtract(t[1:], t[:-1], out=t[1:])
         plan = np.zeros((n, n))
-        plan[i, j] = np.diff(t, prepend=0.0)
+        plan[i, j] = t
     else:
         g = space._star
         d = wa - wb
@@ -419,8 +430,12 @@ def _closed_form(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
         f = np.sign(d) * g
         pos = np.maximum(d, 0.0)
         neg = np.maximum(-d, 0.0)
+        plan = np.outer(pos, neg)
         # the two excess masses differ only by rounding; max never divides by 0
-        plan = np.diag(np.minimum(wa, wb)) + np.outer(pos, neg) / max(pos.sum(), neg.sum())
+        plan /= max(pos.sum(), neg.sum())
+        # pos * neg is +0.0 at every point, so adding the common mass onto
+        # the diagonal rounds (signed zeros too) as diag(min) + the product
+        plan.reshape(-1)[::n + 1] += np.minimum(wa, wb)
     _transport._certify(wa, wb, space.dist, plan, f, -f, space._dist_max)
     return value, plan
 

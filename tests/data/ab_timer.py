@@ -17,6 +17,11 @@ Workloads:
     on ``DiscreteDistribution`` laws built before timing, so that the
     operand checks above ``_w1`` are timed too, each call from an empty
     memo;
+  * ``closed <kind> n``: ``otcore.wasserstein1_exact`` on 16 fixed pairs
+    of random laws on a ``line_metric`` of ``n`` unsorted locations, a
+    ``trivial_metric`` and a ``dv_metric`` (kind ``line``, ``trivial``,
+    ``d_V``), laws built before timing, at n = 8, 24 and 80: the closed
+    forms, which no memo answers;
   * ``table``: ``otcore._w1`` on the stacked ``thm31`` walk rows
     (n = 0..30) of each of the sweep's 36 instances, one call per
     instance from an empty memo, so that the stacked warm path is timed
@@ -35,8 +40,9 @@ separate processes do not.  The report gives, per workload, the median
 paired ratio with its quartiles and the median time of each side, and
 marks the workload ``unresolved`` when its quartiles contain 1.0.  Before
 timing it checks that both trees give the same W1 bits on every pair and
-every table row; the rows get no bit check, since a change to the bound
-formulas may move their bits by design.
+every table row, and the same plan bytes on every closed-form pair; the
+rows get no bit check, since a change to the bound formulas may move
+their bits by design.
 """
 import argparse
 import importlib
@@ -112,6 +118,41 @@ def public_op(pkg, dist, pairs):
             total += time.perf_counter_ns() - t
             values.append(value)
         return total * 1e-9, values
+    return run
+
+
+def closed_inputs(n: int, seed: int):
+    """Unsorted line locations, star weights g >= 1 and 16 pairs of laws on n points."""
+    rng = np.random.default_rng(seed)
+    xs = rng.permutation(np.cumsum(rng.uniform(0.05, 2.0, size=n)))
+    g = 1.0 + rng.uniform(0.0, 3.0, size=n)
+    laws = rng.dirichlet(np.ones(n), size=2 * PAIRS)
+    return xs, g, list(zip(laws[0::2], laws[1::2]))
+
+
+def closed_op(pkg, kind, xs, g, pairs):
+    """Seconds for ``wasserstein1_exact`` on every pair under the closed form
+    of ``kind``, and each pair's value and plan bytes."""
+    otcore = pkg["otcore"]
+    if kind == "line":
+        space = otcore.line_metric(xs)
+    elif kind == "trivial":
+        space = otcore.trivial_metric(range(len(xs)))
+    else:
+        space = otcore.dv_metric(otcore.WeightFunction(otcore.trivial_metric(range(len(g))), g))
+    laws = [(otcore.DiscreteDistribution(space, wa), otcore.DiscreteDistribution(space, wb))
+            for wa, wb in pairs]
+    w1 = otcore.wasserstein1_exact
+
+    def run():
+        total = 0
+        out = []
+        for mu, nu in laws:
+            t = time.perf_counter_ns()
+            value, plan = w1(mu, nu)
+            total += time.perf_counter_ns() - t
+            out.append((value, plan.joint.tobytes()))
+        return total * 1e-9, out
     return run
 
 
@@ -195,7 +236,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_src")
     ap.add_argument("change_src", nargs="?", default=os.path.join(HERE, "..", "..", "src"))
-    ap.add_argument("--rounds", type=int, default=150, help="rounds per pair or public workload")
+    ap.add_argument("--rounds", type=int, default=150, help="rounds of every workload but the sweep")
     ap.add_argument("--sweep-rounds", type=int, default=60, help="rounds of the sweep pass")
     args = ap.parse_args()
     sides = (load(args.parent_src, "wperturb_parent"), load(args.change_src, "wperturb_change"))
@@ -207,20 +248,28 @@ def main() -> None:
             same = runs[0]()[1] == runs[1]()[1]
             print(f"{kind} {n}: W1 bits {'agree' if same else 'DIFFER'} on {PAIRS} pairs")
             work.append((f"{kind} {n}", runs, args.rounds))
+    for n in PAIR_SIZES:
+        xs, g, pairs = closed_inputs(n, seed=n)
+        for kind in ("line", "trivial", "d_V"):
+            runs = [closed_op(pkg, kind, xs, g, pairs) for pkg in sides]
+            same = runs[0]()[1] == runs[1]()[1]
+            print(f"closed {kind} {n}: W1 and plan bits {'agree' if same else 'DIFFER'}"
+                  f" on {PAIRS} pairs")
+            work.append((f"closed {kind} {n}", runs, args.rounds))
     runs = [table_op(pkg) for pkg in sides]
     same = runs[0]()[1] == runs[1]()[1]
     print(f"table: W1 bits {'agree' if same else 'DIFFER'} on {len(SWEEP)} tables")
     work.append(("table", runs, args.rounds))
     work.append(("rows", [rows_op(pkg) for pkg in sides], args.rounds))
     work.append(("sweep", [sweep_op(pkg) for pkg in sides], args.sweep_rounds))
-    print(f"{'workload':10s} {'median ratio':>12s} {'quartiles':>17s} "
+    print(f"{'workload':18s} {'median ratio':>12s} {'quartiles':>17s} "
           f"{'parent ms':>10s} {'change ms':>10s}")
     for label, runs, rounds in work:
         for run in runs:  # warm both sides once
             run()
         ratios, (tp, tc) = paired(runs, rounds)
         q1, med, q3 = statistics.quantiles(ratios, n=4)
-        print(f"{label:10s} {med:12.3f} {q1:8.3f}-{q3:8.3f} "
+        print(f"{label:18s} {med:12.3f} {q1:8.3f}-{q3:8.3f} "
               f"{1e3 * statistics.median(tp):10.3f} {1e3 * statistics.median(tc):10.3f}"
               + ("  unresolved" if q1 <= 1.0 <= q3 else ""))
 

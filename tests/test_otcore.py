@@ -20,6 +20,7 @@ from scipy.sparse import csr_matrix
 
 from wperturb import _transport
 from wperturb.errors import SpaceMismatchError
+from wperturb.kernels import FiniteKernel, tau
 from wperturb.otcore import (
     METRIC_TOL,
     Coupling,
@@ -154,6 +155,11 @@ def test_trivial_metric_is_two_off_diagonal():
     assert np.all(off == 2.0)
 
 
+def test_trivial_metric_reads_its_points_once():
+    sp = trivial_metric(x for x in "abc")
+    assert sp.points == ["a", "b", "c"] and sp.dist.shape == (3, 3)
+
+
 def test_line_metric_duplicate_points_rejected():
     with pytest.raises(ValueError):
         line_metric([0.0, 1.0, 1.0])
@@ -256,14 +262,23 @@ def test_line_cdf_oracle(seed):
     assert plan.cost() == pytest.approx(val, abs=1e-12)
 
 
-def tagged_space(rng, kind, n):
-    """A space whose constructor records a closed form; line xs unsorted."""
+def tagged_space_and_structure(rng, kind, n):
+    """A space whose constructor records a closed form (line xs unsorted),
+    and what it was built from: the line's xs, or the g of the star metric
+    (g(x) + g(y)) 1{x != y}."""
     if kind == "line":
-        return line_metric(rng.permutation(np.cumsum(rng.uniform(0.05, 2.0, size=n))))
+        xs = rng.permutation(np.cumsum(rng.uniform(0.05, 2.0, size=n)))
+        return line_metric(xs), xs
     sp = trivial_metric(range(n))
     if kind == "trivial":
-        return sp
-    return dv_metric(WeightFunction(sp, 1.0 + rng.uniform(0.0, 3.0, size=n)))
+        return sp, np.ones(n)
+    g = 1.0 + rng.uniform(0.0, 3.0, size=n)
+    return dv_metric(WeightFunction(sp, g)), g
+
+
+def tagged_space(rng, kind, n):
+    """A space whose constructor records a closed form; line xs unsorted."""
+    return tagged_space_and_structure(rng, kind, n)[0]
 
 
 def shaped_pair(rng, n, shape):
@@ -323,14 +338,78 @@ def test_a_wrong_closed_form_fails_the_certificate(kind):
     rng = np.random.default_rng(8)
     sp = tagged_space(rng, kind, 6)
     if kind == "line":
-        order, xs = sp._line
-        sp._line = (order, 2.0 * xs)  # every gap doubled
+        order, gaps = sp._line
+        sp._line = (order, 2.0 * gaps)  # every gap doubled
     else:
         sp._star = 2.0 * sp._star
     mu = DiscreteDistribution(sp, random_simplex(rng, 6))
     nu = DiscreteDistribution(sp, random_simplex(rng, 6))
     with pytest.raises(_transport.TransportError, match="certificate"):
         wasserstein1_exact(mu, nu)
+
+
+def line_reference(wa, wb, xs):
+    """W1 and the monotone coupling on locations xs in any order, with the
+    breakpoints from np.union1d and the cell masses from np.diff."""
+    if (wa == wb).all():
+        return 0.0, np.diag(wa)
+    order = np.argsort(xs, kind="stable")
+    p, q = wa[order], wb[order]
+    value = float(np.abs(np.cumsum(p - q)[:-1]) @ np.diff(xs[order]))
+    F, G = np.cumsum(p), np.cumsum(q)
+    F[-1] = G[-1] = max(F[-1], G[-1])
+    t = np.union1d(F, G)
+    plan = np.zeros((len(xs), len(xs)))
+    plan[order[np.searchsorted(F, t)], order[np.searchsorted(G, t)]] = np.diff(t, prepend=0.0)
+    return value, plan
+
+
+def star_reference(wa, wb, g):
+    """W1 under (g(x) + g(y)) 1{x != y} and its plan, as the sum of the
+    common mass on the diagonal and the excess spread over the deficit."""
+    if (wa == wb).all():
+        return 0.0, np.diag(wa)
+    d = wa - wb
+    pos, neg = np.maximum(d, 0.0), np.maximum(-d, 0.0)
+    plan = np.diag(np.minimum(wa, wb)) + np.outer(pos, neg) / max(pos.sum(), neg.sum())
+    return float(g @ np.abs(d)), plan
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 100])
+@pytest.mark.parametrize("shape", ["plain", "dust", "denormal", "zeros", "near"])
+@pytest.mark.parametrize("kind", ["line", "trivial", "d_V"])
+def test_closed_forms_are_the_reference_formulas_bit_for_bit(kind, shape, n):
+    reference = line_reference if kind == "line" else star_reference
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        sp, structure = tagged_space_and_structure(rng, kind, n)
+        if n == 1:  # no law on one point has a zero: two masses an ulp apart
+            mu_w, nu_w = np.ones(1), np.full(1, np.nextafter(1.0, 0.0))
+        else:
+            mu_w, nu_w = shaped_pair(rng, n, shape)
+        for wa, wb in ((mu_w, nu_w), (nu_w, mu_w)):
+            val, plan = wasserstein1_exact(DiscreteDistribution(sp, wa),
+                                           DiscreteDistribution(sp, wb))
+            ref, ref_plan = reference(wa, wb, structure)
+            assert val.hex() == ref.hex()
+            assert plan.joint.tobytes() == ref_plan.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 30, 100])
+@pytest.mark.parametrize("shape", ["plain", "dust", "denormal", "zeros", "near"])
+def test_line_tau_is_the_reference_sup_bit_for_bit(shape, n):
+    rng = np.random.default_rng(n)
+    sp, xs = tagged_space_and_structure(rng, "line", n)
+    if shape == "near":  # two laws 1e-12 apart, alternating
+        rows = np.array(shaped_pair(rng, n, shape) * n)[:n]
+    else:
+        rows = np.array([shaped_pair(rng, n, shape)[0] for _ in range(n)])
+    P = FiniteKernel(sp, rows)
+    order = np.argsort(xs, kind="stable")
+    ref = 0.0
+    for a, b in zip(order[:-1], order[1:]):
+        ref = max(ref, line_reference(rows[a], rows[b], xs)[0] / abs(xs[a] - xs[b]))
+    assert tau(P, sp).hex() == ref.hex()
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -565,6 +644,7 @@ _INF[0, 1] = np.inf
      "distances must have shape (2, 2), not (1, 2)"),
     (lambda: FiniteMetricSpace([0, 1], [[0.0, np.nan], [np.nan, 0.0]]), ValueError,
      "distances must be finite"),
+    (lambda: line_metric([[0, 1], [2, 3]]), ValueError, "locations must be one-dimensional"),
     (lambda: WeightFunction(_SP, [1.0, 2.0]), ValueError,
      "weights must have shape (3,), not (2,)"),
     (lambda: WeightFunction(_SP, [1.0, np.inf, 1.0]), ValueError, "weights must be finite"),
@@ -593,7 +673,7 @@ _INF[0, 1] = np.inf
     (lambda: point_mass(_SP, True), ValueError, "index must be a nonnegative integer"),
     (lambda: point_mass(_SP, 1.0), ValueError, "index must be a nonnegative integer"),
     (lambda: point_mass(_SP, 3), ValueError, "index must be below 3, the number of points"),
-], ids=["dist-shape", "dist-nan", "V-shape", "V-inf", "law-shape", "law-nan",
+], ids=["dist-shape", "dist-nan", "line-2d", "V-shape", "V-inf", "law-shape", "law-nan",
         "coupling-shape", "coupling-nan", "coupling-inf", "coupling-minus-inf", "w1-nu",
         "w1-space", "tv-nu", "vnorm-V", "empirical-2d", "empirical-nan", "clouds-inf",
         "point-mass-negative", "point-mass-bool", "point-mass-float", "point-mass-past-end"])
