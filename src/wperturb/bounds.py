@@ -20,8 +20,8 @@ against bound, step by step.
 """
 from __future__ import annotations
 
-import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -309,70 +309,63 @@ def _metric_slot(which: str, space: FiniteMetricSpace, V: WeightFunction):
     return {FiniteMetricSpace: space, WeightFunction: V, None: None}[_VARIANTS[which].slot]
 
 
-# Fits, gammas, drift constants with their checks, the unit weight, the
-# stationary laws, the walks and the distance tables of the instances
-# verified last, keyed on the function and every argument, so that the
-# seven variants of one instance share them across calls.  Kernels,
-# spaces, weight functions and laws copy their input, are read-only and
-# hash by identity; the cache holds its keys, so no cached id is reused.
-# One instance needs at most 17 entries (three fits, five gammas, four
-# drifts, the unit weight, two stationary laws and their two tables),
-# plus 5 for each pair of start laws and n_max it is walked from (the
-# walks and four tables; the powers of rho are not kept).  A sweep
-# instance, with V as Vt, takes 23: 19 for the probe at n_max = 0 and 4
-# more at n_max = 30, so 64 entries hold one instance even in the worst
-# case of 17 + 2 * 5.
-@functools.lru_cache(maxsize=64)
-def _once(fn, *args):
-    return fn(*args)
+class _Instance:
+    """What the ``verify_on_finite`` calls on one instance share, each
+    computed on first use and kept under its key: the unit weight, the fits
+    (per metric), the gammas and drift constants with their checks (per
+    weight), the stationary laws, the walks (per n_max) and the distance
+    tables.  P keeps its instances, and one holds P weakly, so that it goes
+    with P and leaves no cycle for the collector."""
 
+    def __init__(self, P, Pt, p0, pt0, delta):
+        self._P, self.Pt, self.p0, self.pt0 = weakref.ref(P), Pt, p0, pt0
+        self.delta, self._kept = delta, {}
 
-def _drift(K: FiniteKernel, Q: Optional[FiniteKernel], Vt: WeightFunction,
-           delta: float) -> tuple[float, DriftCheck]:
-    """L of the drift condition on K at ``delta``, raised to Q's one-step
-    gap ``max(Q Vt - Vt)`` when Q is given, and its check on K.
+    P = property(lambda self: self._P())
 
-    The check is returned, not raised, so that the caller raises on every
-    call whose drift fails, memo hit or not.
-    """
-    if Q is None:
-        L = fit_drift_L(K, Vt, delta)
-    else:
-        # raised from the fit on K alone, which the unraised variants keep
-        L = max(_once(_drift, K, None, Vt, delta)[0],
-                float(np.max(Q.apply_to_function(Vt.values) - Vt.values)), 1e-12)
-    return L, verify_drift(K, DriftEstimate(Vt, delta, L))
+    def keep(self, key: tuple, compute: Callable):
+        """compute() on the first call with ``key``; the kept value after."""
+        if key not in self._kept:
+            self._kept[key] = compute()
+        return self._kept[key]
 
+    def drift(self, on: str, weight: WeightFunction) -> tuple[float, DriftCheck]:
+        """L of the drift condition under ``weight`` at delta, and its check
+        (returned, so that the caller raises on every call whose drift fails):
+        on P for ``on = 'P'``, else on Pt, with L raised to P's one-step gap
+        ``max(P weight - weight)`` for ``'both'``."""
+        def compute():
+            K = self.P if on == "P" else self.Pt
+            if on == "both":
+                # raised from the fit on Pt alone, which the unraised variants keep
+                gap = np.max(self.P.apply_to_function(weight.values) - weight.values)
+                L = max(self.drift("Pt", weight)[0], float(gap), 1e-12)
+            else:
+                L = fit_drift_L(K, weight, self.delta)
+            return L, verify_drift(K, DriftEstimate(weight, self.delta, L))
+        return self.keep(("drift", on, weight), compute)
 
-def _walks(P: FiniteKernel, Pt: FiniteKernel, p0: DiscreteDistribution,
-           pt0: DiscreteDistribution, n_max: int):
-    """Both chains as weight rows, as ``trajectory`` evolves them, n = 0..n_max."""
-    return _walk(p0.weights, P.matrix, n_max), _walk(pt0.weights, Pt.matrix, n_max)
-
-
-def _table(distance: Callable, metric, P: FiniteKernel, Pt: FiniteKernel,
-           start: Optional[tuple]) -> np.ndarray:
-    """``distance`` between the laws of the two chains under ``metric``.
-
-    One row per step n = 0..n_max of the shared walks from ``start =
-    (p0, pt0, n_max)``, or one row between the stationary laws when
-    ``start`` is None.  Both walks go to ``distance`` as two lists of K
-    rows in one call (in slices only when their plans would pass 16 MiB),
-    and W1 hands them to ``otcore._w1`` as two stacks, which solves the
-    table run by run: the rows of a run share their excess and deficit
-    supports, and most of them are answered from the optimal tree of an
-    earlier row (see ``otcore._w1`` and ``_transport.solve``).
-    """
-    if start is None:
-        rows = ([_once(stationary_distribution, P).weights],
-                [_once(stationary_distribution, Pt).weights])
-    else:
-        rows = _once(_walks, P, Pt, *start)
-    # a W1 call returns a dense plan per row: slices of at most 16 MiB of
-    # plans keep a long walk on a large space from holding all of them
-    step = max(1, (16 << 20) // (8 * P.space.size ** 2))
-    return np.concatenate([distance(rows[0][k:k + step], rows[1][k:k + step], metric)
-                           for k in range(0, len(rows[0]), step)])
+    def table(self, distance: Callable, metric, n_max: Optional[int]) -> np.ndarray:
+        """``distance`` under ``metric`` between the laws of the two chains at
+        each step n = 0..n_max of the walks from p0 and pt0, as ``trajectory``
+        evolves them, or at stationarity when ``n_max`` is None; the two walks
+        go to ``distance`` as two lists of rows, which W1 solves run by run."""
+        def compute():
+            P, Pt = self.P, self.Pt
+            if n_max is None:
+                rows = self.keep(("stationary",), lambda: (
+                    [stationary_distribution(P).weights],
+                    [stationary_distribution(Pt).weights]))
+            else:
+                rows = self.keep(("walks", n_max), lambda: (
+                    _walk(self.p0.weights, P.matrix, n_max),
+                    _walk(self.pt0.weights, Pt.matrix, n_max)))
+            # a W1 call returns a dense plan per row: slices of at most 16 MiB
+            # of plans keep a long walk on a large space from holding all of them
+            step = max(1, (16 << 20) // (8 * P.space.size ** 2))
+            return np.concatenate([distance(rows[0][k:k + step], rows[1][k:k + step], metric)
+                                   for k in range(0, len(rows[0]), step)])
+        return self.keep(("table", distance, metric, n_max), compute)
 
 
 def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
@@ -403,15 +396,15 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
     Stationary variants compare the stationary laws in one n = -1 row.
 
     The fits, the gammas, the drift constant L with its check, the
-    stationary laws, the walks of both chains and the distance tables of
-    the instances verified last are kept, keyed on the kernel, metric,
-    weight and law objects themselves and on ``delta`` and ``n_max``, so
-    the calls for the seven variants of one instance compute each of
-    them once: thm31 and v1 share one W1 table, and geom1 and geom2 one
-    V-norm table when the slot's V is ``Vt``.  The powers P^j that the
-    fits take live on P, so the fits under every metric share them, and
-    tau's candidate pairs live on the space.  A check that fails is kept
-    with its result and raises again on every call.
+    stationary laws, the walks of both chains and the distance tables are
+    kept on P, in one instance per ``Pt``, ``Vt``, ``p0``, ``pt0``,
+    ``delta`` and ``m`` (see ``_Instance``), so the calls for the seven
+    variants of one instance compute each of them once: thm31 and v1
+    share one W1 table, and geom1 and geom2 one V-norm table when the
+    slot's V is ``Vt``.  They go when P goes.  The powers P^j that the
+    fits take live on P too, so the fits under every metric share them,
+    and tau's candidate pairs live on the space.  A check that fails is
+    kept with its result and raises again on every call.
 
     Raises ValueError unless ``n_max`` is a nonnegative integer, and
     HypothesisViolation (or a subclass) when the selected theorem's
@@ -432,14 +425,15 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
         metric = Vt
     elif not isinstance(metric, row.slot):
         raise ValueError(f"{which} needs a {row.slot.__name__} in the metric slot")
+    key = (Pt, Vt, p0, pt0, delta, m)
+    inst = P._verified[key] = P._verified.get(key) or _Instance(P, Pt, p0, pt0, delta)
     if row.unit_weight:
-        Vt = _once(WeightFunction.ones, P.space)
+        Vt = inst.keep(("unit",), lambda: WeightFunction.ones(P.space))
 
-    est = _once(fit_geometric_constants, P, metric, m, m)
+    est = inst.keep(("fit", metric), lambda: fit_geometric_constants(P, metric, m, m))
     distance, gamma_of = row.measure
-    gamma = _once(gamma_of, P, Pt, metric, Vt)
-    L, check = _once(_drift, P if row.drift == "P" else Pt,
-                     P if row.drift == "both" else None, Vt, delta)
+    gamma = inst.keep(("gamma", gamma_of, metric, Vt), lambda: gamma_of(P, Pt, metric, Vt))
+    L, check = inst.drift(row.drift, Vt)
     if not check.ok:
         raise HypothesisViolation(f"drift condition fails at index {check.worst_index} "
                                   f"(slack {check.worst_slack:.3e})")
@@ -449,16 +443,15 @@ def verify_on_finite(P: FiniteKernel, Pt: FiniteKernel,
                  "gamma": gamma, "p0_V": p0_V, "m": m,
                  "metric_tag": est.metric_tag}
     if row.w0 is None:
-        ns, start = np.array([-1]), None
+        ns, n_max = np.array([-1]), None
     else:
         _require_same_points(P=P, p0=p0, pt0=pt0)
         ns = np.arange(n_max + 1)
-        start = (p0, pt0, n_max)
     # every bound's checks first, so that one whose hypotheses fail raises
     # before evolving
     rows = row.bound(est.C, est.rho, ns.tolist(), gamma, delta, L, p0_V)
-    # a copy: the table stays in the memo for the other variants
-    distances = _once(_table, distance, metric, P, Pt, start).copy()
+    # a copy: the instance keeps its table for the other variants
+    distances = inst.table(distance, metric, n_max).copy()
     w0 = None
     if row.w0 is row.measure:
         # the table's row 0 is this distance between the start laws

@@ -89,6 +89,7 @@ class FiniteKernel:
         # the kernels of P^1..P^j and the raw product P^j, taken by _power
         # on first use: the fits under every metric share them
         self._powers = ([], None)
+        self._verified = {}  # the bounds._Instance objects verified with this P
 
     def _power(self, j: int) -> "FiniteKernel":
         """P^j for j >= 1: the repeated product, rows renormalised."""

@@ -138,10 +138,15 @@ def line_metric(xs: Sequence[float], points: Optional[Sequence] = None) -> Finit
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("locations must be one-dimensional")
-    dist = np.abs(xs[:, None] - xs[None, :])
-    space = FiniteMetricSpace(list(xs) if points is None else points, dist)
+    points = list(xs) if points is None else list(points)
+    if len(points) != len(xs):
+        raise ValueError(f"{len(points)} labels for {len(xs)} locations")
     order = np.argsort(xs, kind="stable")
-    space._line = (order, np.diff(xs[order]))
+    gaps = np.diff(xs[order])
+    if not np.all(gaps):
+        raise ValueError("a location repeats")
+    space = FiniteMetricSpace(points, np.abs(xs[:, None] - xs[None, :]))
+    space._line = (order, gaps)
     return space
 
 

@@ -27,11 +27,11 @@ Workloads:
     instance from an empty memo, so that the stacked warm path is timed
     alone;
   * ``rows``: the bound rows (n = 0..30) of every n-step variant of the
-    sweep's 36 instances, from constants fitted before timing, with the
-    verifier's memo cleared each round;
+    sweep's 36 instances, from constants fitted before timing;
   * ``sweep``: 36 ``generate_random_instance`` instances (sizes 4 to 12,
     four seeds) through every ``verify_on_finite`` variant at
-    ``n_max = 30``, from empty memos.
+    ``n_max = 30``, from an empty W1 memo (and an empty ``bounds._once``,
+    in a tree that still keeps its fits in that module-wide memo).
 
 Each round times one side and then the other, in an order that alternates
 from round to round, and takes the ratio change / parent.  On a host whose
@@ -183,7 +183,7 @@ def table_op(pkg):
 
 def rows_op(pkg):
     """Seconds for the bound rows of every n-step variant of every sweep
-    instance, from an empty verifier memo."""
+    instance, from constants fitted before timing."""
     bounds, cli = pkg["bounds"], pkg["cli"]
     ns = list(range(31))
     calls = []
@@ -197,7 +197,6 @@ def rows_op(pkg):
                                               c["delta"], c["L"], c["p0_V"]), c["w0"]))
 
     def run():
-        bounds._once.cache_clear()
         t = time.perf_counter()
         for bound, args, w0 in calls:
             bound(*args)(w0)
@@ -208,10 +207,12 @@ def rows_op(pkg):
 def sweep_op(pkg):
     """Seconds for one sweep-like pass from empty memos."""
     bounds, cli, memo = pkg["bounds"], pkg["cli"], pkg["_transport"]._memo
+    once = getattr(bounds, "_once", None)  # the module-wide memo of older trees
 
     def run():
         memo.clear()
-        bounds._once.cache_clear()
+        if once is not None:
+            once.cache_clear()
         t = time.perf_counter()
         for seed, size, mix in SWEEP:
             P, Pt, sp, V, p0, pt0 = cli.generate_random_instance(seed, size, mix)

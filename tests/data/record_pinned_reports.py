@@ -14,7 +14,7 @@ import json
 import os
 import struct
 
-from wperturb import _transport, bounds
+from wperturb import _transport
 from wperturb.bounds import WHICH_CHOICES, _metric_slot, verify_on_finite
 from wperturb.cli import generate_random_instance
 
@@ -33,7 +33,6 @@ def ulps(old: float, new: float) -> int:
 
 def record(case: dict) -> dict:
     _transport._memo.clear()
-    bounds._once.cache_clear()
     P, Pt, sp, V, p0, pt0 = generate_random_instance(case["seed"], case["size"], case["mix"])
     reports = {which: verify_on_finite(P, Pt, _metric_slot(which, sp, V), V, p0, pt0, 30, which)
                for which in WHICH_CHOICES}

@@ -3,7 +3,9 @@
 Expected numbers below were computed independently (30-digit arithmetic
 on the displayed formulas) and frozen.
 """
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -424,7 +426,8 @@ def test_w0_is_measured_once(monkeypatch, which):
 def test_verify_rejects_n_max_that_is_not_a_nonnegative_integer(monkeypatch, n_max, which):
     P, Pt, sp, V, Vt, p0, pt0 = make_instance(1)
     # up front: before any fit, and so before any walk or distance
-    monkeypatch.setattr(bounds, "_once", _refuse)
+    monkeypatch.setattr(bounds, "fit_geometric_constants", _refuse)
+    monkeypatch.setattr(bounds, "_walk", _refuse)
     with pytest.raises(ValueError, match="n_max"):
         verify_on_finite(P, Pt, sp, Vt, p0, pt0, n_max, which)
 
@@ -446,6 +449,16 @@ def test_verify_selector_validation():
         verify_on_finite(P, Pt, None, Vt, p0, pt0, 5, "thm31")
     with pytest.raises(ValueError, match="single-weight"):
         verify_on_finite(P, Pt, sp, Vt, p0, pt0, 5, "geom3")
+
+
+def _fresh(*objects):
+    """New kernels, weights and laws with the entries of ``objects``, on the
+    same space and aliased as they are: nothing kept on an original reaches
+    them."""
+    entries = {FiniteKernel: "matrix", WeightFunction: "values", DiscreteDistribution: "weights"}
+    copies = {}
+    return [copies.setdefault(id(x), type(x)(x.space, getattr(x, entries[type(x)])))
+            for x in objects]
 
 
 def _all_variants(P, Pt, sp, V, Vt, p0, pt0, m=2, n_max=12):
@@ -471,13 +484,13 @@ def test_shared_instance_reports_match_separate_calls(seed):
               (P, Pt, sp, V, Vt, p0, pt0, 3, 12), (P, Pt, sp, V, Vt, p0, q0, 2, 12),
               (P, Pt, sp, V, Vt, p0, pt0, 2, 7), (P, Pt, sp, Vt, Vt, p0, pt0, 2, 12)]
     shared = [_all_variants(*args) for args in inputs]  # back to back
-    alone = []  # each report made on an empty memo, so nothing is shared
+    alone = []  # each report made on fresh copies, so nothing is shared
     for P_, Pt_, sp_, V_, Vt_, p0_, pt0_, m, n_max in inputs:
         reports = {}
         for which in WHICH_CHOICES:
-            bounds._once.cache_clear()
-            reports[which] = verify_on_finite(P_, Pt_, _metric_slot(which, sp_, V_), Vt_,
-                                              p0_, pt0_, n_max, which, delta=0.3, m=m)
+            K, Kt, W, Wt, q, qt = _fresh(P_, Pt_, V_, Vt_, p0_, pt0_)
+            reports[which] = verify_on_finite(K, Kt, _metric_slot(which, sp_, W), Wt,
+                                              q, qt, n_max, which, delta=0.3, m=m)
         alone.append(reports)
     for got, want in zip(shared, alone):
         for which in WHICH_CHOICES:
@@ -495,6 +508,20 @@ def test_shared_instance_reports_match_separate_calls(seed):
     assert len(short.distances) == 8 and len(first.distances) == 13
     assert shared[0]["geom1"].distances[-1] != shared[0]["geom2"].distances[-1]
     assert shared[5]["geom1"].distances.tobytes() == shared[5]["geom2"].distances.tobytes()
+
+
+def test_a_verified_instance_goes_with_its_objects():
+    # what the verifier keeps for an instance it keeps on P, so once the
+    # caller drops the six objects of a generated instance, none of them
+    # stays alive, whatever the probe and the seven reports computed
+    instance = generate_random_instance(3, 6, 0.5)
+    P, Pt, sp, V, p0, pt0 = instance
+    for which in WHICH_CHOICES:
+        verify_on_finite(P, Pt, _metric_slot(which, sp, V), V, p0, pt0, 30, which)
+    refs = [weakref.ref(x) for x in instance]
+    del instance, P, Pt, sp, V, p0, pt0
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 6
 
 
 def _public_bound(which, c, n):

@@ -645,6 +645,9 @@ _INF[0, 1] = np.inf
     (lambda: FiniteMetricSpace([0, 1], [[0.0, np.nan], [np.nan, 0.0]]), ValueError,
      "distances must be finite"),
     (lambda: line_metric([[0, 1], [2, 3]]), ValueError, "locations must be one-dimensional"),
+    (lambda: line_metric([0.0, 1.0], points=["a", "b", "c"]), ValueError,
+     "3 labels for 2 locations"),
+    (lambda: line_metric([0.0, 1.0, 1.0]), ValueError, "a location repeats"),
     (lambda: WeightFunction(_SP, [1.0, 2.0]), ValueError,
      "weights must have shape (3,), not (2,)"),
     (lambda: WeightFunction(_SP, [1.0, np.inf, 1.0]), ValueError, "weights must be finite"),
@@ -673,10 +676,10 @@ _INF[0, 1] = np.inf
     (lambda: point_mass(_SP, True), ValueError, "index must be a nonnegative integer"),
     (lambda: point_mass(_SP, 1.0), ValueError, "index must be a nonnegative integer"),
     (lambda: point_mass(_SP, 3), ValueError, "index must be below 3, the number of points"),
-], ids=["dist-shape", "dist-nan", "line-2d", "V-shape", "V-inf", "law-shape", "law-nan",
-        "coupling-shape", "coupling-nan", "coupling-inf", "coupling-minus-inf", "w1-nu",
-        "w1-space", "tv-nu", "vnorm-V", "empirical-2d", "empirical-nan", "clouds-inf",
-        "point-mass-negative", "point-mass-bool", "point-mass-float", "point-mass-past-end"])
+], ids=["dist-shape", "dist-nan", "line-2d", "line-labels", "line-repeat", "V-shape",
+        "V-inf", "law-shape", "law-nan", "coupling-shape", "coupling-nan", "coupling-inf",
+        "coupling-minus-inf", "w1-nu", "w1-space", "tv-nu", "vnorm-V", "empirical-2d",
+        "empirical-nan", "clouds-inf", "point-mass-negative", "point-mass-bool", "point-mass-float", "point-mass-past-end"])
 def test_bad_operands_get_a_typed_refusal(call, error, message):
     with pytest.raises(error) as info:
         call()

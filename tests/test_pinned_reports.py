@@ -18,11 +18,11 @@ import os
 import numpy as np
 import pytest
 
-from wperturb import _transport, bounds
+from wperturb import _transport
 from wperturb.bounds import WHICH_CHOICES, _metric_slot, verify_on_finite
 from wperturb.cli import generate_random_instance
-from wperturb.kernels import compose, tau, trajectory
-from wperturb.otcore import _w1
+from wperturb.kernels import FiniteKernel, compose, tau, trajectory
+from wperturb.otcore import DiscreteDistribution, WeightFunction, _w1
 
 with open(os.path.join(os.path.dirname(__file__), "data", "pinned_reports.json"),
           encoding="utf-8") as fh:
@@ -54,22 +54,34 @@ def test_reports_are_pinned_to_the_bit(monkeypatch, case):
     assert _transport._memo.misses == case["misses"]
 
 
+def _fresh(*objects):
+    """New kernels, weights and laws with the entries of ``objects``, on the
+    same space and aliased as they are: nothing kept on an original reaches
+    them."""
+    entries = {FiniteKernel: "matrix", WeightFunction: "values", DiscreteDistribution: "weights"}
+    copies = {}
+    return [copies.setdefault(id(x), type(x)(x.space, getattr(x, entries[type(x)])))
+            for x in objects]
+
+
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"size{c['size']}")
 def test_reports_do_not_depend_on_earlier_solves(case):
     # each report is made after unrelated solves on the same space (tau of
     # another kernel, then the other six reports in reverse order), with
     # their memo entries left in place, and must still equal its pins to
-    # the bit
+    # the bit.  The other reports and the report itself are each made on
+    # fresh copies of the kernels, weight and laws, so that each computes
+    # its fits and tables anew
     P, Pt, sp, V, p0, pt0 = generate_random_instance(case["seed"], case["size"], case["mix"])
     for which in WHICH_CHOICES:
         _transport._memo.clear()
-        bounds._once.cache_clear()
         tau(compose(Pt, P), sp)
+        K, Kt, W, q, qt = _fresh(P, Pt, V, p0, pt0)
         for other in reversed(WHICH_CHOICES):
             if other != which:
-                verify_on_finite(P, Pt, _metric_slot(other, sp, V), V, p0, pt0, 30, other)
-        bounds._once.cache_clear()  # the report recomputes its fits and table
-        rep = verify_on_finite(P, Pt, _metric_slot(which, sp, V), V, p0, pt0, 30, which)
+                verify_on_finite(K, Kt, _metric_slot(other, sp, W), W, q, qt, 30, other)
+        K, Kt, W, q, qt = _fresh(P, Pt, V, p0, pt0)
+        rep = verify_on_finite(K, Kt, _metric_slot(which, sp, W), W, q, qt, 30, which)
         expected = case["reports"][which]
         assert [float(x).hex() for x in rep.distances] == expected["distances"], which
         assert [float(x).hex() for x in rep.bounds] == expected["bounds"], which
