@@ -16,11 +16,13 @@ potential that is NaN or infinite is rejected too.
 
 Every plan is the basic solution of the final tree (``_basic``), so a
 result depends on the problem and its optimal basis, not on the pivots
-that reached it.  ``solve`` takes one problem or a stack of problems on
-one cost matrix, the rows of a run of a distance table, and may answer a
-row from the tree of the row solved cold just before it; its docstring
-gives the rule.  No tree outlives the call, so a result depends only on
-the arguments of the call that made it.
+that reached it.  ``solve`` takes a stack of problems on one cost
+matrix, the rows of a run of a distance table, and may answer a row from
+the tree of the row solved cold just before it; its docstring gives the
+rule.  It returns, besides the values and plans, each optimal tree's
+potentials and the rows that tree answered, so the caller needs no rule
+of its own to tell them apart.  No tree outlives the call, so a result
+depends only on the arguments of the call that made it.
 
 The tree is kept in Python lists, which beat element-wise numpy indexing
 at the support sizes used here; only the pricing runs in numpy.  ``_memo``
@@ -373,15 +375,17 @@ class _Memo:
 _memo = _Memo(max_entries=4096, max_bytes=64 << 20)
 
 
-def solve(a, b, C):
+def solve(A, B, C):
     """Optimal transport plans on the cost matrix ``C`` between non-empty,
-    strictly positive histograms: ``a`` and ``b`` are the supplies and
-    demands of one problem, or stacks of them, one problem per row.  Other
-    input raises ``TransportError``.
+    strictly positive histograms: ``A`` and ``B`` are stacks of supplies
+    and demands, one problem per row.  Other input raises
+    ``TransportError``.
 
-    Returns ``(value, plan, u, v)`` where ``(u, v)`` are dual potentials;
-    for stacks ``value`` and ``plan`` are stacked too, and ``u`` and ``v``
-    are lists with one entry per row.  Every result is certified: dual
+    Returns ``(values, plans, trees)``: the stacked values and plans, and
+    one ``(stop, u, v)`` per optimal tree, in row order, with its dual
+    potentials ``(u, v)``.  The rows from the previous tree's ``stop`` (0
+    for the first) up to this ``stop`` were answered by this tree: the
+    first solved cold, the rest warm.  Every result is certified: dual
     feasibility and a vanishing duality gap are checked to ``CERT_TOL``
     (scaled by the largest cost).
 
@@ -394,34 +398,27 @@ def solve(a, b, C):
     flow, no more than ``_MASS_EPS`` unrouted), carries flow on every arc
     of the tree, and passes the certificate.  The tree is then the row's
     only optimal basis, where a cold solve ends too, so a warm answer is
-    the cold one bit for bit.  Its potentials passed the feasibility half
-    of the certificate on the cold row, on the same ``C``, and are
-    read-only, so a warm answer checks the duality gap only, for all its
-    rows at once (their basic solutions row by row, their gaps as array
+    the cold one bit for bit, potentials included.  Its potentials passed
+    the feasibility half of the certificate on the cold row, on the same
+    ``C``, so a warm answer checks the duality gap only, for all its rows
+    at once (their basic solutions row by row, their gaps as array
     operations).  Rows of a distance table mostly share their cost
-    matrix, so most of them are answered warm.  The plans are always new
-    arrays; the warm rows share the potentials of their cold row.
+    matrix, so most of them are answered warm.
     """
-    A = np.ascontiguousarray(a, dtype=float)
-    B = np.ascontiguousarray(b, dtype=float)
-    one = A.ndim == 1
-    if one:
-        A, B = A[None], B[None]
+    A = np.ascontiguousarray(A, dtype=float)
+    B = np.ascontiguousarray(B, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
     # an empty C has no max; its solve fails before any certificate
     cmax = float(C.max()) if C.size else 0.0
     tol = CERT_TOL * max(1.0, cmax)
     K = len(A)
-    values, plans, us, vs = [], [], [], []
+    values, plans, trees = [], [], []
     k = 0
     while k < K:
         _memo.count(cold=1)
         tree, u, v, status = _simplex(A[k], B[k], C)
         if status != 0:
             raise TransportError(f"transportation simplex failed (status {status})")
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        u.flags.writeable = v.flags.writeable = False
         plan, low = _basic(A[k:k + 1], B[k:k + 1], tree)
         if not low[0] >= 0.0:
             # rounding at a degenerate arc made a flow negative: keep the
@@ -432,30 +429,23 @@ def solve(a, b, C):
                 plan[0, min(x, y), max(x, y) - len(C)] = tree.flow[x]
         values.append(_certify(A[k], B[k], C, plan[0], u, v, cmax)[0])
         plans.append(plan)
-        us.append(u)
-        vs.append(v)
         k += 1
-        if not (tree.unique and k < K):
-            continue
-        # the rows left answered warm up to the first that declines
-        X, low = _basic(A[k:], B[k:], tree)
-        value = (X * C).sum(axis=(1, 2))
-        gap = abs(value - (A[k:] @ u + B[k:] @ v)).tolist()
-        m = 0
-        # every arc of the tree must carry flow, so that no other tree has
-        # the same basic solution
-        while m < len(low) and low[m] > 0.0 and gap[m] <= tol:
-            m += 1
-        values += value[:m].tolist()
-        plans.append(X[:m])
-        us += [u] * m
-        vs += [v] * m
-        _memo.count(warm=m)
-        k += m
-    plans = plans[0] if len(plans) == 1 else np.concatenate(plans)
-    if one:
-        return values[0], plans[0], us[0], vs[0]
-    return np.array(values), plans, us, vs
+        if tree.unique and k < K:
+            # the rows left answered warm up to the first that declines
+            X, low = _basic(A[k:], B[k:], tree)
+            value = (X * C).sum(axis=(1, 2))
+            gap = abs(value - (A[k:] @ u + B[k:] @ v)).tolist()
+            m = 0
+            # every arc of the tree must carry flow, so that no other tree
+            # has the same basic solution
+            while m < len(low) and low[m] > 0.0 and gap[m] <= tol:
+                m += 1
+            values += value[:m].tolist()
+            plans.append(X[:m])
+            _memo.count(warm=m)
+            k += m
+        trees.append((k, u, v))
+    return np.array(values), (plans[0] if len(plans) == 1 else np.concatenate(plans)), trees
 
 
 def _certify(a, b, C, plan, u, v, cmax=None):

@@ -30,7 +30,8 @@ solved before it.  Each entry is charged
 its plan and the bytes of mu and nu; the bytes of ``dist`` are one object
 shared by every entry of the space and are not charged.  ``_w1`` takes a
 whole distance table, two stacks of rows, in one call, and is the whole
-transport route: lookups, runs, solves, lift (see its docstring).
+transport route: lookups, repeats within the call, runs, solves, lift (see
+its docstring).
 
 The operand rules live in ``_checks``, one helper per rule, for this module
 and every other: ``_require_same_points`` and ``_float_array`` among them.
@@ -138,6 +139,7 @@ def line_metric(xs: Sequence[float], points: Optional[Sequence] = None) -> Finit
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("locations must be one-dimensional")
+    xs = _float_array(xs, xs.shape, "locations")  # before the gaps and distances
     points = list(xs) if points is None else list(points)
     if len(points) != len(xs):
         raise ValueError(f"{len(points)} labels for {len(xs)} locations")
@@ -254,20 +256,22 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
 
     Equal rows, the closed forms and the memo lookups go row by row, in
     order.  The transport route answers a problem it has certified before
-    from ``_transport._memo`` without solving again; a row that repeats an
-    earlier missed row of the same stack is looked up after the solves, so
-    that it hits as it would one row at a time.  The rows left (the stacks
-    themselves, uncopied, when no row was answered before) are split into
-    runs of consecutive rows with the same excess and deficit supports,
-    and each run goes to ``_transport.solve`` as one stack on its one cost
-    matrix, which solves a row cold and answers the rows after it from
-    that row's tree while the tree is their one optimal basis, so every row
-    gets its cold answer, the one it gets alone.  The c-transform of the
-    column potentials and the feasibility half of the full-problem
-    certificate are computed once for each stretch of a run that the same
-    tree answered (on scalars for a lone row); the lift, the lifted costs and the duality gaps are array
-    operations over the run, and each row rounds as it would alone.  The
-    closed forms are not memoised.
+    from ``_transport._memo`` without solving again.  A row that repeats
+    an earlier missed row of the same call takes that row's value and a
+    copy of its plan after the solves, with no lookup, so it counts as
+    neither a hit nor a miss.  The rows left (the stacks themselves,
+    uncopied, when no row was answered before) are split into runs of
+    consecutive rows with the same excess and deficit supports, and each
+    run goes to ``_transport.solve`` as one stack on its one cost matrix,
+    which solves a row cold and answers the rows after it from that row's
+    tree while the tree is their one optimal basis, so every row gets its
+    cold answer, the one it gets alone.  ``solve`` names the rows each
+    tree answered; the c-transform of that tree's column potentials and
+    the feasibility half of the full-problem certificate are computed once
+    per tree (on scalars for a tree that answered one row); the lift, the
+    lifted costs and the duality gaps are array operations over the run,
+    and each row rounds as it would alone.  The closed forms are not
+    memoised.
 
     Scaling each side to unit mass also absorbs, silently, any imbalance
     between the two rows' float sums.  When they differ by an ulp, the
@@ -354,20 +358,17 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
             cols = space.dist.take(ib, axis=1)
             # each side at unit mass, so a tiny distance is solved to relative
             # accuracy; the plan is scaled back by the excess mass
-            _, sub, _, vs = _transport.solve(a / mass[:, None], b / b.sum(axis=1)[:, None],
+            _, sub, trees = _transport.solve(a / mass[:, None], b / b.sum(axis=1)[:, None],
                                              cols.take(ia, axis=0))
             # the sub-plan's cells are off the diagonal (the excess and deficit
             # supports are disjoint), or the plan is still all zero
             plan[:, ia[:, None], ib] = mass[:, None, None] * sub
-            # rows answered from one tree share its column potentials, whose
+            # the rows one tree answered share its column potentials, whose
             # c-transform is 1-Lipschitz on the whole space, so (f, -f)
             # certifies each of their lifted plans on the full problem
             i = 0
-            while i < e - s:
-                j = i + 1
-                while j < e - s and vs[j] is vs[i]:
-                    j += 1
-                f = (cols - vs[i]).min(axis=1)
+            for j, _, v in trees:
+                f = (cols - v).min(axis=1)
                 if j - i == 1:
                     # a lone row is certified as one problem, on scalars
                     got[s + i] = _transport._certify(p[i], q[i], space.dist, plan[i], f, -f,
@@ -385,9 +386,8 @@ def _w1(wa: np.ndarray, wb: np.ndarray, space: FiniteMetricSpace):
             memo.put(keys[k], (value, plan.copy()),
                      plan.nbytes + len(keys[k][1]) + len(keys[k][2]))
     for k, j in repeats:
-        hit = memo.get(keys[k])
-        values[k], plan = hit if hit is not None else (values[j], plans[j])
-        plans[k] = plan.copy()
+        values[k] = values[j]
+        plans[k] = plans[j].copy()
     if one:
         return values[0], plans[0]
     return np.array(values), plans

@@ -42,9 +42,13 @@ marks the workload ``unresolved`` when its quartiles contain 1.0.  Before
 timing it checks that both trees give the same W1 bits on every pair and
 every table row, and the same plan bytes on every closed-form pair; the
 rows get no bit check, since a change to the bound formulas may move
-their bits by design.
+their bits by design.  A workload whose first call raises on either tree
+(an older tree may lack what it needs, such as the stacked ``_w1`` of the
+``table`` workload) is reported as ``skipped (<side>: <error>)``, and the
+rest are timed.
 """
 import argparse
+import functools
 import importlib
 import importlib.util
 import os
@@ -242,27 +246,38 @@ def main() -> None:
     args = ap.parse_args()
     sides = (load(args.parent_src, "wperturb_parent"), load(args.change_src, "wperturb_change"))
     work = []
+
+    def add(label, make, rounds, check=None):
+        """Time ``make(pkg)`` on both sides, unless building it or its first
+        call raises on either side (an older tree may lack what it needs);
+        ``check`` says which bits of the two first calls' results are
+        compared, with ``{}`` for the verdict."""
+        runs, outs = [], []
+        for side, pkg in zip(("parent", "change"), sides):
+            try:
+                runs.append(make(pkg))
+                outs.append(runs[-1]()[1])
+            except Exception as exc:
+                print(f"{label}: skipped ({side}: {type(exc).__name__}: {exc})")
+                return
+        if check:
+            print(f"{label}: " + check.format("agree" if outs[0] == outs[1] else "DIFFER"))
+        work.append((label, runs, rounds))
+
     for kind, op in (("pair", pair_op), ("public", public_op)):
         for n in PAIR_SIZES:
             dist, pairs = pair_inputs(n, seed=n)
-            runs = [op(pkg, dist, pairs) for pkg in sides]
-            same = runs[0]()[1] == runs[1]()[1]
-            print(f"{kind} {n}: W1 bits {'agree' if same else 'DIFFER'} on {PAIRS} pairs")
-            work.append((f"{kind} {n}", runs, args.rounds))
+            add(f"{kind} {n}", functools.partial(op, dist=dist, pairs=pairs), args.rounds,
+                f"W1 bits {{}} on {PAIRS} pairs")
     for n in PAIR_SIZES:
         xs, g, pairs = closed_inputs(n, seed=n)
         for kind in ("line", "trivial", "d_V"):
-            runs = [closed_op(pkg, kind, xs, g, pairs) for pkg in sides]
-            same = runs[0]()[1] == runs[1]()[1]
-            print(f"closed {kind} {n}: W1 and plan bits {'agree' if same else 'DIFFER'}"
-                  f" on {PAIRS} pairs")
-            work.append((f"closed {kind} {n}", runs, args.rounds))
-    runs = [table_op(pkg) for pkg in sides]
-    same = runs[0]()[1] == runs[1]()[1]
-    print(f"table: W1 bits {'agree' if same else 'DIFFER'} on {len(SWEEP)} tables")
-    work.append(("table", runs, args.rounds))
-    work.append(("rows", [rows_op(pkg) for pkg in sides], args.rounds))
-    work.append(("sweep", [sweep_op(pkg) for pkg in sides], args.sweep_rounds))
+            add(f"closed {kind} {n}", functools.partial(closed_op, kind=kind, xs=xs, g=g,
+                                                        pairs=pairs),
+                args.rounds, f"W1 and plan bits {{}} on {PAIRS} pairs")
+    add("table", table_op, args.rounds, f"W1 bits {{}} on {len(SWEEP)} tables")
+    add("rows", rows_op, args.rounds)
+    add("sweep", sweep_op, args.sweep_rounds)
     print(f"{'workload':18s} {'median ratio':>12s} {'quartiles':>17s} "
           f"{'parent ms':>10s} {'change ms':>10s}")
     for label, runs, rounds in work:

@@ -377,6 +377,22 @@ def test_mh_run_and_hypothesis_exit(tmp_path, capsys):
     assert "hypothesis violation" in capsys.readouterr().err
 
 
+def test_mh_exponential_target_runs_and_reruns_byte_identical(tmp_path):
+    # the README [mh] block with the other target
+    text = MH_CFG.replace("s = {s}", "target = exponential\n    s = {s}")
+    outs = [tmp_path / f"exp{i}" for i in range(2)] + [tmp_path / "gauss"]
+    for i, out in enumerate(outs):
+        cfg = (text if i < 2 else MH_CFG).format(out=out, s="0.02")
+        assert main(["run", write_cfg(tmp_path, cfg, f"mh{i}.ini")]) == EXIT_OK
+    names = sorted(os.listdir(outs[0]))
+    assert names == ["mh_metro_geom.csv", "summary.txt"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # the target reaches the simulation
+    csv = "mh_metro_geom.csv"
+    assert (outs[0] / csv).read_bytes() != (outs[2] / csv).read_bytes()
+
+
 def test_langevin_run_files_and_threshold(tmp_path):
     out = tmp_path / "res"
     path = write_cfg(tmp_path, LANGEVIN_CFG.format(out=out, N=100, extra=""))
@@ -594,6 +610,17 @@ def test_verify_suites(capsys):
     for suite in ("otcore", "kernels", "bounds"):
         assert main(["verify", "--suite", suite]) == EXIT_OK
     assert "ok bounds" in capsys.readouterr().out
+
+
+def test_a_failing_verify_suite_prints_each_failure_and_exits_with_the_bound_code(
+        monkeypatch, capsys):
+    import wperturb.cli as climod
+
+    monkeypatch.setitem(climod._SUITES, "otcore", lambda seed: ["boom"])
+    assert main(["verify", "--suite", "otcore"]) == EXIT_BOUND
+    captured = capsys.readouterr()
+    assert "FAIL otcore: boom" in captured.err
+    assert "ok otcore" not in captured.out
 
 
 def test_verify_suite_seed_flag(capsys):

@@ -287,6 +287,22 @@ def test_finite_gamma_zero_for_no_perturbation():
     assert mh.delta_v_transfer(fp, mh.AcceptancePerturbation.none()) == 0.0
 
 
+def test_randomized_ratio_gamma_is_the_hand_sum_of_its_alpha_tilde():
+    # the randomized-ratio mode takes its mean acceptance from alpha_tilde
+    fp = random_finite_mh(4)
+
+    def mean(x, y):
+        return ((x + 2 * y) % 5) / 5.0
+
+    pert = mh.AcceptancePerturbation.randomized_ratio(lambda rng, x, y, u: 1.0,
+                                                      alpha_tilde=mean)
+    alpha, d, Q = fp.acceptance(), fp.space.dist, fp.Q
+    hand = max(sum(d[x, y] * abs(mean(x, y) - alpha[x, y]) * Q[x, y] for y in range(fp.n))
+               for x in range(fp.n))
+    assert hand > 0.0
+    assert mh.gamma_from_acceptance(fp, pert) == pytest.approx(hand, rel=1e-12, abs=0.0)
+
+
 def test_finite_gamma_dominated_by_uniform_eps():
     fp = random_finite_mh(2)
     s = 0.3

@@ -501,6 +501,13 @@ def test_zero_weight_points_are_pruned_but_plan_is_full_size():
 # ----------------------------------------------- excess-to-deficit transport
 
 
+def solve_one(a, b, C):
+    """One problem through ``_transport.solve`` as a one-row stack:
+    ``(value, plan, u, v)``, with the potentials of its one tree."""
+    values, plans, [(_, u, v)] = _transport.solve(np.array([a]), np.array([b]), C)
+    return float(values[0]), plans[0], u, v
+
+
 def recorded_solves(monkeypatch):
     """Cost-matrix shapes of every ``_transport.solve`` call from now on."""
     shapes = []
@@ -570,7 +577,7 @@ def test_rows_1e_12_apart_are_solved_to_relative_accuracy(seed):
     ia, ib = np.flatnonzero(d > 0.0), np.flatnonzero(d < 0.0)
     mass = d[ia].sum()
     a, b, C = d[ia] / mass, -d[ib] / -d[ib].sum(), sp.dist[np.ix_(ia, ib)]
-    primal, _, u, v = _transport.solve(a, b, C)
+    primal, _, u, v = solve_one(a, b, C)
     dual = a @ u + b @ v
     assert 0.0 < mass * dual * (1.0 - 1e-12) <= val <= mass * primal * (1.0 + 1e-12)
     assert primal - dual <= 1e-9 * primal
@@ -648,6 +655,8 @@ _INF[0, 1] = np.inf
     (lambda: line_metric([0.0, 1.0], points=["a", "b", "c"]), ValueError,
      "3 labels for 2 locations"),
     (lambda: line_metric([0.0, 1.0, 1.0]), ValueError, "a location repeats"),
+    (lambda: line_metric([np.inf, 1.0]), ValueError, "locations must be finite"),
+    (lambda: line_metric([np.nan, 1.0]), ValueError, "locations must be finite"),
     (lambda: WeightFunction(_SP, [1.0, 2.0]), ValueError,
      "weights must have shape (3,), not (2,)"),
     (lambda: WeightFunction(_SP, [1.0, np.inf, 1.0]), ValueError, "weights must be finite"),
@@ -676,7 +685,8 @@ _INF[0, 1] = np.inf
     (lambda: point_mass(_SP, True), ValueError, "index must be a nonnegative integer"),
     (lambda: point_mass(_SP, 1.0), ValueError, "index must be a nonnegative integer"),
     (lambda: point_mass(_SP, 3), ValueError, "index must be below 3, the number of points"),
-], ids=["dist-shape", "dist-nan", "line-2d", "line-labels", "line-repeat", "V-shape",
+], ids=["dist-shape", "dist-nan", "line-2d", "line-labels", "line-repeat", "line-inf",
+        "line-nan", "V-shape",
         "V-inf", "law-shape", "law-nan", "coupling-shape", "coupling-nan", "coupling-inf",
         "coupling-minus-inf", "w1-nu", "w1-space", "tv-nu", "vnorm-V", "empirical-2d",
         "empirical-nan", "clouds-inf", "point-mass-negative", "point-mass-bool", "point-mass-float", "point-mass-past-end"])
@@ -750,7 +760,7 @@ def test_solver_certificate_on_random_instances(seed):
     C = rng.uniform(0.0, 5.0, size=(n, m))
     a = random_simplex(rng, n)
     b = random_simplex(rng, m)
-    value, plan, u, v = _transport.solve(a, b, C)
+    value, plan, u, v = solve_one(a, b, C)
     assert value >= -1e-12
     np.testing.assert_allclose(plan.sum(axis=1), a, atol=1e-12)
     np.testing.assert_allclose(plan.sum(axis=0), b, atol=1e-12)
@@ -779,7 +789,7 @@ def test_large_problem_matches_reference_lp_value():
     sp = euclidean_space(rng, 60)
     a = random_simplex(rng, 60)
     b = random_simplex(rng, 60)
-    value, plan, _, _ = _transport.solve(a, b, sp.dist)
+    value, plan, _, _ = solve_one(a, b, sp.dist)
     ref = linprog_value(a, b, sp.dist)
     assert value == pytest.approx(ref, abs=1e-6)
     np.testing.assert_allclose(plan.sum(axis=1), a, atol=1e-12)
@@ -788,7 +798,7 @@ def test_large_problem_matches_reference_lp_value():
 
 def assert_matches_highs(a, b, C):
     """``solve`` against the HiGHS oracle; returns the plan."""
-    value, plan, _, _ = _transport.solve(a, b, C)  # certified, or it raises
+    value, plan, _, _ = solve_one(a, b, C)  # certified, or it raises
     assert value == pytest.approx(linprog_value(a, b, C), rel=1e-7, abs=1e-12)
     assert np.all(plan >= 0.0)
     np.testing.assert_allclose(plan.sum(axis=1), a, rtol=0, atol=1e-12)
@@ -839,7 +849,7 @@ def test_dust_denormal_and_zero_masses_match_the_highs_oracle(mass, seed):
     if mass == "zeros":
         # zero mass is cut by otcore._w1; the solver takes positive histograms only
         with pytest.raises(_transport.TransportError, match="status -3"):
-            _transport.solve(a, b, C)
+            solve_one(a, b, C)
     else:
         assert_matches_highs(a, b, C)
 
@@ -858,7 +868,7 @@ def test_dust_denormal_and_zero_masses_match_the_highs_oracle(mass, seed):
 ])
 def test_solve_rejects_empty_negative_and_nan_histograms(a, b, match):
     with pytest.raises(_transport.TransportError, match=match):
-        _transport.solve(np.array(a), np.array(b), np.ones((len(a), len(b))))
+        solve_one(a, b, np.ones((len(a), len(b))))
 
 
 def test_degenerate_greedy_start_is_pivoted_to_the_optimum():
@@ -869,7 +879,7 @@ def test_degenerate_greedy_start_is_pivoted_to_the_optimum():
     w = np.array([0.5, 0.5])
     plan = assert_matches_highs(w, w, C)
     np.testing.assert_array_equal(plan, [[0.0, 0.5], [0.5, 0.0]])
-    assert _transport.solve(w, w, C)[0] == 2.0
+    assert solve_one(w, w, C)[0] == 2.0
 
 
 def test_a_sink_left_unserved_by_rounding_keeps_its_mass():
@@ -882,14 +892,14 @@ def test_a_sink_left_unserved_by_rounding_keeps_its_mass():
 def test_unbalanced_masses_raise():
     C = np.ones((2, 2))
     with pytest.raises(_transport.TransportError, match="status -1"):
-        _transport.solve(np.array([0.5, 0.5]), np.array([0.5, 0.7]), C)
+        solve_one([0.5, 0.5], [0.5, 0.7], C)
 
 
 def test_pivot_cap_raises_and_stores_nothing(monkeypatch):
     monkeypatch.setattr(_transport, "_PIVOT_CAP", 0)
     w = np.array([0.5, 0.5])
     with pytest.raises(_transport.TransportError, match="status -2"):
-        _transport.solve(w, w, np.array([[1.0, 2.0], [2.0, 100.0]]))
+        solve_one(w, w, np.array([[1.0, 2.0], [2.0, 100.0]]))
     mu, nu = _random_laws(24, n=12)
     with pytest.raises(_transport.TransportError, match="status -2"):
         wasserstein1_exact(mu, nu)
@@ -973,11 +983,11 @@ def test_memo_holds_only_certified_results(monkeypatch):
 
     def zero_potentials(a, b, C):
         plan, u, v, status = simplex(a, b, C)
-        return plan, [0.0] * len(u), [0.0] * len(v), status  # gap != 0
+        return plan, np.zeros_like(u), np.zeros_like(v), status  # gap != 0
 
-    def product_plan(a, b, C):
-        value, _, u, v = solve(a, b, C)
-        return value, np.outer(a, b), u, v  # feasible, not optimal
+    def product_plan(A, B, C):
+        values, _, trees = solve(A, B, C)
+        return values, A[:, :, None] * B[:, None, :], trees  # feasible, not optimal
 
     # the solve's own certificate, then the certificate of the lifted plan
     for name, broken in (("_simplex", zero_potentials), ("solve", product_plan)):
@@ -1152,12 +1162,18 @@ def _small_problem(seed):
 
 
 def _assert_rows_are_cold(stacked, A, B, C):
-    """Each row of a stacked ``solve`` is that row solved alone, to the bit."""
-    values, plans, us, vs = stacked
-    for k, (a, b) in enumerate(zip(A, B)):
-        value, plan, u, v = _transport.solve(a, b, C)
-        assert (values[k], plans[k].tobytes()) == (value, plan.tobytes())
-        assert (us[k].tobytes(), vs[k].tobytes()) == (u.tobytes(), v.tobytes())
+    """Each row of a stacked ``solve`` is that row solved alone, to the bit,
+    and the potentials of the tree that answered it are the row's own."""
+    values, plans, trees = stacked
+    start = 0
+    for stop, tree_u, tree_v in trees:
+        assert start < stop
+        for k in range(start, stop):
+            value, plan, u, v = solve_one(A[k], B[k], C)
+            assert (values[k], plans[k].tobytes()) == (value, plan.tobytes())
+            assert (tree_u.tobytes(), tree_v.tobytes()) == (u.tobytes(), v.tobytes())
+        start = stop
+    assert start == len(A)
 
 
 def test_warm_entry_declines_marginals_whose_masses_differ():
@@ -1203,8 +1219,8 @@ def test_a_kept_tree_that_fails_its_certificate_is_solved_cold(monkeypatch):
     assert calls == [1, 1, 1] and (memo.cold, memo.warm) == (2, 0)
     monkeypatch.undo()
     _assert_rows_are_cold(stacked, A, B, C)
-    # the second row is solved cold, with potentials of its own
-    assert stacked[2][1] is not stacked[2][0]
+    # the second row is solved cold, by a tree of its own
+    assert [stop for stop, _, _ in stacked[2]] == [1, 2]
 
 
 def test_a_tree_with_another_optimal_plan_is_not_kept():
@@ -1289,21 +1305,23 @@ def test_a_solve_does_not_depend_on_earlier_solves():
         A = np.array([random_simplex(rng, k) for _ in range(6)])
         B = np.array([random_simplex(rng, m) for _ in range(6)])
         memo.clear()
-        values, plans, us, vs = _transport.solve(A, B, C)
+        values, plans, trees = _transport.solve(A, B, C)
         counts = (memo.cold, memo.warm)
         for _ in range(5):
             other = C if rng.random() < 0.5 else rng.uniform(0.5, 2.0, size=(k, m))
             r = int(rng.integers(1, 4))
             _transport.solve(np.array([random_simplex(rng, k) for _ in range(r)]),
                              np.array([random_simplex(rng, m) for _ in range(r)]), other)
-        _transport.solve(A[-1], B[-1], C)
+        _transport.solve(A[-1:], B[-1:], C)
         cold, warm = memo.cold, memo.warm
         again = _transport.solve(A, B, C)
         assert (memo.cold - cold, memo.warm - warm) == counts
         assert again[0].tobytes() == values.tobytes()
         assert again[1].tobytes() == plans.tobytes()
-        for u, v, row_u, row_v in zip(again[2], again[3], us, vs):
-            assert (u.tobytes(), v.tobytes()) == (row_u.tobytes(), row_v.tobytes())
+        assert len(again[2]) == len(trees)
+        for (stop, u, v), (tree_stop, tree_u, tree_v) in zip(again[2], trees):
+            assert (stop, u.tobytes(), v.tobytes()) == (tree_stop, tree_u.tobytes(),
+                                                        tree_v.tobytes())
 
 
 # ------------------------------------------------------------ batched tables
@@ -1311,7 +1329,8 @@ def test_a_solve_does_not_depend_on_earlier_solves():
 
 def _public_route(WA, WB, space):
     """Each row through wasserstein1_exact alone, from an empty memo, and
-    the memo hits and misses that the rows taken one call at a time leave."""
+    the memo hits and misses that the rows taken one call at a time leave.
+    From an empty memo each hit is a row that repeats an earlier row."""
     expected = []
     for wa, wb in zip(WA, WB):
         _transport._memo.clear()
@@ -1327,17 +1346,20 @@ def _public_route(WA, WB, space):
 
 def _assert_table_is_the_public_route(WA, WB, space):
     """The stacked ``_w1`` of a table: every row bit for bit the public
-    route's, with the hits and misses of the rows taken one at a time, and
-    every miss solved cold or answered warm; returns the table's hits,
-    misses, cold solves and warm answers."""
-    expected, counts = _public_route(WA, WB, space)
+    route's, with the misses of the rows taken one at a time, and every
+    miss solved cold or answered warm.  A repeat of an earlier row, a hit
+    one row at a time, takes that row's answer in the table with no
+    lookup, so from an empty memo the table makes no hit.  Returns the
+    repeats (the public route's hits) and the table's misses, cold solves
+    and warm answers."""
+    expected, (repeats, misses) = _public_route(WA, WB, space)
     memo = _transport._memo
     memo.clear()
     values, plans = _w1(np.array(WA), np.array(WB), space)
-    assert (memo.hits, memo.misses) == counts
+    assert (memo.hits, memo.misses) == (0, misses)
     assert memo.cold + memo.warm == memo.misses
     assert [(value, plan.tobytes()) for value, plan in zip(values.tolist(), plans)] == expected
-    return memo.hits, memo.misses, memo.cold, memo.warm
+    return repeats, memo.misses, memo.cold, memo.warm
 
 
 def test_a_table_row_that_declines_mid_run_is_solved_cold():
@@ -1360,21 +1382,24 @@ def test_a_table_row_that_declines_mid_run_is_solved_cold():
     assert _assert_table_is_the_public_route(WA, WB, sp) == (0, 4, 3, 1)
 
 
-def test_repeated_table_rows_stay_memo_hits():
+def test_repeated_table_rows_take_the_answer_of_their_first_row():
     # converged walks repeat their rows bit for bit; each repeat of a row
-    # solved earlier in the same table is a hit, as it is one row at a time
+    # solved earlier in the same table takes that row's value and a copy of
+    # its plan, with no lookup, where one row at a time it is a hit
     rng = np.random.default_rng(47)
     sp = euclidean_space(rng, 7)
     mu, nu = random_simplex(rng, 7), random_simplex(rng, 7)
     rows = [0.0, 0.1, 0.1, 0.1, 0.2, 0.1, 0.2]
     WA = [mu] * len(rows)
     WB = [(1.0 - t) * nu + t * mu for t in rows]
-    hits, misses, cold, warm = _assert_table_is_the_public_route(WA, WB, sp)
-    assert (hits, misses, cold + warm) == (4, 3, 3)
+    repeats, misses, cold, warm = _assert_table_is_the_public_route(WA, WB, sp)
+    assert (repeats, misses, cold + warm) == (4, 3, 3)
     # and a table whose rows were all asked for before is all hits
     memo = _transport._memo
-    _w1(np.array(WA), np.array(WB), sp)
-    assert (memo.hits, memo.misses) == (4 + len(rows), 3)
+    values, plans = _w1(np.array(WA), np.array(WB), sp)
+    assert (memo.hits, memo.misses) == (len(rows), 3)
+    # every repeat is a copy of its own
+    assert len({id(plan) for plan in plans}) == len(rows)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "untagged line", "line", "trivial", "d_V"])
@@ -1401,12 +1426,12 @@ def test_table_rows_match_the_public_route_on_every_metric(kind, shape):
     moved[1][[i, k, j]] += [0.005, 0.005, -0.01]
     WA = [mu] * 5 + [mu, mu, nu, nu] + [mu, mu]
     WB = [(1.0 - t) * nu + t * mu for t in (0.0, 0.25, 0.5, 1.0, 0.75)] + [near, near, mu, mu] + moved
-    hits, misses, cold, warm = _assert_table_is_the_public_route(WA, WB, sp)
+    repeats, misses, cold, warm = _assert_table_is_the_public_route(WA, WB, sp)
     if sp._line is None and sp._star is None:
-        # the equal row takes no lookup; the repeats of the balanced row
-        # and of (nu, mu) are hits.  On a line many plans tie, so no tree
-        # answers the rows after its own and every miss is solved cold
-        assert (hits, misses) == (2, 8) and cold + warm == 8
+        # the equal row takes no lookup; the balanced row and (nu, mu) each
+        # repeat once.  On a line many plans tie, so no tree answers the
+        # rows after its own and every miss is solved cold
+        assert (repeats, misses) == (2, 8) and cold + warm == 8
         assert (warm > 0) == (kind == "euclidean")
     else:
-        assert (hits, misses, cold, warm) == (0, 0, 0, 0)
+        assert (repeats, misses, cold, warm) == (0, 0, 0, 0)
